@@ -11,15 +11,20 @@ check        the full invariant suite; exit 1 on any failure
 
 Floats are printed with 17 significant digits so that CSV values round-trip
 binary doubles exactly; CSV rows are comma separated with LF endings and a
-leading '#' comment recording the grid.  An optional JSON config file
-supplies defaults; explicit flags override it.  Exit codes: 0 success,
-1 check failure, 2 usage error.
+leading '#' comment recording the grid.  JSON output is strict: a
+non-finite value is an error, never ``NaN`` or ``Infinity``.  An optional
+JSON config file supplies defaults; explicit flags override it.  Its keys
+are option names (``m0``, ``delta_cut`` or ``delta-cut``, ...), and its
+values are checked as if given on the command line.  Exit codes: 0 success,
+1 check failure, 2 invalid input (usage, config or parameter error), which
+prints one ``error:`` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -28,14 +33,22 @@ import numpy as np
 from . import checks as checks_mod
 from . import contour as ct
 from . import entropy as en
-from .errors import LoopEntropyError, UnknownQuantityError
-from .loops import SchemeParams
+from .errors import LoopEntropyError
+from .loops import MAX_ORDER, SchemeParams, check_int_range
 from .svg import render_line_chart
 from .traces import ratio_checks
 
 
+# largest grid the figure commands accept
+MAX_STEPS = 10_000
+
+
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 @dataclass
@@ -55,8 +68,13 @@ class SweepConfig:
     convention: str = "figure"
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
+        check_int_range("steps", self.steps, 2, MAX_STEPS)
+        check_int_range("order", self.order, 0, MAX_ORDER)
+        for name, value in (("m0-min", self.m0_min), ("m0-max", self.m0_max),
+                            ("lambda0", self.lambda0), ("tv", self.tv),
+                            *(("mu", mu) for mu in self.mu)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if not self.m0_min < self.m0_max:
             raise ValueError("m0-min must be below m0-max")
         if self.m0_min <= 0:
@@ -154,8 +172,15 @@ def _parse_mu_list(text: str) -> tuple:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr (exit 2)."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopentropy",
         description="Regularized one-loop entropies of real and virtual states",
     )
@@ -202,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the regulated contour ratio instead of tau")
     pe.add_argument("--m-phys", type=float, default=None,
                     help="physical mass for the spectral quantity")
-    pe.add_argument("--z", type=float, default=1.0,
-                    help="field strength for the spectral quantity")
+    pe.add_argument("--z", type=float, default=None,
+                    help="field strength for the spectral quantity "
+                         "(default 1; needs --m-phys)")
 
     pt = sub.add_parser("tau", help="closed-form contour-ratio constant")
     pt.add_argument("--json", action="store_true")
@@ -221,36 +247,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the JSON object in ``path`` the subcommands' option defaults.
+
+    Each value is checked as if it had been given as a flag: a switch takes
+    true or false, and anything else goes, as text, through the option's
+    own conversion when the chosen subcommand reads it.  A list joins with
+    commas (a ``mu`` list).  Unknown keys are errors.
+    """
     try:
-        path = argv[idx + 1]
-    except IndexError:
-        parser.error("--config needs a path")
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        parser.error(f"cannot read config file {path!r}: {exc.strerror}")
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        parser.error(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
-        parser.error("config file must hold a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-    parser.set_defaults(**defaults)
-    # subparsers re-apply their own defaults, so they need the overrides too
+        parser.error(f"config file {path!r} must hold a JSON object")
+    actions = {}
     for sp in parser._command_parsers.values():
-        sp.set_defaults(**defaults)
-    return argv
-
-
-def _series_json(series) -> dict:
-    return series.to_json_dict()
+        for action in sp._actions:
+            if action.dest != "help":
+                actions.setdefault(action.dest, []).append((sp, action))
+    for key, value in cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            parser.error(f"unknown config key {key!r}")
+        for sp, action in actions[dest]:
+            if action.nargs == 0:  # a switch
+                if not isinstance(value, bool):
+                    parser.error(f"config key {key!r} must be true or false, not {value!r}")
+                sp.set_defaults(**{dest: value})
+                continue
+            if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):
+                parser.error(f"config key {key!r} must be a number, a string or a list, "
+                             f"not {value!r}")
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            if action.choices is not None and text not in action.choices:
+                parser.error(f"config key {key!r} must be one of {list(action.choices)}, "
+                             f"not {value!r}")
+            sp.set_defaults(**{dest: text})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    argv = _apply_config(parser, argv)
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -275,10 +321,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg = ct.ContourConfig(endpoint_cut=args.delta_cut)
             sd = None
             if args.m_phys is not None:
-                sd = en.SpectralDensity(Z=args.z, m_phys=args.m_phys)
+                sd = en.SpectralDensity(Z=1.0 if args.z is None else args.z,
+                                        m_phys=args.m_phys)
+            elif args.z is not None:
+                raise ValueError("--z needs --m-phys")
             bd = en.compute_quantity(args.q, params, use_tau=not args.quad_ratio,
                                      cfg=cfg, sd=sd)
-            print(json.dumps(bd.to_json_dict(), indent=2, sort_keys=True))
+            _print_json(bd.to_json_dict())
             return 0
 
         if args.command == "tau":
@@ -289,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
                     reg = ct.ratio_ab_regulated(ct.ContourConfig(endpoint_cut=args.delta_cut))
                     payload["regulated_ratio"] = {"re": reg.real, "im": reg.imag,
                                                   "endpoint_cut": args.delta_cut}
-                print(json.dumps(payload, indent=2, sort_keys=True))
+                _print_json(payload)
             else:
                 print(fmt(value))
             return 0
@@ -299,20 +348,19 @@ def main(argv: list[str] | None = None) -> int:
                                           lambda0=args.lambda0, tv=args.tv,
                                           order=args.order)
             report = ratio_checks(params)
-            payload = {
+            tadpole, full = report["tadpole_pair"], report["fully_contracted"]
+            _print_json({
                 "lambda0": report["lambda0"],
                 "tadpole_pair": {
-                    "normalized": _series_json(report["tadpole_pair"]["normalized"]),
-                    "note": report["tadpole_pair"]["normalization_note"],
+                    "normalized": tadpole["normalized"].to_json_dict(),
+                    "note": tadpole["normalization_note"],
                 },
                 "fully_contracted": {
-                    "normalized": _series_json(report["fully_contracted"]["normalized"]),
-                    "normalization_constant": _series_json(
-                        report["fully_contracted"]["normalization_constant"]),
-                    "note": report["fully_contracted"]["normalization_note"],
+                    "normalized": full["normalized"].to_json_dict(),
+                    "normalization_constant": full["normalization_constant"].to_json_dict(),
+                    "note": full["normalization_note"],
                 },
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            })
             return 0
 
         if args.command == "check":
@@ -323,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
             print("all checks passed" if code == 0 else "CHECK FAILURES PRESENT")
             return code
 
-    except UnknownQuantityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (LoopEntropyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,13 +37,12 @@ class ContourConfig:
 
     endpoint_cut: float = 0.05
     tol: float = 1e-9
-    max_evals: int = 10 ** 6
 
     def __post_init__(self):
         if not 0.0 < self.endpoint_cut < 1.0:
             raise ValueError("endpoint_cut must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
 
 
 def _weight(t: float) -> float:

@@ -115,13 +115,13 @@ class SpectralDensity:
     def __post_init__(self):
         if not 0.0 < self.Z <= 1.0:
             raise ValueError("Z must lie in (0, 1]")
-        if self.m_phys <= 0:
-            raise ValueError("m_phys must be positive")
+        if not (math.isfinite(self.m_phys) and self.m_phys > 0):
+            raise ValueError("m_phys must be positive and finite")
         for m2, w in self.multiparticle:
-            if m2 <= 0:
-                raise ValueError("multiparticle M2 values must be positive")
-            if w < 0:
-                raise ValueError("multiparticle weights must be nonnegative")
+            if not (math.isfinite(m2) and m2 > 0):
+                raise ValueError("multiparticle M2 values must be positive and finite")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError("multiparticle weights must be nonnegative and finite")
 
     def channels(self) -> list[tuple[float, float]]:
         """(coefficient, M2) pairs entering the spectral sums."""

@@ -38,8 +38,6 @@ LOGCAP = 2
 # that mixed arithmetic is always limited by the genuinely truncated operand.
 EXACT_ORDER = 64
 
-_DROP_TOL = 0.0  # keep everything; zeros are removed exactly
-
 
 def _cleaned(coeffs: Mapping[tuple[int, int], complex], kmax: int) -> dict:
     out = {}
@@ -395,7 +393,7 @@ def _gamma_one_plus(slope: complex, order: int) -> EpsSeries:
     logg[(1, 0)] = -sf.EULER_GAMMA * apow
     for m in range(2, order + 1):
         apow *= a
-        logg[(m, 0)] = (-1.0) ** m * sf.ZETA[m] * apow / m
+        logg[(m, 0)] = (-1.0) ** m * sf.zeta_int(m) * apow / m
     return EpsSeries(logg, order).exp()
 
 
@@ -445,7 +443,7 @@ def digamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
         spow = 1.0 + 0.0j
         for m in range(1, order + 1):
             spow *= s
-            acc_coeffs[(m, 0)] = (-1.0) ** (m + 1) * sf.ZETA[m + 1] * spow
+            acc_coeffs[(m, 0)] = (-1.0) ** (m + 1) * sf.zeta_int(m + 1) * spow
         acc = EpsSeries(acc_coeffs, order)
         acc = acc - EpsSeries.monomial(1.0 / s, -1, kmax=order)  # the 1/y term
         for k in range(1, n + 1):

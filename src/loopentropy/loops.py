@@ -10,6 +10,11 @@ external momentum r.  Each is available three ways: exact-d closed form,
 epsilon-series around d = 4, and independent adaptive quadrature (the
 oracles, used by the validation suite and the ``check`` command).
 
+``scipy.integrate`` is imported on the first quadrature, not with this
+module: the series paths never integrate numerically, and the quadratures
+run only for the oracles, the regulated contour ratio (``--quad-ratio``,
+``tau --delta-cut``), the contour coefficients and the Renyi traces.
+
 Closed forms for ``chi``: evaluating the Feynman-parameter x-integral gives
 
     chi_j = delta_j * (H_j - H_{j - d/2} + log(-m^2))
@@ -24,20 +29,34 @@ and reported by the check suite as an informational finding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import specialfns as sf
+from ._lazy import LazyModule
 from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
 from .errors import NonConvergentError, PoleError, ToleranceNotMetError
 
+integrate = LazyModule("scipy.integrate")
+
 PI = sf.PI
+
+# series run internally to order + 4, which must stay below EXACT_ORDER (64)
+MAX_ORDER = 32
 
 QUAD_REL_TOL = 1e-9
 QUAD_LIMIT = 400  # subinterval cap for the adaptive quadrature
+
+
+def check_int_range(name: str, value, lo: int, hi: int) -> None:
+    """Raise ValueError unless ``value`` is an integer in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], not {value}")
 
 
 @dataclass(frozen=True)
@@ -55,14 +74,17 @@ class SchemeParams:
     order: int = 4
 
     def __post_init__(self):
+        for name, value in (("m0", self.m0), ("mu", self.mu), ("lambda0", self.lambda0),
+                            ("stvol (= 2TV)", self.stvol)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if not self.m0 > 0:
             raise ValueError("m0 must be positive")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
         if not self.stvol > 0:
             raise ValueError("stvol (= 2TV) must be positive")
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
+        check_int_range("order", self.order, 0, MAX_ORDER)
 
     @classmethod
     def from_tv(cls, m0=1.0, mu=1.0, lambda0=1.0, tv=1.0, order=4) -> "SchemeParams":

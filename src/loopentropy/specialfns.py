@@ -1,11 +1,16 @@
 """Complex special functions used by the closed-form loop integrals.
 
-Everything here is a plain function of python complex numbers.  The gamma
-and digamma evaluations are delegated to scipy (Lanczos-grade accuracy on
-the strip we care about); the polygamma ladder is computed from the Hurwitz
-zeta function via Euler-Maclaurin summation because scipy's polygamma does
-not accept complex arguments.  All constants are stored as 20-significant-
-digit literals since they seed the tolerances of the validation suite.
+Everything here is a plain function of python complex numbers.  The gamma,
+loggamma and digamma evaluations are delegated to ``scipy.special``
+(Lanczos-grade accuracy on the strip we care about), which is imported on
+the first such call: the eps-series of the loop families at j = 0, 1 (every
+entropy the command line serves by default) sit on the poles of Gamma and
+need only the zeta table, so they never load scipy.  The polygamma ladder
+is computed from the Hurwitz zeta function via Euler-Maclaurin summation
+because scipy's polygamma does not accept complex arguments.  All constants
+are stored as 20-significant-digit literals since they seed the tolerances
+of the validation suite; zeta(n) above the table comes from the same
+Hurwitz sum.
 """
 
 from __future__ import annotations
@@ -13,15 +18,16 @@ from __future__ import annotations
 import cmath
 import math
 
-from scipy import special as _sp
-
+from ._lazy import LazyModule
 from .errors import NonFiniteError, PoleError
+
+_sp = LazyModule("scipy.special")
 
 EULER_GAMMA = 0.57721566490153286061
 ZETA3 = 1.2020569031595942854
 PI = 3.1415926535897932385
 
-# zeta(2..16), used by the epsilon-expansion of Gamma(1 + x).
+# zeta(2..16), used by the epsilon-expansion of Gamma(1 + x); see zeta_int.
 ZETA = {
     2: 1.6449340668482264365,
     3: 1.2020569031595942854,
@@ -100,6 +106,18 @@ def harmonic_int(n: int) -> float:
     if n < 0:
         raise PoleError(f"harmonic_int({n}) undefined for negative n")
     return math.fsum(1.0 / k for k in range(1, n + 1))
+
+
+def zeta_int(n: int) -> float:
+    """Riemann zeta(n) for integer n >= 2.
+
+    The table serves n <= 16; above it the Hurwitz sum zeta(n, 1) is good
+    to about 2e-16 relative (the value is 1 + 2^-n + ...).
+    """
+    value = ZETA.get(n)
+    if value is None:
+        value = hurwitz_zeta_int(n, 1.0).real
+    return value
 
 
 def constants() -> tuple[float, float, float]:

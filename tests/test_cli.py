@@ -247,3 +247,98 @@ def test_console_script_end_to_end(tmp_path):
 def test_fmt_is_lossless():
     for x in (1 / 3, math.pi, -2.0, 1e-17, 123456.789):
         assert float(fmt(x)) == x
+
+
+# ----------------------------------------------------------------------
+# input contract: exit 2, one error line, nothing on stdout
+# ----------------------------------------------------------------------
+CONFIGS = {
+    "bad_json.json": "{bad",
+    "not_object.json": "[1, 2]",
+    "float_steps.json": json.dumps({"steps": 2.5}),
+    "unknown_key.json": json.dumps({"m0": 2.0, "no_such_option": 1}),
+    "switch_not_bool.json": json.dumps({"log_grid": 1}),
+    "bad_choice.json": json.dumps({"convention": "sideways"}),
+    "null_value.json": json.dumps({"m0": None}),
+}
+
+INVALID_INPUTS = {
+    "missing_config": ["--config", "{tmp}/missing.json", "tau"],
+    "unreadable_config": ["--config", "{tmp}", "tau"],
+    "bad_json": ["--config", "{tmp}/bad_json.json", "tau"],
+    "not_object": ["--config", "{tmp}/not_object.json", "tau"],
+    "float_steps": ["--config", "{tmp}/float_steps.json", "figure2"],
+    "unknown_key": ["--config", "{tmp}/unknown_key.json", "entropy", "--q", "int21"],
+    "switch_not_bool": ["--config", "{tmp}/switch_not_bool.json", "figure2"],
+    "bad_choice": ["--config", "{tmp}/bad_choice.json", "figure3"],
+    "null_value": ["--config", "{tmp}/null_value.json", "entropy", "--q", "int21"],
+    "z_without_m_phys": ["entropy", "--q", "nonpert", "--z", "0.5"],
+    "order_above_cap": ["entropy", "--q", "int21", "--order", "33"],
+    "negative_order": ["trace-check", "--order", "-1"],
+    "m0_inf": ["entropy", "--q", "ext21", "--m0", "inf"],
+    "tv_inf": ["entropy", "--q", "total21", "--tv", "inf"],
+    "lambda0_nan": ["entropy", "--q", "ext2_order1", "--lambda0", "nan"],
+    "mu_nan": ["trace-check", "--mu", "nan"],
+    "delta_cut_nan": ["tau", "--delta-cut", "nan"],
+    "nonfinite_result": ["entropy", "--q", "ext21", "--m0", "1e200"],
+    "steps_above_cap": ["figure2", "--steps", "100000000"],
+    "figure_order_above_cap": ["figure2", "--order", "40"],
+    "grid_inf": ["figure2", "--m0-max", "inf"],
+    "figure_mu_nan": ["figure3", "--mu", "1,nan"],
+    "bad_float": ["entropy", "--q", "int21", "--m0", "abc"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in INVALID_INPUTS[case]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_config_values_are_converted_like_flags(tmp_path, capsys):
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text(json.dumps({"mu": [0.5, 2], "steps": 4, "m0-max": 3,
+                                    "log_grid": True, "convention": "closed_form"}))
+    assert main(["--config", str(cfg_path), "figure3"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["figure3", "--mu", "0.5,2", "--steps", "4", "--m0-max", "3",
+                 "--log-grid", "--convention", "closed_form"]) == 0
+    assert from_config == capsys.readouterr().out
+    # a mu list is fine for figure3 but not for entropy's single scale
+    assert main(["--config", str(cfg_path), "entropy", "--q", "int21"]) == 2
+
+
+def test_z_with_m_phys_is_used(capsys):
+    assert main(["entropy", "--q", "nonpert", "--m-phys", "2", "--z", "0.5"]) == 0
+    with_z = json.loads(capsys.readouterr().out)["finite"]
+    assert main(["entropy", "--q", "nonpert", "--m-phys", "2"]) == 0
+    assert with_z != json.loads(capsys.readouterr().out)["finite"]
+
+
+def test_sweep_config_caps_and_finiteness():
+    from loopentropy.cli import MAX_STEPS
+    from loopentropy.loops import MAX_ORDER
+
+    assert SweepConfig(steps=MAX_STEPS, order=MAX_ORDER).steps == MAX_STEPS
+    for kwargs in ({"steps": MAX_STEPS + 1}, {"steps": 2.5}, {"order": MAX_ORDER + 1},
+                   {"order": -1}, {"m0_max": math.inf}, {"m0_min": math.nan},
+                   {"tv": math.inf}, {"lambda0": math.nan}, {"mu": (1.0, math.inf)}):
+        with pytest.raises(ValueError):
+            SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize("order", ["20", "32"])
+def test_high_orders_give_the_order_4_finite_part(order, capsys):
+    from loopentropy.entropy import QUANTITY_NAMES
+
+    for q in QUANTITY_NAMES:
+        finite = []
+        for o in ("4", order):
+            assert main(["entropy", "--q", q, "--m0", "1.7", "--order", o]) == 0
+            finite.append(json.loads(capsys.readouterr().out)["finite"])
+        assert finite[1] == pytest.approx(finite[0], rel=1e-12, abs=1e-12), q

@@ -354,6 +354,13 @@ def test_spectral_density_validation():
         en.SpectralDensity(multiparticle=((-1.0, 1.0),))
     with pytest.raises(ValueError):
         en.SpectralDensity(multiparticle=((1.0, -2.0),))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            en.SpectralDensity(m_phys=bad)
+        with pytest.raises(ValueError):
+            en.SpectralDensity(multiparticle=((bad, 1.0),))
+        with pytest.raises(ValueError):
+            en.SpectralDensity(multiparticle=((1.0, bad),))
 
 
 # ----------------------------------------------------------------------

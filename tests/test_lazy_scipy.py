@@ -1,0 +1,70 @@
+"""scipy is an oracle-only dependency, imported on first use.
+
+Each test runs in a fresh interpreter, since any quadrature elsewhere in the
+suite leaves scipy imported in the test process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(args, code=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-c", code] if code else [sys.executable, "-m", "loopentropy.cli"]
+    return subprocess.run(argv + list(args), capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+SERIES_PATHS = r'''
+import contextlib, io, sys, tempfile
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import loopentropy
+assert not loaded(), loaded()
+import loopentropy.cli as cli
+from loopentropy.entropy import QUANTITY_NAMES
+assert not loaded(), loaded()
+
+tmp = tempfile.mkdtemp()
+commands = [["tau"], ["tau", "--json"], ["trace-check"],
+            ["figure2", "--steps", "5", "--svg", tmp + "/f2.svg"],
+            ["figure3", "--steps", "5", "--svg", tmp + "/f3.svg"],
+            ["entropy", "--q", "nonpert", "--m-phys", "2", "--z", "0.5"]]
+commands += [["entropy", "--q", q] for q in QUANTITY_NAMES]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert not loaded(), (argv, loaded())
+print(len(commands))
+'''
+
+
+def test_scipy_is_not_imported_by_the_series_paths():
+    proc = _run([], SERIES_PATHS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "18"
+
+
+def test_quadrature_paths_still_load_scipy_on_demand():
+    proc = _run(["entropy", "--q", "total21", "--quad-ratio"])
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert '"residual_im"' in proc.stdout
+    proc = _run(["check"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("all checks passed")
+
+
+def test_invalid_input_in_a_fresh_process_has_no_traceback(tmp_path):
+    for args in (["--config", str(tmp_path / "missing.json"), "tau"],
+                 ["entropy", "--q", "ext21", "--m0", "inf"],
+                 ["entropy", "--q", "int21", "--order", "99"]):
+        proc = _run(args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

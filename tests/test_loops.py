@@ -8,6 +8,7 @@ import pytest
 
 from loopentropy.errors import NonConvergentError, PoleError
 from loopentropy.loops import (
+    MAX_ORDER,
     LoopValue,
     SchemeParams,
     chi_closed,
@@ -52,6 +53,21 @@ def test_scheme_params_validation():
     p = SchemeParams.from_tv(tv=3.0)
     assert p.stvol == 6.0
     assert p.tv == 3.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"m0": math.inf}, {"m0": math.nan}, {"mu": math.inf}, {"lambda0": math.nan},
+    {"lambda0": -math.inf}, {"stvol": math.inf},
+    {"order": -1}, {"order": MAX_ORDER + 1}, {"order": 2.5}, {"order": True},
+])
+def test_scheme_params_rejects_nonfinite_and_bad_orders(kwargs):
+    with pytest.raises(ValueError):
+        SchemeParams(**kwargs)
+
+
+def test_scheme_params_order_cap_is_accepted():
+    assert SchemeParams(order=MAX_ORDER).order == MAX_ORDER
+    assert SchemeParams(order=np.int64(3)).order == 3
 
 
 def test_loop_value_needs_a_representation():

@@ -100,6 +100,17 @@ def test_zeta_table_against_oracle():
         assert abs(value - float(mpmath.zeta(s))) <= 1e-15
 
 
+def test_zeta_int_beyond_the_table_against_oracle():
+    for n in range(17, 41):
+        ref = float(mpmath.zeta(n))
+        assert abs(sf.zeta_int(n) - ref) <= 1e-15 * ref
+
+
+def test_zeta_int_serves_the_table_unchanged():
+    for n, value in sf.ZETA.items():
+        assert sf.zeta_int(n) == value
+
+
 def test_contour_constant_precursor():
     g, z3, _ = sf.constants()
     value = 0.25 * (-2.0 * g - math.log(4.0) + 12.0 + 3.0 * z3)
