@@ -34,7 +34,7 @@ from . import checks as checks_mod
 from . import contour as ct
 from . import entropy as en
 from .errors import LoopEntropyError
-from .loops import MAX_ORDER, SchemeParams, check_int_range
+from .loops import MAX_ORDER, SchemeParams, check_int_range, check_mass_range
 from .svg import render_line_chart
 from .traces import ratio_checks
 
@@ -53,7 +53,10 @@ def _print_json(payload: dict) -> None:
 
 @dataclass
 class SweepConfig:
-    """Grid and output options for the figure commands."""
+    """Grid and output options for the figure commands.
+
+    The grid ends and every scale in ``mu`` lie in [MASS_MIN, MASS_MAX].
+    """
 
     m0_min: float = 1.0
     m0_max: float = 10.0
@@ -70,15 +73,14 @@ class SweepConfig:
     def __post_init__(self):
         check_int_range("steps", self.steps, 2, MAX_STEPS)
         check_int_range("order", self.order, 0, MAX_ORDER)
-        for name, value in (("m0-min", self.m0_min), ("m0-max", self.m0_max),
-                            ("lambda0", self.lambda0), ("tv", self.tv),
-                            *(("mu", mu) for mu in self.mu)):
+        for name, value in (("lambda0", self.lambda0), ("tv", self.tv)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value!r}")
+        for name, value in (("m0-min", self.m0_min), ("m0-max", self.m0_max),
+                            *(("mu", mu) for mu in self.mu)):
+            check_mass_range(name, value)
         if not self.m0_min < self.m0_max:
             raise ValueError("m0-min must be below m0-max")
-        if self.m0_min <= 0:
-            raise ValueError("m0 grid must be positive")
         if not self.mu:
             raise ValueError("mu list must be nonempty")
 
@@ -193,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda0", type=float, default=1.0)
         p.add_argument("--tv", type=float, default=1.0)
         p.add_argument("--order", type=int, default=4)
-        p.add_argument("--delta-cut", type=float, default=0.05,
-                       help="endpoint regulator for contour quadratures")
 
     def add_grid(p, m0_min, m0_max, steps):
         p.add_argument("--m0-min", type=float, default=m0_min)
@@ -224,9 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--q", required=True, help="quantity name")
     add_scheme(pe)
     pe.add_argument("--quad-ratio", action="store_true",
-                    help="use the regulated contour ratio instead of tau")
+                    help="use the regulated contour ratio instead of tau "
+                         "(total21 only)")
+    pe.add_argument("--delta-cut", type=float, default=None,
+                    help="endpoint cut of the contour ratio "
+                         "(default 0.05; needs --quad-ratio)")
     pe.add_argument("--m-phys", type=float, default=None,
-                    help="physical mass for the spectral quantity")
+                    help="physical mass for the spectral quantity (nonpert only)")
     pe.add_argument("--z", type=float, default=None,
                     help="field strength for the spectral quantity "
                          "(default 1; needs --m-phys)")
@@ -318,7 +322,14 @@ def main(argv: list[str] | None = None) -> int:
             params = SchemeParams.from_tv(m0=args.m0, mu=args.mu,
                                           lambda0=args.lambda0, tv=args.tv,
                                           order=args.order)
-            cfg = ct.ContourConfig(endpoint_cut=args.delta_cut)
+            if args.quad_ratio and args.q != "total21":
+                raise ValueError("--quad-ratio applies only to --q total21")
+            if args.delta_cut is not None and not args.quad_ratio:
+                raise ValueError("--delta-cut needs --quad-ratio")
+            if args.m_phys is not None and args.q != "nonpert":
+                raise ValueError("--m-phys applies only to --q nonpert")
+            cfg = (ct.ContourConfig() if args.delta_cut is None
+                   else ct.ContourConfig(endpoint_cut=args.delta_cut))
             sd = None
             if args.m_phys is not None:
                 sd = en.SpectralDensity(Z=1.0 if args.z is None else args.z,

@@ -33,16 +33,14 @@ PI = sf.PI
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Endpoint regulator and tolerance for the contour quadratures."""
+    """Endpoint regulator for the contour quadratures (relative tolerance
+    ``loops.QUAD_REL_TOL`` = 1e-9)."""
 
     endpoint_cut: float = 0.05
-    tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.endpoint_cut < 1.0:
             raise ValueError("endpoint_cut must lie in (0, 1)")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be positive and finite")
 
 
 def _weight(t: float) -> float:
@@ -51,7 +49,7 @@ def _weight(t: float) -> float:
 
 def coeff_b(cfg: ContourConfig = ContourConfig()) -> complex:
     """Regulated b coefficient; real and positive, divergent as the cut -> 0."""
-    val = _quad(_weight, 0.0, 1.0 - cfg.endpoint_cut, rel_tol=cfg.tol)
+    val = _quad(_weight, 0.0, 1.0 - cfg.endpoint_cut)
     return complex(val / (8.0 * PI ** 2))
 
 
@@ -66,7 +64,7 @@ def _log_factor(t: float) -> complex:
 def coeff_a(cfg: ContourConfig = ContourConfig()) -> complex:
     """Regulated a coefficient (complex; imaginary part is (pi/2) * b)."""
     return complex_quad(lambda t: _weight(t) * _log_factor(t),
-                        0.0, 1.0 - cfg.endpoint_cut, rel_tol=cfg.tol) / (8.0 * PI ** 2)
+                        0.0, 1.0 - cfg.endpoint_cut) / (8.0 * PI ** 2)
 
 
 def tau() -> float:

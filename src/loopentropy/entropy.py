@@ -43,6 +43,7 @@ from .loops import (
     delta_series,
     delta_stripped_series_m2,
     _quad,
+    check_mass_range,
 )
 
 PI = sf.PI
@@ -66,7 +67,6 @@ class EntropyBreakdown:
     pole2: complex = field(init=False)
     pole1: complex = field(init=False)
     logeps: complex = field(init=False)
-    imag_tol: float = DEFAULT_IMAG_TOL
 
     def __post_init__(self):
         parts = self.series.pole_parts()
@@ -79,7 +79,7 @@ class EntropyBreakdown:
 
     @property
     def is_real(self) -> bool:
-        return abs(self.residual_im) <= self.imag_tol
+        return abs(self.residual_im) <= DEFAULT_IMAG_TOL
 
     def to_json_dict(self) -> dict:
         def c(v: complex) -> dict:
@@ -106,6 +106,8 @@ class SpectralDensity:
     ``multiparticle`` entries are (M2, weight) pairs understood as a
     rectangle-rule discretization of the continuum density: each sample
     contributes weight/(2 pi) times a propagator channel at mass^2 = M2.
+    ``m_phys`` lies in [MASS_MIN, MASS_MAX] and each M2 in the square of
+    that range.
     """
 
     Z: float = 1.0
@@ -115,11 +117,9 @@ class SpectralDensity:
     def __post_init__(self):
         if not 0.0 < self.Z <= 1.0:
             raise ValueError("Z must lie in (0, 1]")
-        if not (math.isfinite(self.m_phys) and self.m_phys > 0):
-            raise ValueError("m_phys must be positive and finite")
+        check_mass_range("m_phys", self.m_phys)
         for m2, w in self.multiparticle:
-            if not (math.isfinite(m2) and m2 > 0):
-                raise ValueError("multiparticle M2 values must be positive and finite")
+            check_mass_range("multiparticle M2", m2, power=2)
             if not (math.isfinite(w) and w >= 0):
                 raise ValueError("multiparticle weights must be nonnegative and finite")
 
@@ -130,11 +130,9 @@ class SpectralDensity:
         return chans
 
 
-def _breakdown(name: str, series: EpsSeries, params: SchemeParams,
-               imag_tol: float = DEFAULT_IMAG_TOL) -> EntropyBreakdown:
+def _breakdown(name: str, series: EpsSeries, params: SchemeParams) -> EntropyBreakdown:
     return EntropyBreakdown(name=name, series=series, m0=params.m0,
-                            mu=params.mu, lambda0=params.lambda0,
-                            tv=params.tv, imag_tol=imag_tol)
+                            mu=params.mu, lambda0=params.lambda0, tv=params.tv)
 
 
 # ----------------------------------------------------------------------
@@ -185,17 +183,15 @@ def order1_blocks_n2(params: SchemeParams) -> tuple[EpsSeries, EpsSeries,
 # ----------------------------------------------------------------------
 # two-point entropies, orders 0 and 1
 # ----------------------------------------------------------------------
-def _two_point_reduced_series(params: SchemeParams, j: int, weight: int,
-                              m2: float | None = None) -> EpsSeries:
+def _two_point_reduced_series(params: SchemeParams, j: int, weight: int) -> EpsSeries:
     """log(stvol * D_j) + weight * (H_j - H_{j-d/2} + log m^2).
 
     The common shape of the diagonal-state entropies: D_j is the
     i-stripped tadpole power and the ratio carries the real log branch.
     """
-    m2 = params.m2 if m2 is None else m2
     order = params.order
-    dj = delta_stripped_series_m2(j, m2, order + 1)
-    ratio = chi_over_delta_series_m2(j, m2, order + 1, real_branch=True)
+    dj = delta_stripped_series_m2(j, params.m2, order + 1)
+    ratio = chi_over_delta_series_m2(j, params.m2, order + 1, real_branch=True)
     return (dj.scale(params.stvol).log() + ratio.scale(float(weight))).truncate(order)
 
 
@@ -283,8 +279,7 @@ def s_int_21(params: SchemeParams) -> EntropyBreakdown:
 
 
 def s_total_21(params: SchemeParams, use_tau: bool = True,
-               cfg: ct.ContourConfig | None = None,
-               m0_convention: str = "combined") -> EntropyBreakdown:
+               cfg: ct.ContourConfig | None = None) -> EntropyBreakdown:
     """Replica-limit entropy of the full first-order two-point state.
 
     Expansion: tau + log(m0^4 TV/(32 pi^4 eps^2)) + O(eps), where tau (or,
@@ -292,18 +287,12 @@ def s_total_21(params: SchemeParams, use_tau: bool = True,
     ratio of the contour coefficients.
 
     The m0^4 under the log already contains the log(m0^2) carried by that
-    ratio; this is ``m0_convention="combined"`` (the default, fixed by the
-    mutual-information identity).  ``"extra"`` adds the ratio's log(m0^2)
-    on top of the quoted m0^4, the rejected alternative reading.
+    ratio (the reading fixed by the mutual-information identity), so only
+    m0^2 is added here.
     """
     cfg = cfg or ct.ContourConfig()
     ab = ct.ratio_AB(params.m0, cfg, use_tau=use_tau)
-    if m0_convention == "combined":
-        rest = math.log(params.m2 * params.tv / (32.0 * PI ** 4))
-    elif m0_convention == "extra":
-        rest = math.log(params.m0 ** 4 * params.tv / (32.0 * PI ** 4))
-    else:
-        raise ValueError(f"unknown m0_convention {m0_convention!r}")
+    rest = math.log(params.m2 * params.tv / (32.0 * PI ** 4))
     series = EpsSeries({(0, 1): -2.0, (0, 0): ab + rest}, kmax=0)
     return _breakdown("total21", series, params)
 
@@ -368,7 +357,7 @@ def renyi_trace_n(n: int, params: SchemeParams,
     cfg = cfg or ct.ContourConfig()
     hi = 1.0 if n >= 3 else 1.0 - cfg.endpoint_cut
     val = _quad(lambda t: t ** (3 - n) * (1.0 - t * t) ** (n - 3)
-                * np.arctanh(t) ** n, 0.0, hi, rel_tol=cfg.tol)
+                * np.arctanh(t) ** n, 0.0, hi)
     pref = (-1j) ** n * 2.0 * params.m0 ** (4 - 2 * n) \
         / (PI ** 2 * (32.0 * PI ** 2) ** n)
     return pref * val
@@ -399,7 +388,7 @@ def renyi_trace_radial(n: int, params: SchemeParams,
         jac = 1.0 / (1.0 - u) ** 2
         return r ** 3 * jac * eta_closed_d4(r * r, m2) ** n
 
-    return complex_quad(f, 0.0, hi, rel_tol=cfg.tol) / (8.0 * PI ** 2)
+    return complex_quad(f, 0.0, hi) / (8.0 * PI ** 2)
 
 
 def plane_wave_trace(params: SchemeParams) -> float:

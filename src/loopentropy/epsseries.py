@@ -232,26 +232,23 @@ class EpsSeries:
         c, L, u = self._leading_unit()
         rel_order = self.kmax - L  # u is known through eps^rel_order
         # 1/(1 + u) = sum_m (-u)^m
-        geom = EpsSeries.constant(1.0, rel_order)
-        term = EpsSeries.constant(1.0, rel_order)
-        for _ in range(max(rel_order, 0)):
-            term = (term * u.scale(-1.0)).truncate(rel_order)
-            if term.is_zero():
-                break
-            geom = geom + term
+        geom = _power_sum(EpsSeries.constant(1.0, rel_order), -u, rel_order)
         return geom.scale(1.0 / c).shift(-L)
 
     def __truediv__(self, other) -> "EpsSeries":
+        """``self * other.inverse()``, with the divisor first truncated to the
+        order the quotient keeps (its ``kmax`` is unchanged by the cut)."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self * o.inverse()
+        lead = o.lead()
+        return self * o.truncate(max(self.kmax - self.lead() + lead, lead)).inverse()
 
     def __rtruediv__(self, other) -> "EpsSeries":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def log(self) -> "EpsSeries":
         """log of the series: log(c) + L*log(eps) + log1p(u).
@@ -264,13 +261,7 @@ class EpsSeries:
         acc = EpsSeries.constant(sf.principal_log(c), rel_order)
         if L != 0:
             acc = acc + EpsSeries.log_eps(float(L), rel_order)
-        term = EpsSeries.constant(1.0, rel_order)
-        for m in range(1, max(rel_order, 0) + 1):
-            term = (term * u).truncate(rel_order)
-            if term.is_zero():
-                break
-            acc = acc + term.scale((-1.0) ** (m + 1) / m)
-        return acc
+        return _power_sum(acc, u, rel_order, lambda m: (-1.0) ** (m + 1) / m)
 
     def exp(self) -> "EpsSeries":
         """exp of the series; inverse of :meth:`log` on its image.
@@ -290,19 +281,10 @@ class EpsSeries:
                 "exp of a non-integer multiple of log(eps) is not representable"
             )
         c00 = self.coefficient(0, 0)
-        rest = {}
-        for (k, l), v in self.coeffs.items():
-            if (k, l) in ((0, 0), (0, 1)):
-                continue
-            rest[(k, l)] = v
-        rest = EpsSeries(rest, self.kmax)
-        acc = EpsSeries.constant(1.0, self.kmax)
-        term = EpsSeries.constant(1.0, self.kmax)
-        for m in range(1, max(self.kmax, 0) + 1):
-            term = (term * rest).truncate(self.kmax)
-            if term.is_zero():
-                break
-            acc = acc + term.scale(1.0 / math.factorial(m))
+        rest = EpsSeries({key: v for key, v in self.coeffs.items()
+                          if key not in ((0, 0), (0, 1))}, self.kmax)
+        acc = _power_sum(EpsSeries.constant(1.0, self.kmax), rest, self.kmax,
+                         lambda m: 1.0 / math.factorial(m))
         return acc.scale(cmath.exp(c00)).shift(L)
 
     # ------------------------------------------------------------------
@@ -364,6 +346,18 @@ class EpsSeries:
                 body += f"*ln(eps)^{l}" if l > 1 else "*ln(eps)"
             bits.append(body)
         return "EpsSeries(" + " + ".join(bits) + f" + O(eps^{self.kmax + 1}))"
+
+
+def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeries:
+    """``acc + sum_{m>=1} weight(m) * u**m`` through eps**order, for lead(u) >= 1;
+    ``weight=None`` adds each power unscaled."""
+    term = EpsSeries.constant(1.0, order)
+    for m in range(1, max(order, 0) + 1):
+        term = (term * u).truncate(order)
+        if term.is_zero():
+            break
+        acc = acc + (term if weight is None else term.scale(weight(m)))
+    return acc
 
 
 # ----------------------------------------------------------------------

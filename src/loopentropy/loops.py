@@ -50,6 +50,11 @@ MAX_ORDER = 32
 QUAD_REL_TOL = 1e-9
 QUAD_LIMIT = 400  # subinterval cap for the adaptive quadrature
 
+# masses and scales lie in [MASS_MIN, MASS_MAX], so that their fourth
+# powers, and ratios of fourth powers, are finite nonzero floats
+MASS_MIN = 1e-30
+MASS_MAX = 1e30
+
 
 def check_int_range(name: str, value, lo: int, hi: int) -> None:
     """Raise ValueError unless ``value`` is an integer in [lo, hi]."""
@@ -59,12 +64,21 @@ def check_int_range(name: str, value, lo: int, hi: int) -> None:
         raise ValueError(f"{name} must lie in [{lo}, {hi}], not {value}")
 
 
+def check_mass_range(name: str, value: float, power: int = 1) -> None:
+    """Raise ValueError unless ``value`` lies in [MASS_MIN, MASS_MAX]**power
+    (``power=2`` for a squared mass)."""
+    lo, hi = MASS_MIN ** power, MASS_MAX ** power
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], not {value!r}")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Evaluation context: bare mass, scale, coupling, spacetime volume.
 
     ``stvol`` is the full spacetime volume 2TV (the momentum-space
-    delta^4(p=0)); the figure conventions quote TV = stvol / 2.
+    delta^4(p=0)); the figure conventions quote TV = stvol / 2.  The mass
+    ``m0`` and the scale ``mu`` lie in [MASS_MIN, MASS_MAX].
     """
 
     m0: float = 1.0
@@ -74,14 +88,11 @@ class SchemeParams:
     order: int = 4
 
     def __post_init__(self):
-        for name, value in (("m0", self.m0), ("mu", self.mu), ("lambda0", self.lambda0),
-                            ("stvol (= 2TV)", self.stvol)):
+        for name, value in (("lambda0", self.lambda0), ("stvol (= 2TV)", self.stvol)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value!r}")
-        if not self.m0 > 0:
-            raise ValueError("m0 must be positive")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        check_mass_range("m0", self.m0)
+        check_mass_range("mu", self.mu)
         if not self.stvol > 0:
             raise ValueError("stvol (= 2TV) must be positive")
         check_int_range("order", self.order, 0, MAX_ORDER)

@@ -260,6 +260,7 @@ CONFIGS = {
     "switch_not_bool.json": json.dumps({"log_grid": 1}),
     "bad_choice.json": json.dumps({"convention": "sideways"}),
     "null_value.json": json.dumps({"m0": None}),
+    "delta_cut.json": json.dumps({"delta_cut": 0.1}),
 }
 
 INVALID_INPUTS = {
@@ -286,6 +287,21 @@ INVALID_INPUTS = {
     "grid_inf": ["figure2", "--m0-max", "inf"],
     "figure_mu_nan": ["figure3", "--mu", "1,nan"],
     "bad_float": ["entropy", "--q", "int21", "--m0", "abc"],
+    # flags that the chosen quantity would not read
+    "quad_ratio_not_total21": ["entropy", "--q", "mutual21", "--quad-ratio"],
+    "delta_cut_without_quad_ratio": ["entropy", "--q", "total21", "--delta-cut", "0.1"],
+    "config_delta_cut_without_quad_ratio": ["--config", "{tmp}/delta_cut.json",
+                                            "entropy", "--q", "total21"],
+    "m_phys_not_nonpert": ["entropy", "--q", "int21", "--m-phys", "2"],
+    "trace_check_delta_cut": ["trace-check", "--delta-cut", "0.1"],
+    # masses and scales outside [MASS_MIN, MASS_MAX]
+    "m0_overflows": ["entropy", "--q", "mutual21", "--m0", "1e100"],
+    "m0_underflows": ["entropy", "--q", "vacuum21", "--m0", "1e-200"],
+    "mu_underflows": ["entropy", "--q", "ext2_total", "--mu", "1e-100"],
+    "m_phys_overflows": ["entropy", "--q", "nonpert", "--m-phys", "1e200"],
+    "figure2_grid_overflows": ["figure2", "--m0-max", "1e100"],
+    "figure3_grid_overflows": ["figure3", "--m0-max", "1e100"],
+    "figure3_mu_underflows": ["figure3", "--mu", "1,1e-100"],
 }
 
 
@@ -298,6 +314,19 @@ def test_invalid_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_mass_out_of_range_names_the_bound(capsys):
+    assert main(["entropy", "--q", "ext21", "--m0", "1e160"]) == 2
+    assert capsys.readouterr().err == "error: m0 must lie in [1e-30, 1e+30], not 1e+160\n"
+
+
+def test_delta_cut_is_used_with_quad_ratio(capsys):
+    finite = []
+    for extra in ([], ["--delta-cut", "0.05"], ["--delta-cut", "0.1"]):
+        assert main(["entropy", "--q", "total21", "--quad-ratio", *extra]) == 0
+        finite.append(json.loads(capsys.readouterr().out)["finite"])
+    assert finite[0] == finite[1] != finite[2]
 
 
 def test_config_values_are_converted_like_flags(tmp_path, capsys):
@@ -327,7 +356,8 @@ def test_sweep_config_caps_and_finiteness():
     assert SweepConfig(steps=MAX_STEPS, order=MAX_ORDER).steps == MAX_STEPS
     for kwargs in ({"steps": MAX_STEPS + 1}, {"steps": 2.5}, {"order": MAX_ORDER + 1},
                    {"order": -1}, {"m0_max": math.inf}, {"m0_min": math.nan},
-                   {"tv": math.inf}, {"lambda0": math.nan}, {"mu": (1.0, math.inf)}):
+                   {"tv": math.inf}, {"lambda0": math.nan}, {"mu": (1.0, math.inf)},
+                   {"m0_min": 1e-31}, {"m0_max": 1e31}, {"mu": (1.0, 1e-31)}):
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 

@@ -22,13 +22,9 @@ def test_config_validation():
         ContourConfig(endpoint_cut=0.0)
     with pytest.raises(ValueError):
         ContourConfig(endpoint_cut=1.0)
-    with pytest.raises(ValueError):
-        ContourConfig(tol=-1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             ContourConfig(endpoint_cut=bad)
-        with pytest.raises(ValueError):
-            ContourConfig(tol=bad)
 
 
 def test_weight_vanishes_at_origin():

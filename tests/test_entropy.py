@@ -11,7 +11,7 @@ import pytest
 from loopentropy import contour as ct
 from loopentropy import entropy as en
 from loopentropy.errors import UnknownQuantityError
-from loopentropy.loops import SchemeParams
+from loopentropy.loops import MASS_MAX, MASS_MIN, SchemeParams
 
 PI = math.pi
 GAMMA = 0.57721566490153286061
@@ -108,12 +108,6 @@ def test_total21_mass_conventions():
     # default: quoted m0^4 already contains the contour-ratio log(m0^2)
     combined = en.s_total_21(params(m0=2.0)).finite - en.s_total_21(params()).finite
     assert combined == pytest.approx(4 * math.log(2.0), abs=1e-12)
-    # alternative reading stacks the ratio's log on top: 6 log 2 per doubling
-    extra = (en.s_total_21(params(m0=2.0), m0_convention="extra").finite
-             - en.s_total_21(params(), m0_convention="extra").finite)
-    assert extra == pytest.approx(6 * math.log(2.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        en.s_total_21(params(), m0_convention="bogus")
 
 
 def test_total21_quadrature_mode_flagged_nonreal():
@@ -361,6 +355,23 @@ def test_spectral_density_validation():
             en.SpectralDensity(multiparticle=((bad, 1.0),))
         with pytest.raises(ValueError):
             en.SpectralDensity(multiparticle=((1.0, bad),))
+    en.SpectralDensity(m_phys=MASS_MIN, multiparticle=((MASS_MAX ** 2, 1.0),))
+    for kwargs in ({"m_phys": MASS_MAX * 10}, {"m_phys": MASS_MIN / 10},
+                   {"multiparticle": ((MASS_MAX ** 2 * 10, 1.0),)},
+                   {"multiparticle": ((MASS_MIN ** 2 / 10, 1.0),)}):
+        with pytest.raises(ValueError):
+            en.SpectralDensity(**kwargs)
+
+
+@pytest.mark.parametrize("m0", [MASS_MIN, 1.0, MASS_MAX])
+@pytest.mark.parametrize("mu", [MASS_MIN, MASS_MAX])
+def test_every_quantity_is_finite_at_the_mass_range_ends(m0, mu):
+    for order in (0, 32):
+        for tv in (1e-3, 1e3):
+            for name in en.QUANTITY_NAMES:
+                data = en.compute_quantity(name, params(m0=m0, mu=mu, tv=tv,
+                                                        order=order)).to_json_dict()
+                json.dumps(data, allow_nan=False)  # raises on inf or nan
 
 
 # ----------------------------------------------------------------------

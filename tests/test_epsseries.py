@@ -117,6 +117,18 @@ def test_log_cap_guards_inverse_content():
         deep.inverse()  # the true inverse carries log(eps)^3 at eps^3
 
 
+def test_division_stops_at_the_order_the_quotient_keeps():
+    # the quotient is known through eps^2, so the divisor's inverse is only
+    # needed through eps^2 and the log(eps)^3 at eps^3 is never formed
+    deep = EpsSeries({(0, 0): 2.0, (1, 1): 0.5}, kmax=4)
+    quotient = EpsSeries.constant(1.0, kmax=2) / deep
+    assert quotient.kmax == 2
+    assert quotient.terms() == deep.truncate(2).inverse().terms()
+    assert quotient.terms() == [(0, 0, 0.5 + 0j), (1, 1, -0.125 + 0j), (2, 2, 0.03125 + 0j)]
+    with pytest.raises(LogCapError):
+        deep.inverse()
+
+
 def test_log_examples():
     lg = EpsSeries.monomial(3.0, -1).log()
     assert lg.coefficient(0, 0) == pytest.approx(math.log(3.0))

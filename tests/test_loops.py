@@ -59,6 +59,7 @@ def test_scheme_params_validation():
     {"m0": math.inf}, {"m0": math.nan}, {"mu": math.inf}, {"lambda0": math.nan},
     {"lambda0": -math.inf}, {"stvol": math.inf},
     {"order": -1}, {"order": MAX_ORDER + 1}, {"order": 2.5}, {"order": True},
+    {"m0": 1e31}, {"m0": 1e-31}, {"mu": 1e31}, {"mu": 1e-31},
 ])
 def test_scheme_params_rejects_nonfinite_and_bad_orders(kwargs):
     with pytest.raises(ValueError):
