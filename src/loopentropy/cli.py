@@ -11,13 +11,14 @@ check        the full invariant suite; exit 1 on any failure
 
 Floats are printed with 17 significant digits so that CSV values round-trip
 binary doubles exactly; CSV rows are comma separated with LF endings and a
-leading '#' comment recording the grid.  JSON output is strict: a
-non-finite value is an error, never ``NaN`` or ``Infinity``.  An optional
-JSON config file supplies defaults; explicit flags override it.  Its keys
-are option names (``m0``, ``delta_cut`` or ``delta-cut``, ...), and its
-values are checked as if given on the command line.  Exit codes: 0 success,
-1 check failure, 2 invalid input (usage, config or parameter error), which
-prints one ``error:`` line on stderr and nothing on stdout.
+leading '#' comment recording the grid.  Output is strict: a non-finite
+value is an error, never ``NaN``/``Infinity`` in JSON or ``nan``/``inf`` in
+a CSV row.  An optional JSON config file supplies defaults; explicit flags
+override it.  Its keys are option names (``m0``, ``delta_cut`` or
+``delta-cut``, ...), and its values are checked as if given on the command
+line.  Exit codes: 0 success, 1 check failure, 2 invalid input (usage,
+config or parameter error), which prints one ``error:`` line on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import numpy as np
 from . import checks as checks_mod
 from . import contour as ct
 from . import entropy as en
-from .errors import LoopEntropyError
-from .loops import MAX_ORDER, SchemeParams, check_int_range, check_mass_range
+from .errors import LoopEntropyError, NonFiniteError
+from .loops import (MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range,
+                    check_mass_range)
 from .svg import render_line_chart
 from .traces import ratio_checks
 
@@ -55,7 +57,8 @@ def _print_json(payload: dict) -> None:
 class SweepConfig:
     """Grid and output options for the figure commands.
 
-    The grid ends and every scale in ``mu`` lie in [MASS_MIN, MASS_MAX].
+    The grid ends and every scale in ``mu`` lie in [MASS_MIN, MASS_MAX];
+    ``lambda0`` and ``tv`` obey the ranges of :class:`SchemeParams`.
     """
 
     m0_min: float = 1.0
@@ -73,9 +76,7 @@ class SweepConfig:
     def __post_init__(self):
         check_int_range("steps", self.steps, 2, MAX_STEPS)
         check_int_range("order", self.order, 0, MAX_ORDER)
-        for name, value in (("lambda0", self.lambda0), ("tv", self.tv)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, not {value!r}")
+        check_coupling_and_tv(self.lambda0, self.tv)
         for name, value in (("m0-min", self.m0_min), ("m0-max", self.m0_max),
                             *(("mu", mu) for mu in self.mu)):
             check_mass_range(name, value)
@@ -92,6 +93,11 @@ class SweepConfig:
 
 def _write_csv(path: str | None, comment: str, header: list[str],
                rows: list[list[float]]) -> str:
+    """The CSV text, also written to ``path`` if given; like the strict JSON,
+    a CSV never holds ``nan`` or ``inf`` (NonFiniteError instead)."""
+    for row in rows:
+        if not all(math.isfinite(v) for v in row):
+            raise NonFiniteError(f"non-finite value in the row at m0 = {fmt(row[0])}")
     lines = [f"# {comment}", ",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ m^2 -> m^2 - i0 propagator prescription.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +38,11 @@ LOGCAP = 2
 # kmax assigned to series that are exact (constants, monomials); large enough
 # that mixed arithmetic is always limited by the genuinely truncated operand.
 EXACT_ORDER = 64
+
+# entries kept by each memoized expansion (gamma_series, digamma_series): the
+# library's own keys, (j - 1, -0.5, order + k) for j <= 4 at every order up to
+# the cap, fit; arbitrary c0 from other callers cannot grow it further
+EXPANSION_CACHE_SIZE = 256
 
 
 def _cleaned(coeffs: Mapping[tuple[int, int], complex], kmax: int) -> dict:
@@ -363,6 +369,32 @@ def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeri
 # ----------------------------------------------------------------------
 # standard expansions
 # ----------------------------------------------------------------------
+def _memoized(expansion):
+    """Memoize a pure expansion of ``(c0, slope, order)`` in a bounded LRU cache.
+
+    Every caller gets the same :class:`EpsSeries` object, so nothing may
+    mutate a returned series.  ``0.0`` and ``-0.0`` compare equal but pick
+    opposite branches (``loggamma(-2.5 - 0j)`` is the conjugate of
+    ``loggamma(-2.5 + 0j)``), so the key carries the sign of each part of
+    ``c0`` and ``slope``; ``typed`` keeps ``order=4.0`` (an error) apart from
+    ``order=4``.
+    """
+    @functools.lru_cache(maxsize=EXPANSION_CACHE_SIZE, typed=True)
+    def cached(c0: complex, slope: complex, order: int, signs: tuple) -> EpsSeries:
+        return expansion(c0, slope, order)
+
+    @functools.wraps(expansion)
+    def memoized(c0: complex, slope: complex, order: int) -> EpsSeries:
+        c0, slope = complex(c0), complex(slope)
+        signs = tuple(math.copysign(1.0, x)
+                      for x in (c0.real, c0.imag, slope.real, slope.imag))
+        return cached(c0, slope, order, signs)
+
+    memoized.cache_info = cached.cache_info
+    memoized.cache_clear = cached.cache_clear
+    return memoized
+
+
 def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSeries:
     """base**(exponent_slope * eps) expanded to the given order.
 
@@ -391,8 +423,9 @@ def _gamma_one_plus(slope: complex, order: int) -> EpsSeries:
     return EpsSeries(logg, order).exp()
 
 
+@_memoized
 def gamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
-    """Expansion of Gamma(c0 + slope*eps) around eps = 0.
+    """Expansion of Gamma(c0 + slope*eps) around eps = 0 (memoized).
 
     At a nonpositive integer c0 = -n the result starts with a simple pole
     whose residue is (-1)**n / (n! * slope).
@@ -420,8 +453,9 @@ def gamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
     return EpsSeries(logg, order).exp()
 
 
+@_memoized
 def digamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
-    """Expansion of digamma(c0 + slope*eps) around eps = 0.
+    """Expansion of digamma(c0 + slope*eps) around eps = 0 (memoized).
 
     Handles nonpositive-integer c0, where the expansion carries a simple
     pole -1/(slope*eps) plus a regular tail.

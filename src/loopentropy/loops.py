@@ -55,6 +55,15 @@ QUAD_LIMIT = 400  # subinterval cap for the adaptive quadrature
 MASS_MIN = 1e-30
 MASS_MAX = 1e30
 
+# the coupling is 0 (the free theory) or has a magnitude in [COUPLING_MIN,
+# COUPLING_MAX], and TV lies in [TV_MIN, TV_MAX]: with masses and scales in
+# range, every quantity and trace ratio stays finite (lambda0^2 TV m0^8 and
+# log(m0^4 TV) included), and lambda0^2 in the trace ratios stays nonzero
+COUPLING_MIN = 1e-30
+COUPLING_MAX = 1e30
+TV_MIN = 1e-30
+TV_MAX = 1e30
+
 
 def check_int_range(name: str, value, lo: int, hi: int) -> None:
     """Raise ValueError unless ``value`` is an integer in [lo, hi]."""
@@ -72,13 +81,25 @@ def check_mass_range(name: str, value: float, power: int = 1) -> None:
         raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], not {value!r}")
 
 
+def check_coupling_and_tv(lambda0: float, tv: float) -> None:
+    """Raise ValueError unless ``lambda0`` is 0 or its magnitude lies in
+    [COUPLING_MIN, COUPLING_MAX], and ``tv`` lies in [TV_MIN, TV_MAX]."""
+    if lambda0 != 0 and not COUPLING_MIN <= abs(lambda0) <= COUPLING_MAX:
+        raise ValueError(f"lambda0 must be 0 or have a magnitude in "
+                         f"[{COUPLING_MIN:g}, {COUPLING_MAX:g}], not {lambda0!r}")
+    if not TV_MIN <= tv <= TV_MAX:
+        raise ValueError(f"tv must lie in [{TV_MIN:g}, {TV_MAX:g}], not {tv!r}")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Evaluation context: bare mass, scale, coupling, spacetime volume.
 
     ``stvol`` is the full spacetime volume 2TV (the momentum-space
     delta^4(p=0)); the figure conventions quote TV = stvol / 2.  The mass
-    ``m0`` and the scale ``mu`` lie in [MASS_MIN, MASS_MAX].
+    ``m0`` and the scale ``mu`` lie in [MASS_MIN, MASS_MAX], TV in
+    [TV_MIN, TV_MAX], and ``lambda0`` is 0 or has a magnitude in
+    [COUPLING_MIN, COUPLING_MAX].
     """
 
     m0: float = 1.0
@@ -88,13 +109,9 @@ class SchemeParams:
     order: int = 4
 
     def __post_init__(self):
-        for name, value in (("lambda0", self.lambda0), ("stvol (= 2TV)", self.stvol)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, not {value!r}")
+        check_coupling_and_tv(self.lambda0, self.tv)
         check_mass_range("m0", self.m0)
         check_mass_range("mu", self.mu)
-        if not self.stvol > 0:
-            raise ValueError("stvol (= 2TV) must be positive")
         check_int_range("order", self.order, 0, MAX_ORDER)
 
     @classmethod

@@ -110,9 +110,11 @@ def ratio_checks(params: SchemeParams) -> dict:
     a factor delta0^2, which is recorded as the normalization constant of
     the "~" rather than asserted away.
 
-    Both ratios scale linearly in lambda0.
+    Both ratios scale linearly in lambda0, which must be nonzero.
     """
     lam = params.lambda0
+    if lam == 0.0:
+        raise LoopEntropyError("ratio_checks requires a nonzero coupling lambda0")
     d0 = delta_series(0, params)
     d1 = delta_series(1, params)
     two_tv = params.stvol

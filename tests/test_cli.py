@@ -302,6 +302,12 @@ INVALID_INPUTS = {
     "figure2_grid_overflows": ["figure2", "--m0-max", "1e100"],
     "figure3_grid_overflows": ["figure3", "--m0-max", "1e100"],
     "figure3_mu_underflows": ["figure3", "--mu", "1,1e-100"],
+    # couplings and volumes outside their ranges
+    "lambda0_overflows": ["trace-check", "--lambda0", "1e300"],
+    "lambda0_underflows": ["trace-check", "--lambda0", "1e-100"],
+    "tv_overflows": ["entropy", "--q", "mutual21", "--m0", "1e30", "--tv", "1e300"],
+    "figure3_lambda0_tv_overflow": ["figure3", "--lambda0", "1e300", "--tv", "1e300",
+                                    "--steps", "3"],
 }
 
 
@@ -319,6 +325,65 @@ def test_invalid_input_exits_2_with_one_error_line(case, tmp_path, capsys):
 def test_mass_out_of_range_names_the_bound(capsys):
     assert main(["entropy", "--q", "ext21", "--m0", "1e160"]) == 2
     assert capsys.readouterr().err == "error: m0 must lie in [1e-30, 1e+30], not 1e+160\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace-check", "--lambda0", "1e300"],
+     "lambda0 must be 0 or have a magnitude in [1e-30, 1e+30], not 1e+300"),
+    (["entropy", "--q", "mutual21", "--m0", "1e30", "--tv", "1e300"],
+     "tv must lie in [1e-30, 1e+30], not 1e+300"),
+    (["figure2", "--tv", "1e-31", "--steps", "3"],
+     "tv must lie in [1e-30, 1e+30], not 1e-31"),
+    (["trace-check", "--lambda0", "0"],
+     "ratio_checks requires a nonzero coupling lambda0"),
+])
+def test_coupling_and_tv_errors_name_the_flag(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lambda0", ["1e-30", "-1e-30", "1e30", "-1e30"])
+@pytest.mark.parametrize("tv", ["1e-30", "1e30"])
+def test_every_quantity_is_finite_at_the_coupling_and_tv_range_ends(lambda0, tv, capsys):
+    from loopentropy.entropy import QUANTITY_NAMES
+
+    for m0, mu in (("1e-30", "1e30"), ("1e30", "1e-30"), ("1e30", "1e30")):
+        scheme = ["--m0", m0, "--mu", mu, f"--lambda0={lambda0}", "--tv", tv,
+                  "--order", "32"]
+        for q in QUANTITY_NAMES:
+            assert main(["entropy", "--q", q, *scheme]) == 0
+            json.loads(capsys.readouterr().out)  # strict JSON: finite values only
+        assert main(["trace-check", *scheme]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # lambda0^2 neither underflows nor overflows: both ratios normalize to 1
+        for pair in ("tadpole_pair", "fully_contracted"):
+            lead = report[pair]["normalized"]["terms"][0]
+            assert (lead["k"], lead["l"]) == (0, 0)
+            assert lead["re"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command, rows_fn", [("figure2", "figure2_rows"),
+                                              ("figure3", "figure3_rows")])
+def test_figure_commands_refuse_non_finite_rows(command, rows_fn, tmp_path,
+                                                monkeypatch, capsys):
+    import loopentropy.cli as cli_mod
+
+    real = getattr(cli_mod, rows_fn)
+
+    def with_nonfinite(cfg):
+        rows = real(cfg)
+        rows[1][-1] = math.inf
+        return rows
+
+    monkeypatch.setattr(cli_mod, rows_fn, with_nonfinite)
+    out_path = tmp_path / "out.csv"
+    for extra in ([], ["--out", str(out_path)]):
+        assert main([command, "--steps", "3", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: non-finite value in the row at m0 = ")
+        assert err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_delta_cut_is_used_with_quad_ratio(capsys):
@@ -357,7 +422,9 @@ def test_sweep_config_caps_and_finiteness():
     for kwargs in ({"steps": MAX_STEPS + 1}, {"steps": 2.5}, {"order": MAX_ORDER + 1},
                    {"order": -1}, {"m0_max": math.inf}, {"m0_min": math.nan},
                    {"tv": math.inf}, {"lambda0": math.nan}, {"mu": (1.0, math.inf)},
-                   {"m0_min": 1e-31}, {"m0_max": 1e31}, {"mu": (1.0, 1e-31)}):
+                   {"m0_min": 1e-31}, {"m0_max": 1e31}, {"mu": (1.0, 1e-31)},
+                   {"lambda0": 1e31}, {"lambda0": -1e-31}, {"tv": 1e31}, {"tv": 1e-31},
+                   {"tv": -1.0}):
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 

@@ -1,14 +1,17 @@
 """Series-algebra layer: ring axioms, division/log/exp, the standard
-expansions, and the truncation bookkeeping."""
+expansions and their memoization, and the truncation bookkeeping."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
+from loopentropy import entropy as en
 from loopentropy import specialfns as sf
 from loopentropy.epsseries import (
+    EXPANSION_CACHE_SIZE,
     EpsSeries,
     digamma_series,
     gamma_series,
@@ -20,6 +23,7 @@ from loopentropy.errors import (
     NonInvertibleLeadingTermError,
     TruncationUnderflowError,
 )
+from loopentropy.loops import SchemeParams, chi_series_m2, delta_series_m2
 
 mpmath.mp.dps = 40
 
@@ -304,3 +308,71 @@ def test_evaluate_includes_log_channels():
     ser = EpsSeries({(0, 1): 2.0, (-1, 0): 1.0}, kmax=1)
     eps = 1e-3
     assert ser.evaluate(eps) == pytest.approx(1.0 / eps + 2.0 * math.log(eps))
+
+
+# ----------------------------------------------------------------------
+# memoized expansions
+# ----------------------------------------------------------------------
+MEMOIZED = (gamma_series, digamma_series)
+
+
+def _clear_expansion_caches():
+    for fn in MEMOIZED:
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("fn", MEMOIZED, ids=lambda f: f.__name__)
+def test_memoized_expansions_equal_the_uncached_ones(fn):
+    # poles n = 0..5, regular points, and both signs of a zero imaginary part
+    # (complex(-2.5, -0.0) lies on the other side of the log-gamma branch cut)
+    points = [0, -1, -2, -3, -4, -5, 1, 2.5, 0.3, complex(1.3, 0.4),
+              complex(-2.5, 0.0), complex(-2.5, -0.0), -2.5]
+    _clear_expansion_caches()
+    for order in range(9):
+        for c0 in points:
+            for slope in (-0.5, 1.0, 0.7):
+                expected = repr(fn.__wrapped__(c0, slope, order).terms())
+                first, second = fn(c0, slope, order), fn(c0, slope, order)
+                assert second is first
+                assert repr(first.terms()) == expected, (c0, slope, order)
+
+
+def test_loop_series_at_interleaved_masses_and_orders_equal_a_cold_call():
+    rng = random.Random(7)
+    calls = [(f, j, m2, order) for f in (delta_series_m2, chi_series_m2)
+             for j in range(5) for m2 in (0.3, 1.0, 7.5) for order in (0, 3, 8)]
+    rng.shuffle(calls)
+    cold = []
+    for f, j, m2, order in calls:
+        _clear_expansion_caches()
+        cold.append(repr(f(j, m2, order).terms()))
+    _clear_expansion_caches()
+    warm = [repr(f(j, m2, order).terms()) for f, j, m2, order in calls]
+    assert warm == cold
+
+
+def test_quantities_leave_cached_expansions_unchanged():
+    _clear_expansion_caches()
+    # every key the pass below uses: c0 = j - 1, orders up to 8 + 6
+    keys = [(c0, -0.5, order) for c0 in range(-1, 4) for order in range(15)]
+    cached = {(fn, key): fn(*key) for fn in MEMOIZED for key in keys}
+    before = {k: repr(v.terms()) for k, v in cached.items()}
+    for m0, order in ((0.7, 0), (1.0, 4), (3.2, 8)):
+        for name in en.QUANTITY_NAMES:
+            en.compute_quantity(name, SchemeParams(m0=m0, mu=1.3, order=order))
+    for (fn, key), series in cached.items():
+        assert fn(*key) is series  # still the cached object the pass used
+        assert repr(series.terms()) == before[(fn, key)], (fn.__name__, key)
+
+
+def test_expansion_caches_stay_bounded():
+    rng = random.Random(11)
+    for _ in range(10_000):
+        c0 = rng.uniform(0.1, 50.0)
+        gamma_series(c0, 1.0, 0)
+        digamma_series(c0, 1.0, 0)
+    for fn in MEMOIZED:
+        assert fn.cache_info().currsize <= EXPANSION_CACHE_SIZE
+    # evicted library entries are rebuilt on demand
+    assert repr(gamma_series(-1, -0.5, 6).terms()) == \
+        repr(gamma_series.__wrapped__(-1, -0.5, 6).terms())

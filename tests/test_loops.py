@@ -8,7 +8,11 @@ import pytest
 
 from loopentropy.errors import NonConvergentError, PoleError
 from loopentropy.loops import (
+    COUPLING_MAX,
+    COUPLING_MIN,
     MAX_ORDER,
+    TV_MAX,
+    TV_MIN,
     LoopValue,
     SchemeParams,
     chi_closed,
@@ -53,6 +57,9 @@ def test_scheme_params_validation():
     p = SchemeParams.from_tv(tv=3.0)
     assert p.stvol == 6.0
     assert p.tv == 3.0
+    for lambda0 in (0.0, COUPLING_MIN, -COUPLING_MIN, COUPLING_MAX, -COUPLING_MAX):
+        for tv in (TV_MIN, TV_MAX):
+            assert SchemeParams.from_tv(lambda0=lambda0, tv=tv).tv == tv
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -60,6 +67,8 @@ def test_scheme_params_validation():
     {"lambda0": -math.inf}, {"stvol": math.inf},
     {"order": -1}, {"order": MAX_ORDER + 1}, {"order": 2.5}, {"order": True},
     {"m0": 1e31}, {"m0": 1e-31}, {"mu": 1e31}, {"mu": 1e-31},
+    {"lambda0": 1e31}, {"lambda0": -1e31}, {"lambda0": 1e-31}, {"lambda0": -1e-300},
+    {"stvol": 4e30}, {"stvol": 1e-30}, {"stvol": -2.0},
 ])
 def test_scheme_params_rejects_nonfinite_and_bad_orders(kwargs):
     with pytest.raises(ValueError):
