@@ -6,21 +6,23 @@ import importlib
 
 
 class LazyModule:
-    """Proxy for the module ``name``, imported and cached on the first
-    attribute lookup.
+    """Proxy for the module ``name``, imported on the first attribute lookup.
 
-    It is bound as a plain module-level name (``loops.integrate``,
-    ``specialfns._sp``), so code that inspects or rebinds that name sees an
-    ordinary attribute, and callers write ``integrate.quad(...)`` as if the
-    module had been imported eagerly.
+    It is bound as a plain module-level name (``np`` in the numerical modules,
+    ``loops.integrate``, ``specialfns._sp``), so code that inspects or rebinds
+    that name sees an ordinary attribute, and callers write
+    ``integrate.quad(...)`` as if the module had been imported eagerly.
+
+    Each attribute is cached on the proxy at its first lookup, so later
+    lookups are plain instance-dict hits and never reach ``__getattr__``:
+    ``np.arctanh`` inside a quadrature integrand costs what it costs on the
+    module itself.
     """
 
     def __init__(self, name: str):
         self._name = name
-        self._module = None
 
     def __getattr__(self, attr: str):
-        module = self._module
-        if module is None:
-            module = self._module = importlib.import_module(self._name)
-        return getattr(module, attr)
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value

@@ -14,14 +14,15 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import contour as ct
 from . import entropy as en
 from . import loops
+from ._lazy import LazyModule
 from .epsseries import EpsSeries
 from .loops import SchemeParams
 from .traces import TraceSet, tr_rho4_inferred, vacuum_trace_phi4, vacuum_trace_phir
+
+np = LazyModule("numpy")
 
 
 @dataclass(frozen=True)

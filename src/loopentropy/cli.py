@@ -26,19 +26,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import checks as checks_mod
 from . import contour as ct
 from . import entropy as en
+from ._lazy import LazyModule
 from .errors import LoopEntropyError, NonFiniteError
 from .loops import (MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range,
                     check_mass_range)
 from .svg import render_line_chart
 from .traces import ratio_checks
+
+np = LazyModule("numpy")
 
 
 # largest grid the figure commands accept
@@ -85,10 +86,15 @@ class SweepConfig:
         if not self.mu:
             raise ValueError("mu list must be nonempty")
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list[float]:
+        """The m0 grid.  The linear grid is numpy's ``linspace`` arithmetic
+        (``i * step + m0_min``, last point ``m0_max``), equal to it bit for
+        bit without loading numpy; the log grid stays on ``np.geomspace``,
+        whose vectorized ``log10``/``power`` differ from libm in last bits."""
         if self.log_grid:
-            return np.geomspace(self.m0_min, self.m0_max, self.steps)
-        return np.linspace(self.m0_min, self.m0_max, self.steps)
+            return np.geomspace(self.m0_min, self.m0_max, self.steps).tolist()
+        step = (self.m0_max - self.m0_min) / (self.steps - 1)
+        return [i * step + self.m0_min for i in range(self.steps - 1)] + [self.m0_max]
 
 
 def _write_csv(path: str | None, comment: str, header: list[str],
@@ -112,13 +118,13 @@ def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     and the external+internal sum over the m0 grid."""
     rows = []
     for m0 in cfg.grid():
-        p = SchemeParams.from_tv(m0=float(m0), mu=cfg.mu[0], lambda0=cfg.lambda0,
+        p = SchemeParams.from_tv(m0=m0, mu=cfg.mu[0], lambda0=cfg.lambda0,
                                  tv=cfg.tv, order=cfg.order)
         s_tot = en.s_total_21(p).finite
         s_ext = en.s_ext_21(p).finite
         s_int = en.s_int_21(p).finite
         mutual = en.mutual_information_21(p).finite
-        rows.append([float(m0), s_tot, s_ext, s_int, mutual, s_ext + s_int])
+        rows.append([m0, s_tot, s_ext, s_int, mutual, s_ext + s_int])
     return rows
 
 
@@ -144,10 +150,10 @@ def figure3_rows(cfg: SweepConfig) -> list[list[float]]:
     """Vacuum-entropy finite coefficient per mu over the m0 grid."""
     rows = []
     for m0 in cfg.grid():
-        row = [float(m0)]
+        row = [m0]
         for mu in cfg.mu:
             row.append(en.vacuum_finite_coefficient(
-                float(m0), float(mu), cfg.lambda0, cfg.tv,
+                m0, float(mu), cfg.lambda0, cfg.tv,
                 convention=cfg.convention))
         rows.append(row)
     return rows
@@ -180,8 +186,25 @@ def _parse_mu_list(text: str) -> tuple:
     return values
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line on stderr (exit 2)."""
+    """Reports a usage error as one ``error:`` line on stderr (exit 2), and
+    reads a negative number in exponent notation (``-1e-3``) as a value,
+    where argparse alone would take it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
@@ -250,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_scheme(pr)
 
     pc = sub.add_parser("check", help="run the invariant suite")
-    pc.add_argument("--seed", type=int, default=20240817)
+    pc.add_argument("--seed", type=_parse_seed, default=20240817,
+                    help="seed of the sampled checks (a non-negative integer)")
 
     parser._command_parsers = {"figure2": p2, "figure3": p3, "entropy": pe,
                                "tau": pt, "trace-check": pr, "check": pc}
@@ -381,6 +405,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "check":
+            from . import checks as checks_mod
+
             results = checks_mod.run_all(seed=args.seed)
             for r in results:
                 print(f"[{r.status}] {r.name}: {r.detail}")

@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import specialfns as sf
+from ._lazy import LazyModule
 from .loops import complex_quad, _quad
+
+np = LazyModule("numpy")
 
 PI = sf.PI
 

@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import contour as ct
 from . import specialfns as sf
+from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
 from .errors import UnknownQuantityError
 from .loops import (
@@ -45,6 +44,8 @@ from .loops import (
     _quad,
     check_mass_range,
 )
+
+np = LazyModule("numpy")
 
 PI = sf.PI
 GAMMA = sf.EULER_GAMMA

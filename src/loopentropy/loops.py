@@ -10,8 +10,9 @@ external momentum r.  Each is available three ways: exact-d closed form,
 epsilon-series around d = 4, and independent adaptive quadrature (the
 oracles, used by the validation suite and the ``check`` command).
 
-``scipy.integrate`` is imported on the first quadrature, not with this
-module: the series paths never integrate numerically, and the quadratures
+numpy and ``scipy.integrate`` are imported on first use, not with this
+module: the series paths call neither.  numpy serves the quadrature
+integrands and the closed bubble ``eta_closed_d4``; the quadratures
 run only for the oracles, the regulated contour ratio (``--quad-ratio``,
 ``tau --delta-cut``), the contour coefficients and the Renyi traces.
 
@@ -33,13 +34,12 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
 from .errors import NonConvergentError, PoleError, ToleranceNotMetError
 
+np = LazyModule("numpy")
 integrate = LazyModule("scipy.integrate")
 
 PI = sf.PI
@@ -116,6 +116,8 @@ class SchemeParams:
 
     @classmethod
     def from_tv(cls, m0=1.0, mu=1.0, lambda0=1.0, tv=1.0, order=4) -> "SchemeParams":
+        # checked before the doubling, which can overflow: the error names the tv given
+        check_coupling_and_tv(lambda0, tv)
         return cls(m0=m0, mu=mu, lambda0=lambda0, stvol=2.0 * tv, order=order)
 
     @property

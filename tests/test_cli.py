@@ -134,10 +134,27 @@ def test_sweep_config_validation():
 
 def test_sweep_log_grid():
     cfg = SweepConfig(m0_min=0.5, m0_max=8.0, steps=5, log_grid=True, mu=(1.0,))
-    grid = cfg.grid()
+    grid = np.asarray(cfg.grid())
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, ratios[0])
     assert grid[0] == pytest.approx(0.5) and grid[-1] == pytest.approx(8.0)
+
+
+def test_grid_equals_numpy_bit_for_bit():
+    from loopentropy.cli import MAX_STEPS
+
+    rng = np.random.default_rng(20240817)
+    ends = [(1.0, 10.0, 200), (0.2, 6.0, 300), (1.0, 2.0, 2), (1e-30, 1e30, MAX_STEPS),
+            (1e-30, 1e30, 2), (1e-30, 2e-30, 7), (5e29, 1e30, 9),
+            (1.0, math.nextafter(1.0, 2.0), MAX_STEPS)]
+    for _ in range(2000):
+        lo, hi = sorted((10.0 ** rng.uniform(-30, 30, size=2)).tolist())
+        ends.append((lo, hi, int(rng.integers(2, 400))))
+    for lo, hi, steps in ends:
+        cfg = SweepConfig(m0_min=lo, m0_max=hi, steps=steps)
+        assert cfg.grid() == np.linspace(lo, hi, steps).tolist(), (lo, hi, steps)
+        log_cfg = SweepConfig(m0_min=lo, m0_max=hi, steps=steps, log_grid=True)
+        assert log_cfg.grid() == np.geomspace(lo, hi, steps).tolist(), (lo, hi, steps)
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +278,7 @@ CONFIGS = {
     "bad_choice.json": json.dumps({"convention": "sideways"}),
     "null_value.json": json.dumps({"m0": None}),
     "delta_cut.json": json.dumps({"delta_cut": 0.1}),
+    "negative_seed.json": json.dumps({"seed": -1}),
 }
 
 INVALID_INPUTS = {
@@ -308,6 +326,12 @@ INVALID_INPUTS = {
     "tv_overflows": ["entropy", "--q", "mutual21", "--m0", "1e30", "--tv", "1e300"],
     "figure3_lambda0_tv_overflow": ["figure3", "--lambda0", "1e300", "--tv", "1e300",
                                     "--steps", "3"],
+    "tv_doubles_to_inf": ["entropy", "--q", "int21", "--tv", "1e308"],
+    "lambda0_minus_inf": ["entropy", "--q", "ext2_order1", "--lambda0", "-inf"],
+    "negative_seed": ["check", "--seed=-1"],
+    "negative_seed_separate": ["check", "--seed", "-1"],
+    "float_seed": ["check", "--seed", "1.5"],
+    "config_negative_seed": ["--config", "{tmp}/negative_seed.json", "check"],
 }
 
 
@@ -336,10 +360,27 @@ def test_mass_out_of_range_names_the_bound(capsys):
      "tv must lie in [1e-30, 1e+30], not 1e-31"),
     (["trace-check", "--lambda0", "0"],
      "ratio_checks requires a nonzero coupling lambda0"),
+    (["entropy", "--q", "int21", "--tv", "1e308"],
+     "tv must lie in [1e-30, 1e+30], not 1e+308"),
 ])
 def test_coupling_and_tv_errors_name_the_flag(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_check_seed_error_names_the_flag(capsys):
+    assert main(["check", "--seed=-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: argument --seed: must be a non-negative integer, not '-1'\n")
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", "-2.5e-1", "-3"])
+def test_negative_numbers_in_exponent_notation_are_values(value, capsys):
+    assert main(["entropy", "--q", "ext2_order1", "--lambda0", value]) == 0
+    separate = capsys.readouterr()
+    assert main(["entropy", "--q", "ext2_order1", f"--lambda0={value}"]) == 0
+    assert separate == capsys.readouterr()
+    assert json.loads(separate.out)["lambda0"] == float(value)
 
 
 @pytest.mark.parametrize("lambda0", ["1e-30", "-1e-30", "1e30", "-1e30"])

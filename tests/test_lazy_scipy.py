@@ -1,13 +1,17 @@
-"""scipy is an oracle-only dependency, imported on first use.
+"""scipy and numpy are imported on first use only.
 
-Each test runs in a fresh interpreter, since any quadrature elsewhere in the
-suite leaves scipy imported in the test process.
+scipy serves only the oracles and the quadratures; numpy serves those, the
+log grid of the figure commands and ``check``.  The import checks run in a
+fresh interpreter, since any quadrature elsewhere in the suite leaves both
+imported in the test process.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from loopentropy._lazy import LazyModule
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -20,11 +24,14 @@ def _run(args, code=None):
                           timeout=300)
 
 
+# run with the package name as its argument
 SERIES_PATHS = r'''
 import contextlib, io, sys, tempfile
 
+PACKAGE = sys.argv[1]
+
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m == PACKAGE or m.startswith(PACKAGE + "."))
 
 import loopentropy
 assert not loaded(), loaded()
@@ -47,9 +54,32 @@ print(len(commands))
 
 
 def test_scipy_is_not_imported_by_the_series_paths():
-    proc = _run([], SERIES_PATHS)
+    proc = _run(["scipy"], SERIES_PATHS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "18"
+
+
+def test_numpy_is_not_imported_by_the_series_paths():
+    proc = _run(["numpy"], SERIES_PATHS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "18"
+
+
+LOG_GRID = r'''
+import contextlib, io, sys
+from loopentropy.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(["figure2", "--log-grid", "--steps", "5"]) == 0
+assert "numpy" in sys.modules
+print(len(out.getvalue().splitlines()))
+'''
+
+
+def test_log_grid_loads_numpy_on_demand():
+    proc = _run([], LOG_GRID)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "7"  # comment, header and 5 rows
 
 
 def test_quadrature_paths_still_load_scipy_on_demand():
@@ -68,3 +98,24 @@ def test_invalid_input_in_a_fresh_process_has_no_traceback(tmp_path):
         proc = _run(args)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_lazy_module_imports_on_first_lookup_then_serves_from_its_dict(tmp_path,
+                                                                       monkeypatch):
+    name = "loopentropy_lazy_probe"
+    (tmp_path / f"{name}.py").write_text("VALUE = object()\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    proxy = LazyModule(name)
+    try:
+        assert name not in sys.modules
+        value = proxy.VALUE
+        assert value is sys.modules[name].VALUE
+        assert vars(proxy)["VALUE"] is value
+
+        def unreachable(self, attr):
+            raise AssertionError(f"__getattr__ reached for {attr}")
+
+        monkeypatch.setattr(LazyModule, "__getattr__", unreachable)
+        assert proxy.VALUE is value
+    finally:
+        sys.modules.pop(name, None)
