@@ -76,13 +76,13 @@ def check_conditional_constancy() -> CheckResult:
     )
 
 
-def check_delta_oracle(seed: int = 20240817, n_points: int = 12,
+def check_delta_oracle(seed: int = 20240817,
                        delta_closed_impl: Callable | None = None) -> CheckResult:
     impl = delta_closed_impl or loops.delta_closed
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_pt = None
-    for _ in range(n_points):
+    for _ in range(12):
         j, d, m2 = _random_point(rng)
         ref = loops.oracle_delta_radial(j, m2, d)
         rel = abs(impl(j, m2, d) - ref) / abs(ref)
@@ -90,14 +90,14 @@ def check_delta_oracle(seed: int = 20240817, n_points: int = 12,
             worst, worst_pt = rel, (j, round(d, 3), round(m2, 3))
     return CheckResult(
         "delta_vs_radial_oracle", worst <= 1e-6,
-        f"worst_rel={worst:.2e} at (j,d,m2)={worst_pt} over {n_points} points",
+        f"worst_rel={worst:.2e} at (j,d,m2)={worst_pt} over 12 points",
     )
 
 
-def check_chi_oracle(seed: int = 20240818, n_points: int = 8) -> CheckResult:
+def check_chi_oracle(seed: int = 20240818) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(8):
         j, d, m2 = _random_point(rng)
         x_form = loops.oracle_chi_x(j, m2, d)
         radial = loops.oracle_chi_radial(j, m2, d)
@@ -106,14 +106,14 @@ def check_chi_oracle(seed: int = 20240818, n_points: int = 8) -> CheckResult:
                     abs(closed - x_form) / abs(x_form))
     return CheckResult(
         "chi_quadrature_consistency", worst <= 1e-6,
-        f"worst_rel={worst:.2e} over {n_points} points (x-integral vs radial vs closed)",
+        f"worst_rel={worst:.2e} over 8 points (x-integral vs radial vs closed)",
     )
 
 
-def check_eta_zero_momentum(seed: int = 20240819, n_points: int = 8) -> CheckResult:
+def check_eta_zero_momentum(seed: int = 20240819) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(8):
         m2 = float(rng.uniform(0.25, 9.0))
         d = float(rng.uniform(2.0, 5.5))
         lhs = loops.eta(0.0, m2, d)
@@ -121,7 +121,7 @@ def check_eta_zero_momentum(seed: int = 20240819, n_points: int = 8) -> CheckRes
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return CheckResult(
         "eta_zero_equals_delta2", worst <= 1e-10,
-        f"worst_rel={worst:.2e} over {n_points} (quadrature vs closed form)",
+        f"worst_rel={worst:.2e} over 8 (quadrature vs closed form)",
     )
 
 

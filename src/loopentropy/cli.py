@@ -56,7 +56,8 @@ def _print_json(payload: dict) -> None:
 
 @dataclass
 class SweepConfig:
-    """Grid and output options for the figure commands.
+    """Grid and output options for the figure commands (``mu`` and
+    ``convention`` are figure3's).
 
     The grid ends and every scale in ``mu`` lie in [MASS_MIN, MASS_MAX];
     ``lambda0`` and ``tv`` obey the ranges of :class:`SchemeParams`.
@@ -118,8 +119,7 @@ def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     and the external+internal sum over the m0 grid."""
     rows = []
     for m0 in cfg.grid():
-        p = SchemeParams.from_tv(m0=m0, mu=cfg.mu[0], lambda0=cfg.lambda0,
-                                 tv=cfg.tv, order=cfg.order)
+        p = SchemeParams.from_tv(m0=m0, lambda0=cfg.lambda0, tv=cfg.tv, order=cfg.order)
         s_tot = en.s_total_21(p).finite
         s_ext = en.s_ext_21(p).finite
         s_int = en.s_int_21(p).finite
@@ -128,62 +128,48 @@ def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     return rows
 
 
-def cmd_figure2(cfg: SweepConfig) -> str:
-    rows = figure2_rows(cfg)
-    comment = (f"first-order two-point entropies; m0 grid [{fmt(cfg.m0_min)}, "
-               f"{fmt(cfg.m0_max)}] x {cfg.steps} "
+def _write_figure(cfg: SweepConfig, what: str, header: list[str], rows: list[list[float]],
+                  labels: list[str], title: str, ylabel: str) -> str:
+    """The CSV text of a figure, with the grid in its ``#`` comment; also
+    writes the SVG chart of columns 1.. (one curve per label) if asked."""
+    comment = (f"{what}; m0 grid [{fmt(cfg.m0_min)}, {fmt(cfg.m0_max)}] x {cfg.steps} "
                f"({'log' if cfg.log_grid else 'linear'}), TV={fmt(cfg.tv)}, "
                f"lambda0={fmt(cfg.lambda0)}")
-    header = ["m0", "S_total", "S_ext", "S_int", "I", "S_ext_plus_S_int"]
     text = _write_csv(cfg.out, comment, header, rows)
     if cfg.svg:
-        xs = [r[0] for r in rows]
-        curves = [(lbl, [r[i] for r in rows])
-                  for i, lbl in ((1, "S_total"), (2, "S_ext"), (3, "S_int"),
-                                 (4, "I"), (5, "S_ext+S_int"))]
-        render_line_chart(cfg.svg, xs, curves, title="Two-point entropies",
-                          xlabel="m0", ylabel="finite part")
+        curves = [(label, [r[i] for r in rows]) for i, label in enumerate(labels, 1)]
+        render_line_chart(cfg.svg, [r[0] for r in rows], curves, title=title,
+                          xlabel="m0", ylabel=ylabel)
     return text
+
+
+def cmd_figure2(cfg: SweepConfig) -> str:
+    return _write_figure(cfg, "first-order two-point entropies",
+                         ["m0", "S_total", "S_ext", "S_int", "I", "S_ext_plus_S_int"],
+                         figure2_rows(cfg), ["S_total", "S_ext", "S_int", "I", "S_ext+S_int"],
+                         "Two-point entropies", "finite part")
 
 
 def figure3_rows(cfg: SweepConfig) -> list[list[float]]:
     """Vacuum-entropy finite coefficient per mu over the m0 grid."""
-    rows = []
-    for m0 in cfg.grid():
-        row = [m0]
-        for mu in cfg.mu:
-            row.append(en.vacuum_finite_coefficient(
-                m0, float(mu), cfg.lambda0, cfg.tv,
-                convention=cfg.convention))
-        rows.append(row)
-    return rows
+    return [[m0, *(en.vacuum_finite_coefficient(m0, mu, cfg.lambda0, cfg.tv, cfg.convention)
+                   for mu in cfg.mu)] for m0 in cfg.grid()]
 
 
 def cmd_figure3(cfg: SweepConfig) -> str:
-    rows = figure3_rows(cfg)
-    comment = (f"vacuum-entropy finite coefficient ({cfg.convention} convention); "
-               f"m0 grid [{fmt(cfg.m0_min)}, {fmt(cfg.m0_max)}] x {cfg.steps} "
-               f"({'log' if cfg.log_grid else 'linear'}), TV={fmt(cfg.tv)}, "
-               f"lambda0={fmt(cfg.lambda0)}")
-    header = ["m0"] + [f"finite_mu_{fmt(mu)}" for mu in cfg.mu]
-    text = _write_csv(cfg.out, comment, header, rows)
-    if cfg.svg:
-        xs = [r[0] for r in rows]
-        curves = [(f"mu={mu:g}", [r[i + 1] for r in rows])
-                  for i, mu in enumerate(cfg.mu)]
-        render_line_chart(cfg.svg, xs, curves, title="Vacuum entropy coefficient",
-                          xlabel="m0", ylabel="finite coefficient")
-    return text
+    what = f"vacuum-entropy finite coefficient ({cfg.convention} convention)"
+    return _write_figure(cfg, what, ["m0"] + [f"finite_mu_{fmt(mu)}" for mu in cfg.mu],
+                         figure3_rows(cfg), [f"mu={mu:g}" for mu in cfg.mu],
+                         "Vacuum entropy coefficient", "finite coefficient")
 
 
 def _parse_mu_list(text: str) -> tuple:
-    try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not text.strip():
+        raise argparse.ArgumentTypeError("mu list must be nonempty")
+    try:  # an empty entry ("1,,2" or "1,") is refused here too
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad mu list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("mu list must be nonempty")
-    return values
 
 
 def _parse_seed(text: str) -> int:
@@ -238,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p2 = sub.add_parser("figure2", help="two-point entropy curves vs m0")
     add_grid(p2, 1.0, 10.0, 200)
-    p2.add_argument("--mu", type=_parse_mu_list, default=(1.0,),
-                    help="comma-separated scale list (first entry used)")
 
     p3 = sub.add_parser("figure3", help="vacuum entropy coefficient vs m0")
     add_grid(p3, 0.2, 6.0, 300)
@@ -323,6 +307,11 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
             sp.set_defaults(**{dest: text})
 
 
+def _scheme(args: argparse.Namespace) -> SchemeParams:
+    return SchemeParams.from_tv(m0=args.m0, mu=args.mu, lambda0=args.lambda0, tv=args.tv,
+                                order=args.order)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -336,22 +325,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command in ("figure2", "figure3"):
-            cfg = SweepConfig(
-                m0_min=args.m0_min, m0_max=args.m0_max, steps=args.steps,
-                log_grid=args.log_grid, mu=tuple(args.mu),
-                lambda0=args.lambda0, tv=args.tv, order=args.order,
-                out=args.out, svg=args.svg,
-                convention=getattr(args, "convention", "figure"),
-            )
+            cfg = SweepConfig(**{name: value for name, value in vars(args).items()
+                                 if name not in ("command", "config")})
             text = cmd_figure2(cfg) if args.command == "figure2" else cmd_figure3(cfg)
             if not cfg.out:
                 sys.stdout.write(text)
             return 0
 
         if args.command == "entropy":
-            params = SchemeParams.from_tv(m0=args.m0, mu=args.mu,
-                                          lambda0=args.lambda0, tv=args.tv,
-                                          order=args.order)
+            params = _scheme(args)
             if args.quad_ratio and args.q != "total21":
                 raise ValueError("--quad-ratio applies only to --q total21")
             if args.delta_cut is not None and not args.quad_ratio:
@@ -385,10 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "trace-check":
-            params = SchemeParams.from_tv(m0=args.m0, mu=args.mu,
-                                          lambda0=args.lambda0, tv=args.tv,
-                                          order=args.order)
-            report = ratio_checks(params)
+            report = ratio_checks(_scheme(args))
             tadpole, full = report["tadpole_pair"], report["fully_contracted"]
             _print_json({
                 "lambda0": report["lambda0"],

@@ -35,6 +35,8 @@ from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
 from .errors import UnknownQuantityError
 from .loops import (
+    WEIGHT_MAX,
+    Z_MIN,
     SchemeParams,
     chi_over_delta_series_m2,
     chi_series,
@@ -108,7 +110,7 @@ class SpectralDensity:
     rectangle-rule discretization of the continuum density: each sample
     contributes weight/(2 pi) times a propagator channel at mass^2 = M2.
     ``m_phys`` lies in [MASS_MIN, MASS_MAX] and each M2 in the square of
-    that range.
+    that range; ``Z`` lies in [Z_MIN, 1] and each weight in [0, WEIGHT_MAX].
     """
 
     Z: float = 1.0
@@ -116,13 +118,14 @@ class SpectralDensity:
     multiparticle: tuple = ()
 
     def __post_init__(self):
-        if not 0.0 < self.Z <= 1.0:
-            raise ValueError("Z must lie in (0, 1]")
+        if not Z_MIN <= self.Z <= 1.0:
+            raise ValueError(f"Z must lie in [{Z_MIN:g}, 1], not {self.Z!r}")
         check_mass_range("m_phys", self.m_phys)
         for m2, w in self.multiparticle:
             check_mass_range("multiparticle M2", m2, power=2)
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError("multiparticle weights must be nonnegative and finite")
+            if not 0.0 <= w <= WEIGHT_MAX:
+                raise ValueError(f"multiparticle weights must lie in [0, {WEIGHT_MAX:g}], "
+                                 f"not {w!r}")
 
     def channels(self) -> list[tuple[float, float]]:
         """(coefficient, M2) pairs entering the spectral sums."""
@@ -204,8 +207,13 @@ def s_ext_2_order0(params: SchemeParams) -> EntropyBreakdown:
     return _breakdown("ext2_order0", _two_point_reduced_series(params, 0, 1), params)
 
 
-def s_ext_2_order1_series(params: SchemeParams) -> EpsSeries:
-    # (lambda0/2) * D_1 * (H_1 - H_{1-d/2} + H_{-d/2} - H_0) * mu^-eps
+def s_ext_2_order1(params: SchemeParams) -> EntropyBreakdown:
+    """First-order (in the coupling) correction to the two-point entropy,
+    (lambda0/2) D_1 (H_1 - H_{1-d/2} + H_{-d/2} - H_0) mu^-eps.
+
+    Expansion: (lambda0/2) [1/(4 pi^2 eps)
+               + (2 gamma - 1 + log(m0^4/(16 pi^2 mu^4)))/(16 pi^2)].
+    """
     order = params.order
     d1 = delta_stripped_series_m2(1, params.m2, order + 2)
     bracket = (
@@ -213,16 +221,8 @@ def s_ext_2_order1_series(params: SchemeParams) -> EpsSeries:
         - chi_over_delta_series_m2(0, params.m2, order + 2, real_branch=True)
     )
     mu_fac = power_series(params.mu, -1.0, order + 2)
-    return (d1 * bracket * mu_fac).scale(0.5 * params.lambda0).truncate(order)
-
-
-def s_ext_2_order1(params: SchemeParams) -> EntropyBreakdown:
-    """First-order (in the coupling) correction to the two-point entropy.
-
-    Expansion: (lambda0/2) [1/(4 pi^2 eps)
-               + (2 gamma - 1 + log(m0^4/(16 pi^2 mu^4)))/(16 pi^2)].
-    """
-    return _breakdown("ext2_order1", s_ext_2_order1_series(params), params)
+    series = (d1 * bracket * mu_fac).scale(0.5 * params.lambda0).truncate(order)
+    return _breakdown("ext2_order1", series, params)
 
 
 def s_ext_2_total(params: SchemeParams, mode: str = "closed") -> EntropyBreakdown:
@@ -238,7 +238,7 @@ def s_ext_2_total(params: SchemeParams, mode: str = "closed") -> EntropyBreakdow
     inconsistency of the combined form; the check suite reports it).
     """
     if mode == "assembled":
-        series = _two_point_reduced_series(params, 0, 1) + s_ext_2_order1_series(params)
+        series = s_ext_2_order0(params).series + s_ext_2_order1(params).series
         return _breakdown("ext2_total", series, params)
     if mode != "closed":
         raise ValueError(f"unknown mode {mode!r}")
@@ -432,7 +432,6 @@ def s_vacuum_order1(params: SchemeParams) -> EntropyBreakdown:
     The series is the ratio of the entropy to log(2TV).
     """
     m0, mu, lam, tv = params.m0, params.mu, params.lambda0, params.tv
-    vac_a, vac_b = vacuum_coefficients(mu)
     c = -(lam / 4.0) * tv
     series = EpsSeries(
         {
@@ -442,9 +441,7 @@ def s_vacuum_order1(params: SchemeParams) -> EntropyBreakdown:
                 * (GAMMA - 1.0 - math.log(4.0 * PI * mu / params.m2))
                 - 8.0 * PI ** 2
             ),
-            (0, 0): 1.0 + c * (
-                vac_a + vac_b * m0 ** 4 + vacuum_mass_log_term(m0, mu)
-            ) / (1536.0 * PI ** 4),
+            (0, 0): vacuum_finite_coefficient(m0, mu, lam, tv, "closed_form"),
         },
         kmax=0,
     )

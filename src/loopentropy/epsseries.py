@@ -332,14 +332,6 @@ class EpsSeries:
             "kmax": self.kmax,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EpsSeries":
-        coeffs = {
-            (int(t["k"]), int(t["l"])): complex(t["re"], t["im"])
-            for t in data["terms"]
-        }
-        return cls(coeffs, int(data["kmax"]))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_zero():
             return f"EpsSeries(0, O(eps^{self.kmax + 1}))"

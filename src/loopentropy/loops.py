@@ -64,6 +64,12 @@ COUPLING_MAX = 1e30
 TV_MIN = 1e-30
 TV_MAX = 1e30
 
+# a spectral density's field strength Z lies in [Z_MIN, 1] and each of its
+# multiparticle weights in [0, WEIGHT_MAX]: with the masses in range, the
+# channel sums neither underflow to a zero normalization nor overflow
+Z_MIN = 1e-30
+WEIGHT_MAX = 1e30
+
 
 def check_int_range(name: str, value, lo: int, hi: int) -> None:
     """Raise ValueError unless ``value`` is an integer in [lo, hi]."""
@@ -148,17 +154,16 @@ class LoopValue:
         if self.exact_d is not None and self.series is not None and self.d is None:
             raise ValueError("both representations present: record d")
 
-    def consistent(self, budget: float | None = None) -> bool:
+    def consistent(self) -> bool:
         """Series-vs-exact agreement within the documented truncation error.
 
-        The default budget is |eps|^(kmax+1) relative, the size of the first
-        dropped term, padded by a factor for its unknown coefficient.
+        The budget is |eps|^(kmax+1) relative, the size of the first dropped
+        term, padded by a factor for its unknown coefficient.
         """
         if self.exact_d is None or self.series is None:
             return True
         eps = self.d - 4.0
-        if budget is None:
-            budget = 100.0 * abs(eps) ** (self.series.kmax + 1) + 1e-12
+        budget = 100.0 * abs(eps) ** (self.series.kmax + 1) + 1e-12
         return abs(self.series.evaluate(eps) - self.exact_d) <= \
             budget * max(abs(self.exact_d), 1e-300)
 

@@ -22,10 +22,10 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -47,7 +47,7 @@ def _tick_label(t: float) -> str:
 
 
 def render_line_chart(path: str, x: list[float], curves: list[tuple[str, list[float]]],
-                      title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+                      title: str, xlabel: str, ylabel: str) -> None:
     """Write a line chart of the given curves to an SVG file."""
     xs = list(x)
     all_y = [v for _, ys in curves for v in ys if math.isfinite(v)]
@@ -75,17 +75,12 @@ def render_line_chart(path: str, x: list[float], curves: list[tuple[str, list[fl
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
-    # frame
-    parts.append(
+        f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>',
+        # frame
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
+        'fill="none" stroke="#000000" stroke-width="1"/>',
+    ]
     for t in _ticks(x_lo, x_hi):
         X = px(t)
         parts.append(
@@ -106,17 +101,15 @@ def render_line_chart(path: str, x: list[float], curves: list[tuple[str, list[fl
             f'<text x="{MARGIN_L - 8}" y="{_fmt(Y + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 14}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
-        )
-    if ylabel:
-        yc = MARGIN_T + plot_h // 2
-        parts.append(
-            f'<text x="18" y="{yc}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="13" transform="rotate(-90 18 {yc})">{ylabel}</text>'
-        )
+    yc = MARGIN_T + plot_h // 2
+    parts.append(
+        f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 14}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{yc}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 18 {yc})">{ylabel}</text>'
+    )
     for i, (label, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(

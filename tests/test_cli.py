@@ -3,6 +3,7 @@ breakdowns, config precedence, exit codes, and the check suite."""
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from loopentropy import checks as checks_mod
-from loopentropy.cli import SweepConfig, cmd_figure2, cmd_figure3, fmt, main
+from loopentropy.cli import SweepConfig, build_parser, cmd_figure2, cmd_figure3, fmt, main
 
 
 def _parse_csv(text):
@@ -304,6 +305,9 @@ INVALID_INPUTS = {
     "figure_order_above_cap": ["figure2", "--order", "40"],
     "grid_inf": ["figure2", "--m0-max", "inf"],
     "figure_mu_nan": ["figure3", "--mu", "1,nan"],
+    "figure_mu_empty_entry": ["figure3", "--mu", "1,,2"],
+    "figure_mu_trailing_comma": ["figure3", "--mu", "1,"],
+    "figure2_mu": ["figure2", "--mu", "2"],
     "bad_float": ["entropy", "--q", "int21", "--m0", "abc"],
     # flags that the chosen quantity would not read
     "quad_ratio_not_total21": ["entropy", "--q", "mutual21", "--quad-ratio"],
@@ -317,6 +321,10 @@ INVALID_INPUTS = {
     "m0_underflows": ["entropy", "--q", "vacuum21", "--m0", "1e-200"],
     "mu_underflows": ["entropy", "--q", "ext2_total", "--mu", "1e-100"],
     "m_phys_overflows": ["entropy", "--q", "nonpert", "--m-phys", "1e200"],
+    # a field strength below Z_MIN
+    "z_underflows": ["entropy", "--q", "nonpert", "--m-phys", "1", "--z", "1e-308"],
+    "z_underflows_small_m_phys": ["entropy", "--q", "nonpert", "--m-phys", "1e-30",
+                                  "--z", "1e-300"],
     "figure2_grid_overflows": ["figure2", "--m0-max", "1e100"],
     "figure3_grid_overflows": ["figure3", "--m0-max", "1e100"],
     "figure3_mu_underflows": ["figure3", "--mu", "1,1e-100"],
@@ -362,6 +370,8 @@ def test_mass_out_of_range_names_the_bound(capsys):
      "ratio_checks requires a nonzero coupling lambda0"),
     (["entropy", "--q", "int21", "--tv", "1e308"],
      "tv must lie in [1e-30, 1e+30], not 1e+308"),
+    (["entropy", "--q", "nonpert", "--m-phys", "1", "--z", "1e-308"],
+     "Z must lie in [1e-30, 1], not 1e-308"),
 ])
 def test_coupling_and_tv_errors_name_the_flag(argv, message, capsys):
     assert main(argv) == 2
@@ -480,3 +490,76 @@ def test_high_orders_give_the_order_4_finite_part(order, capsys):
             assert main(["entropy", "--q", q, "--m0", "1.7", "--order", o]) == 0
             finite.append(json.loads(capsys.readouterr().out)["finite"])
         assert finite[1] == pytest.approx(finite[0], rel=1e-12, abs=1e-12), q
+
+
+# ----------------------------------------------------------------------
+# every flag shows in the output
+# ----------------------------------------------------------------------
+GRID = ["--steps", "5"]
+# (subcommand, flag) -> (the other arguments of both runs, a value other than
+# the default, or None for a switch); the first run leaves the flag out
+FLAG_CASES = {
+    **{(figure, flag): (GRID, value) for figure in ("figure2", "figure3")
+       for flag, value in (("--m0-min", "0.5"), ("--m0-max", "5"), ("--log-grid", None),
+                           ("--lambda0", "2"), ("--tv", "3"), ("--order", "2"),
+                           ("--out", "{tmp}/out.csv"), ("--svg", "{tmp}/out.svg"))},
+    ("figure2", "--steps"): ([], "7"),
+    ("figure3", "--steps"): ([], "7"),
+    ("figure3", "--mu"): (GRID, "3"),
+    ("figure3", "--convention"): (GRID, "closed_form"),
+    ("entropy", "--q"): (["--q", "int21"], "ext21"),
+    ("entropy", "--m0"): (["--q", "int21"], "2"),
+    ("entropy", "--mu"): (["--q", "ext2_order1"], "2"),
+    ("entropy", "--lambda0"): (["--q", "ext2_order1"], "2"),
+    ("entropy", "--tv"): (["--q", "int21"], "3"),
+    ("entropy", "--order"): (["--q", "int21"], "2"),
+    ("entropy", "--quad-ratio"): (["--q", "total21"], None),
+    ("entropy", "--delta-cut"): (["--q", "total21", "--quad-ratio"], "0.1"),
+    ("entropy", "--m-phys"): (["--q", "nonpert"], "2"),
+    # Z cancels from a one-particle density: only the last digit moves
+    ("entropy", "--z"): (["--q", "nonpert", "--m-phys", "2"], "0.5"),
+    ("tau", "--json"): ([], None),
+    ("tau", "--delta-cut"): ([], "0.1"),
+    ("trace-check", "--m0"): ([], "2"),
+    ("trace-check", "--mu"): ([], "2"),
+    ("trace-check", "--lambda0"): ([], "2"),
+    ("trace-check", "--tv"): ([], "3"),
+    ("trace-check", "--order"): ([], "2"),
+    ("check", "--seed"): ([], "1"),
+}
+# read by nothing that reaches the output (figure2 --lambda0 reaches only the
+# grid comment: no figure2 column depends on the coupling), yet passed by the
+# benchmark's workloads, so they stay until it stops passing them (ROADMAP item 1)
+UNREAD_FLAGS = {("figure2", "--order"), ("figure3", "--order"), ("entropy", "--order"),
+                ("trace-check", "--mu"), ("figure2", "--lambda0")}
+
+
+def test_every_flag_has_a_case():
+    flags = {(command, option)
+             for command, sub in build_parser()._command_parsers.items()
+             for action in sub._actions for option in action.option_strings
+             if option not in ("-h", "--help")}
+    assert flags == set(FLAG_CASES)
+
+
+def _run_cli(argv, tmp_path, capsys):
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+    # without the figures' grid comment, which records every grid flag, and
+    # without check's wall-clock time
+    out = re.sub(r"(?m)^#.*\n|runtime=\S+", "", capsys.readouterr().out)
+    files = {}
+    for path in sorted(tmp_path.iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return out, files
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason="ignored flag the benchmark still passes (ROADMAP item 1)"))
+    if case in UNREAD_FLAGS else case for case in sorted(FLAG_CASES)])
+def test_every_flag_changes_the_output(command, flag, tmp_path, capsys):
+    context, value = FLAG_CASES[command, flag]
+    default = _run_cli([command, *context], tmp_path, capsys)
+    other = [flag] if value is None else [flag, value]
+    assert _run_cli([command, *context, *other], tmp_path, capsys) != default

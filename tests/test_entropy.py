@@ -1,6 +1,7 @@
 """Entropy quantities: every quoted expansion coefficient, the identities
 relating them, the replica traces, and the spectral/vacuum entropies."""
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -11,7 +12,8 @@ import pytest
 from loopentropy import contour as ct
 from loopentropy import entropy as en
 from loopentropy.errors import UnknownQuantityError
-from loopentropy.loops import MASS_MAX, MASS_MIN, SchemeParams
+from loopentropy.loops import (MASS_MAX, MASS_MIN, TV_MAX, TV_MIN, WEIGHT_MAX, Z_MIN,
+                               SchemeParams)
 
 PI = math.pi
 GAMMA = 0.57721566490153286061
@@ -361,6 +363,26 @@ def test_spectral_density_validation():
                    {"multiparticle": ((MASS_MIN ** 2 / 10, 1.0),)}):
         with pytest.raises(ValueError):
             en.SpectralDensity(**kwargs)
+    # Z in [Z_MIN, 1] and weights in [0, WEIGHT_MAX]; the message names the value
+    en.SpectralDensity(Z=Z_MIN, multiparticle=((4.0, WEIGHT_MAX), (9.0, 0.0)))
+    for kwargs, value in (({"Z": 1e-31}, "1e-31"), ({"Z": 1e-308}, "1e-308"),
+                          ({"multiparticle": ((4.0, 1e31),)}, "1e+31"),
+                          ({"multiparticle": ((4.0, 1e308),)}, "1e+308")):
+        with pytest.raises(ValueError) as exc:
+            en.SpectralDensity(**kwargs)
+        assert str(exc.value).endswith(f", not {value}")
+
+
+@pytest.mark.parametrize("z", [Z_MIN, 1.0])
+@pytest.mark.parametrize("m_phys", [MASS_MIN, MASS_MAX])
+def test_nonpert_is_finite_at_the_spectral_range_ends(z, m_phys):
+    for m2 in (MASS_MIN ** 2, MASS_MAX ** 2):
+        for weight in (0.0, 5e-324, WEIGHT_MAX):
+            sd = en.SpectralDensity(Z=z, m_phys=m_phys, multiparticle=((m2, weight),))
+            for tv in (TV_MIN, TV_MAX):
+                for order in (0, 32):
+                    series = en.s_nonperturbative(sd, params(tv=tv, order=order)).series
+                    assert all(cmath.isfinite(c) for _, _, c in series.terms())
 
 
 @pytest.mark.parametrize("m0", [MASS_MIN, 1.0, MASS_MAX])
