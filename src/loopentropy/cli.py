@@ -265,13 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Make the JSON object in ``path`` the subcommands' option defaults.
+def _apply_config(parser: argparse.ArgumentParser, path: str, command: str) -> None:
+    """Make the JSON object in ``path`` the option defaults of ``command``.
 
     Each value is checked as if it had been given as a flag: a switch takes
     true or false, and anything else goes, as text, through the option's
-    own conversion when the chosen subcommand reads it.  A list joins with
-    commas (a ``mu`` list).  Unknown keys are errors.
+    own conversion.  A list joins with commas (a ``mu`` list).  A key that
+    is not an option of ``command`` is an error, even when another
+    subcommand reads it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -282,29 +283,26 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         parser.error(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"config file {path!r} must hold a JSON object")
-    actions = {}
-    for sp in parser._command_parsers.values():
-        for action in sp._actions:
-            if action.dest != "help":
-                actions.setdefault(action.dest, []).append((sp, action))
+    sp = parser._command_parsers[command]
+    actions = {action.dest: action for action in sp._actions if action.dest != "help"}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest not in actions:
-            parser.error(f"unknown config key {key!r}")
-        for sp, action in actions[dest]:
-            if action.nargs == 0:  # a switch
-                if not isinstance(value, bool):
-                    parser.error(f"config key {key!r} must be true or false, not {value!r}")
-                sp.set_defaults(**{dest: value})
-                continue
-            if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):
-                parser.error(f"config key {key!r} must be a number, a string or a list, "
-                             f"not {value!r}")
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            if action.choices is not None and text not in action.choices:
-                parser.error(f"config key {key!r} must be one of {list(action.choices)}, "
-                             f"not {value!r}")
-            sp.set_defaults(**{dest: text})
+        action = actions.get(dest)
+        if action is None:
+            parser.error(f"config key {key!r} is not an option of {command}")
+        if action.nargs == 0:  # a switch
+            if not isinstance(value, bool):
+                parser.error(f"config key {key!r} must be true or false, not {value!r}")
+            sp.set_defaults(**{dest: value})
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):
+            parser.error(f"config key {key!r} must be a number, a string or a list, "
+                         f"not {value!r}")
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        if action.choices is not None and text not in action.choices:
+            parser.error(f"config key {key!r} must be one of {list(action.choices)}, "
+                         f"not {value!r}")
+        sp.set_defaults(**{dest: text})
 
 
 def _scheme(args: argparse.Namespace) -> SchemeParams:
@@ -318,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            _apply_config(parser, args.config)
+            _apply_config(parser, args.config, args.command)
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

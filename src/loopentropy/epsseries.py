@@ -14,6 +14,18 @@ of double poles.
 The sign convention is eps = d - 4 (dimension above four is positive eps).
 Logarithms of negative reals take the +i*pi branch, matching the
 m^2 -> m^2 - i0 propagator prescription.
+
+Invariant: every stored coefficient is a nonzero Python ``complex`` whose
+key lies within the caps and at or below ``kmax``.  The public constructor
+``EpsSeries(coeffs, kmax)`` validates its input to establish it; the kernel's
+own operations keep it and build their results through the trusted
+``EpsSeries._trusted``, which only drops zeros and powers above ``kmax``.
+Two properties of the results are part of the contract, because they fix
+the bits of every later sum: the dict keeps the order in which a result's
+keys were first produced (a product accumulates in the order of its left
+operand's keys), and a sum or product starts each coefficient it creates
+from ``0.0 + ...``, which turns a ``-0.0`` part of the first term into
+``+0.0``, so the signs of zero parts stay what they have always been.
 """
 
 from __future__ import annotations
@@ -39,9 +51,11 @@ LOGCAP = 2
 # that mixed arithmetic is always limited by the genuinely truncated operand.
 EXACT_ORDER = 64
 
-# entries kept by each memoized expansion (gamma_series, digamma_series): the
-# library's own keys, (j - 1, -0.5, order + k) for j <= 4 at every order up to
-# the cap, fit; arbitrary c0 from other callers cannot grow it further
+# entries kept by each memoized expansion (gamma_series, digamma_series,
+# power_series): the library's own Gamma/digamma keys, (j - 1, -0.5, order + k)
+# for j <= 4 at every order up to the cap, fit; the mass-dependent
+# power_series keys of a sweep cycle through it, and no caller can grow it
+# further
 EXPANSION_CACHE_SIZE = 256
 
 
@@ -54,13 +68,24 @@ def _cleaned(coeffs: Mapping[tuple[int, int], complex], kmax: int) -> dict:
         if l < 0 or l > LOGCAP:
             raise LogCapError(f"log power {l} outside [0, {LOGCAP}]")
         if k < KMIN_CAP:
-            raise TruncationUnderflowError(
-                f"power eps^{k} below the supported pole depth eps^{KMIN_CAP}"
-            )
+            raise _pole_depth_error(k)
         if k > kmax:
             continue  # beyond the stated truncation: unknown, not stored
         out[(k, l)] = c
     return out
+
+
+def _pole_depth_error(k: int) -> TruncationUnderflowError:
+    return TruncationUnderflowError(
+        f"power eps^{k} below the supported pole depth eps^{KMIN_CAP}"
+    )
+
+
+def _check_pole_depth(coeffs: dict) -> None:
+    """Raise for the first key, in insertion order, below the pole depth."""
+    for k, _ in coeffs:
+        if k < KMIN_CAP:
+            raise _pole_depth_error(k)
 
 
 @dataclass(frozen=True)
@@ -72,6 +97,17 @@ class EpsSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _cleaned(self.coeffs, self.kmax))
+
+    @classmethod
+    def _trusted(cls, coeffs: dict, kmax: int) -> "EpsSeries":
+        """A series from coefficients that already keep the invariant but for
+        zeros and powers above ``kmax``, which are dropped; the key order is
+        kept and ``__post_init__`` is skipped."""
+        out = object.__new__(cls)
+        fields = out.__dict__  # the frozen fields, set as __post_init__ would
+        fields["coeffs"] = {key: c for key, c in coeffs.items() if c and key[0] <= kmax}
+        fields["kmax"] = kmax
+        return out
 
     # ------------------------------------------------------------------
     # constructors
@@ -103,7 +139,7 @@ class EpsSeries:
         """Leading (lowest) power; kmax + 1 for the zero series."""
         if not self.coeffs:
             return self.kmax + 1
-        return min(k for k, _ in self.coeffs)
+        return min(self.coeffs)[0]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -144,12 +180,12 @@ class EpsSeries:
         out = dict(self.coeffs)
         for key, c in o.coeffs.items():
             out[key] = out.get(key, 0.0) + c
-        return EpsSeries(out, kmax)
+        return EpsSeries._trusted(out, kmax)
 
     __radd__ = __add__
 
     def __neg__(self) -> "EpsSeries":
-        return EpsSeries({key: -c for key, c in self.coeffs.items()}, self.kmax)
+        return EpsSeries._trusted({key: -c for key, c in self.coeffs.items()}, self.kmax)
 
     def __sub__(self, other) -> "EpsSeries":
         o = self._coerce(other)
@@ -160,38 +196,54 @@ class EpsSeries:
     def __rsub__(self, other) -> "EpsSeries":
         return (-self) + other
 
-    def __mul__(self, other) -> "EpsSeries":
+    def __mul__(self, other, *, cut: int | None = None) -> "EpsSeries":
+        """The product, known through the weaker operand's order.
+
+        ``cut`` truncates it further without building the powers above the
+        cut; for a cut at or above ``KMIN_CAP`` the result, and any error,
+        are those of ``(self * other).truncate(cut)``.
+        """
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        kmax = min(self.kmax + o.lead(), o.kmax + self.lead(), EXACT_ORDER)
+        lead1, lead2 = self.lead(), o.lead()
+        kmax = min(self.kmax + lead2, o.kmax + lead1, EXACT_ORDER)
+        keep = kmax if cut is None else min(kmax, cut)
         out: dict[tuple[int, int], complex] = {}
         for (k1, l1), c1 in self.coeffs.items():
             for (k2, l2), c2 in o.coeffs.items():
                 k, l = k1 + k2, l1 + l2
                 if k > kmax:
                     continue
-                if l > LOGCAP:
+                if l > LOGCAP:  # checked through kmax, cut or not
                     raise LogCapError(
                         f"product creates log(eps)^{l} above the cap {LOGCAP}"
                     )
-                out[(k, l)] = out.get((k, l), 0.0) + c1 * c2
-        return EpsSeries(out, kmax)
+                if k <= keep:
+                    out[(k, l)] = out.get((k, l), 0.0) + c1 * c2
+        result = EpsSeries._trusted(out, keep)
+        if lead1 + lead2 < KMIN_CAP:
+            _check_pole_depth(result.coeffs)  # a product that underflowed to 0 passes
+        return result
 
     __rmul__ = __mul__
 
     def scale(self, c: complex) -> "EpsSeries":
-        return EpsSeries({key: v * c for key, v in self.coeffs.items()}, self.kmax)
+        c = complex(c)  # a numpy scalar would make numpy coefficients
+        return EpsSeries._trusted({key: v * c for key, v in self.coeffs.items()},
+                                  self.kmax)
 
     def shift(self, k0: int) -> "EpsSeries":
         """Multiply by eps**k0 exactly."""
-        return EpsSeries(
-            {(k + k0, l): c for (k, l), c in self.coeffs.items()},
-            min(self.kmax + k0, EXACT_ORDER),
-        )
+        coeffs = {(k + k0, l): c for (k, l), c in self.coeffs.items()}
+        if k0 < 0:
+            _check_pole_depth(coeffs)
+        return EpsSeries._trusted(coeffs, min(self.kmax + k0, EXACT_ORDER))
 
     def truncate(self, kmax: int) -> "EpsSeries":
-        return EpsSeries(self.coeffs, min(self.kmax, kmax))
+        if kmax >= self.kmax:
+            return self
+        return EpsSeries._trusted(self.coeffs, kmax)
 
     def __pow__(self, n: int) -> "EpsSeries":
         if not isinstance(n, int):
@@ -231,7 +283,7 @@ class EpsSeries:
             if (k, l) == (L, 0):
                 continue
             u_coeffs[(k - L, l)] = v / c
-        u = EpsSeries(u_coeffs, self.kmax - L)
+        u = EpsSeries._trusted(u_coeffs, self.kmax - L)
         return c, L, u
 
     def inverse(self) -> "EpsSeries":
@@ -287,8 +339,8 @@ class EpsSeries:
                 "exp of a non-integer multiple of log(eps) is not representable"
             )
         c00 = self.coefficient(0, 0)
-        rest = EpsSeries({key: v for key, v in self.coeffs.items()
-                          if key not in ((0, 0), (0, 1))}, self.kmax)
+        rest = EpsSeries._trusted({key: v for key, v in self.coeffs.items()
+                                   if key not in ((0, 0), (0, 1))}, self.kmax)
         acc = _power_sum(EpsSeries.constant(1.0, self.kmax), rest, self.kmax,
                          lambda m: 1.0 / math.factorial(m))
         return acc.scale(cmath.exp(c00)).shift(L)
@@ -351,7 +403,7 @@ def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeri
     ``weight=None`` adds each power unscaled."""
     term = EpsSeries.constant(1.0, order)
     for m in range(1, max(order, 0) + 1):
-        term = (term * u).truncate(order)
+        term = term.__mul__(u, cut=order)
         if term.is_zero():
             break
         acc = acc + (term if weight is None else term.scale(weight(m)))
@@ -387,8 +439,9 @@ def _memoized(expansion):
     return memoized
 
 
+@_memoized
 def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSeries:
-    """base**(exponent_slope * eps) expanded to the given order.
+    """base**(exponent_slope * eps) expanded to the given order (memoized).
 
     The branch of log(base) follows the library policy.
     """

@@ -280,6 +280,7 @@ CONFIGS = {
     "null_value.json": json.dumps({"m0": None}),
     "delta_cut.json": json.dumps({"delta_cut": 0.1}),
     "negative_seed.json": json.dumps({"seed": -1}),
+    "other_commands_keys.json": json.dumps({"mu": [1, 2], "q": "int21", "seed": 3}),
 }
 
 INVALID_INPUTS = {
@@ -340,6 +341,9 @@ INVALID_INPUTS = {
     "negative_seed_separate": ["check", "--seed", "-1"],
     "float_seed": ["check", "--seed", "1.5"],
     "config_negative_seed": ["--config", "{tmp}/negative_seed.json", "check"],
+    # keys that only other subcommands read
+    "config_key_of_another_command": ["--config", "{tmp}/other_commands_keys.json",
+                                      "figure2", "--steps", "3"],
 }
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from loopentropy import entropy as en
+from loopentropy import epsseries
 from loopentropy import specialfns as sf
 from loopentropy.epsseries import (
     EXPANSION_CACHE_SIZE,
@@ -317,7 +318,7 @@ MEMOIZED = (gamma_series, digamma_series)
 
 
 def _clear_expansion_caches():
-    for fn in MEMOIZED:
+    for fn in MEMOIZED + (power_series,):
         fn.cache_clear()
 
 
@@ -335,6 +336,21 @@ def test_memoized_expansions_equal_the_uncached_ones(fn):
                 first, second = fn(c0, slope, order), fn(c0, slope, order)
                 assert second is first
                 assert repr(first.terms()) == expected, (c0, slope, order)
+
+
+def test_memoized_power_series_equals_the_uncached_one():
+    # numpy bases, and both signs of a zero imaginary part of base and slope
+    bases = [4 * math.pi, 2.0, np.float64(0.7), -3.0, complex(2.0, 0.0),
+             complex(2.0, -0.0), complex(-2.0, -0.0)]
+    slopes = [-0.5, 1.0, complex(0.5, 0.0), complex(0.5, -0.0)]
+    _clear_expansion_caches()
+    for order in (0, 3, 8):
+        for base in bases:
+            for slope in slopes:
+                expected = repr(power_series.__wrapped__(base, slope, order).terms())
+                first = power_series(base, slope, order)
+                assert power_series(base, slope, order) is first
+                assert repr(first.terms()) == expected, (base, slope, order)
 
 
 def test_loop_series_at_interleaved_masses_and_orders_equal_a_cold_call():
@@ -371,8 +387,38 @@ def test_expansion_caches_stay_bounded():
         c0 = rng.uniform(0.1, 50.0)
         gamma_series(c0, 1.0, 0)
         digamma_series(c0, 1.0, 0)
-    for fn in MEMOIZED:
+        power_series(c0, 1.0, 0)
+    for fn in MEMOIZED + (power_series,):
         assert fn.cache_info().currsize <= EXPANSION_CACHE_SIZE
     # evicted library entries are rebuilt on demand
     assert repr(gamma_series(-1, -0.5, 6).terms()) == \
         repr(gamma_series.__wrapped__(-1, -0.5, 6).terms())
+
+
+# ----------------------------------------------------------------------
+# allocation guard
+# ----------------------------------------------------------------------
+def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
+    """The validating constructions of one default figure2 point (the four
+    quantities ``cli.figure2_rows`` reads, at m0 = 1) with warm expansion
+    caches, as every point after a sweep's first sees them.  The kernel's
+    own results skip validation, so the count is pinned: an operation
+    routed back through ``EpsSeries(...)`` raises it."""
+    p = SchemeParams.from_tv(m0=1.0, lambda0=1.0, tv=1.0, order=4)
+
+    def point():
+        return [en.s_total_21(p).finite, en.s_ext_21(p).finite,
+                en.s_int_21(p).finite, en.mutual_information_21(p).finite]
+
+    expected = point()
+    calls = 0
+    cleaned = epsseries._cleaned
+
+    def counted(coeffs, kmax):
+        nonlocal calls
+        calls += 1
+        return cleaned(coeffs, kmax)
+
+    monkeypatch.setattr(epsseries, "_cleaned", counted)
+    assert point() == expected
+    assert calls == 12

@@ -1,12 +1,15 @@
 """Property tests of the series kernel: division against inverse-then-multiply,
-the ring laws, the inverse and log/exp round trips, and the truncation
-bookkeeping, over generated series.  Tolerances are fixed."""
+the ring laws, the inverse and log/exp round trips, the truncation
+bookkeeping, and the invariant that every operation's result keeps without
+the validating constructor, over generated series.  Tolerances are fixed."""
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from loopentropy.epsseries import EXACT_ORDER, EpsSeries
-from loopentropy.errors import LogCapError
+from loopentropy.epsseries import EXACT_ORDER, KMIN_CAP, LOGCAP, EpsSeries
+from loopentropy.errors import LogCapError, LoopEntropyError, TruncationUnderflowError
 
 # deterministic examples and no example database, so every run is the same
 KERNEL = settings(derandomize=True, database=None, deadline=None,
@@ -104,3 +107,85 @@ def test_truncation_bookkeeping(a, b, k):
     assert (a + b).truncate(k).terms() == (a.truncate(k) + b.truncate(k)).terms()
     # a coarser operand never raises the order of a product
     assert (cut * b).kmax <= (a * b).kmax
+
+
+# ----------------------------------------------------------------------
+# the kernel builds its results unvalidated: each must equal its validation
+# ----------------------------------------------------------------------
+def _bits(s: EpsSeries) -> list:
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in s.coeffs.items()]
+
+
+OPERATIONS = {
+    "add": lambda a, b, x, k: a + b,
+    "radd": lambda a, b, x, k: x + a,
+    "sub": lambda a, b, x, k: a - b,
+    "rsub": lambda a, b, x, k: x - a,
+    "neg": lambda a, b, x, k: -a,
+    "mul": lambda a, b, x, k: a * b,
+    "rmul": lambda a, b, x, k: x * a,
+    "mul_cut": lambda a, b, x, k: a.__mul__(b, cut=k),
+    "pow": lambda a, b, x, k: a ** 3,
+    "negative_pow": lambda a, b, x, k: a ** -2,
+    "truediv": lambda a, b, x, k: a / b,
+    "rtruediv": lambda a, b, x, k: x / b,
+    "inverse": lambda a, b, x, k: b.inverse(),
+    "log": lambda a, b, x, k: a.log(),
+    "exp": lambda a, b, x, k: a.log().exp(),
+    "shift": lambda a, b, x, k: a.shift(k - 3),
+    "truncate": lambda a, b, x, k: a.truncate(k),
+    "scale": lambda a, b, x, k: a.scale(x),
+    "scale_np_float64": lambda a, b, x, k: a.scale(np.float64(x.real)),
+    "scale_np_complex128": lambda a, b, x, k: a.scale(np.complex128(x)),
+    "scale_zero": lambda a, b, x, k: a.scale(0),
+    "real_part": lambda a, b, x, k: a.real_part(),
+}
+
+
+@settings(KERNEL, max_examples=60)
+@given(a=series(max_log=1), b=series(max_log=1),
+       x=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                            allow_nan=False, allow_infinity=False),
+       k=st.integers(-2, 8))
+def test_every_result_keeps_the_invariant_bit_for_bit(a, b, x, k):
+    for op in OPERATIONS.values():
+        try:
+            r = op(a, b, x, k)
+        except LoopEntropyError:  # log-cap, pole-depth or leading-term refusals
+            continue
+        for (kk, l), c in r.coeffs.items():
+            assert type(c) is complex and c != 0
+            assert KMIN_CAP <= kk <= r.kmax and 0 <= l <= LOGCAP
+        # validating the result changes no bit and no key's place
+        assert _bits(EpsSeries(r.coeffs, r.kmax)) == _bits(r)
+
+
+def test_sums_and_products_start_new_coefficients_from_positive_zero():
+    # (-2+0j) * (-3+0j) is 6-0j, and a key only the right operand holds
+    # carries its -0.0; each comes out as 0.0 + ..., with +0.0
+    product = EpsSeries.constant(-2.0) * EpsSeries.constant(-3.0)
+    total = EpsSeries.constant(1.0) + EpsSeries({(1, 0): complex(2.0, -0.0)})
+    assert product.coefficient(0).imag.hex() == "0x0.0p+0"
+    assert total.coefficient(1).imag.hex() == "0x0.0p+0"
+    # the left operand's own coefficients keep their sign
+    assert (-product + 0.0).coefficient(0).imag.hex() == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("build, error", [
+    # a product below the pole depth
+    (lambda: EpsSeries.monomial(1.0, -3) * EpsSeries.monomial(1.0, -2),
+     TruncationUnderflowError),
+    # the same product underflowed to zero has no coefficient to refuse
+    (lambda: EpsSeries.monomial(1e-200, -3) * EpsSeries.monomial(1e-200, -2), None),
+    (lambda: EpsSeries.monomial(2.0, 5).inverse(), TruncationUnderflowError),
+    (lambda: EpsSeries({(0, 0): 0.5, (0, 1): -5.0}, 3).exp(), TruncationUnderflowError),
+    # log(eps)^3 first appears at eps^3, past the power sum's cut at eps^2
+    (lambda: EpsSeries({(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}, 2).log(), LogCapError),
+    (lambda: EpsSeries({(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}, 2).inverse(), LogCapError),
+])
+def test_pole_depth_and_log_cap_refusals(build, error):
+    if error is None:
+        assert build().is_zero()
+    else:
+        with pytest.raises(error):
+            build()
