@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="finite-coefficient convention (see docs)")
 
     pe = sub.add_parser("entropy", help="one quantity as JSON")
-    pe.add_argument("--q", required=True, help="quantity name")
+    pe.add_argument("--q", help="quantity name")
     add_scheme(pe)
     pe.add_argument("--quad-ratio", action="store_true",
                     help="use the regulated contour ratio instead of tau "
@@ -318,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             _apply_config(parser, args.config, args.command)
             args = parser.parse_args(argv)
+        if args.command == "entropy" and args.q is None:  # --config may give it
+            parser._command_parsers["entropy"].error(
+                "the following arguments are required: --q")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

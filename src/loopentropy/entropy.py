@@ -1,12 +1,12 @@
 """Entropies of external (real) and internal (virtual) propagation states.
 
 Every quantity is reported as an :class:`EntropyBreakdown`: an eps-series
-plus its double-pole, simple-pole, log(eps) and finite coefficients, with
-the real/imaginary split made explicit.  The quoted closed-form expansions
-are the authoritative outputs; where a quantity is assembled from the loop
-families the assembly uses the i-stripped (real, positive-leading) tadpole
-series so that its coefficients come out real term by term and agree with
-the quoted forms.
+and its scheme, from which the double-pole, simple-pole, log(eps) and finite
+coefficients are read, with the real/imaginary split made explicit.  The
+quoted closed-form expansions are the authoritative outputs; where a
+quantity is assembled from the loop families the assembly uses the
+i-stripped (real, positive-leading) tadpole series so that its coefficients
+come out real term by term and agree with the quoted forms.
 
 Quantity names used throughout (and by the CLI registry):
 
@@ -26,7 +26,7 @@ Quantity names used throughout (and by the CLI registry):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import contour as ct
@@ -57,28 +57,31 @@ DEFAULT_IMAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EntropyBreakdown:
-    """A named entropy split into pole, log and finite parts."""
+    """A named entropy series and its scheme; the parts are read from the series."""
 
     name: str
     series: EpsSeries
-    m0: float
-    mu: float
-    lambda0: float
-    tv: float
-    finite: float = field(init=False)
-    residual_im: float = field(init=False)
-    pole2: complex = field(init=False)
-    pole1: complex = field(init=False)
-    logeps: complex = field(init=False)
+    params: SchemeParams
 
-    def __post_init__(self):
-        parts = self.series.pole_parts()
-        c00 = self.series.finite_part()
-        object.__setattr__(self, "finite", c00.real)
-        object.__setattr__(self, "residual_im", c00.imag)
-        object.__setattr__(self, "pole2", parts["pole2"])
-        object.__setattr__(self, "pole1", parts["pole1"])
-        object.__setattr__(self, "logeps", parts["logeps"])
+    @property
+    def finite(self) -> float:
+        return self.series.finite_part().real
+
+    @property
+    def residual_im(self) -> float:
+        return self.series.finite_part().imag
+
+    @property
+    def pole2(self) -> complex:
+        return self.series.coefficient(-2, 0)
+
+    @property
+    def pole1(self) -> complex:
+        return self.series.coefficient(-1, 0)
+
+    @property
+    def logeps(self) -> complex:
+        return self.series.coefficient(0, 1)
 
     @property
     def is_real(self) -> bool:
@@ -90,10 +93,10 @@ class EntropyBreakdown:
 
         return {
             "name": self.name,
-            "m0": self.m0,
-            "mu": self.mu,
-            "lambda0": self.lambda0,
-            "tv": self.tv,
+            "m0": self.params.m0,
+            "mu": self.params.mu,
+            "lambda0": self.params.lambda0,
+            "tv": self.params.tv,
             "pole2": c(self.pole2),
             "pole1": c(self.pole1),
             "logeps": c(self.logeps),
@@ -132,11 +135,6 @@ class SpectralDensity:
         chans = [(self.Z, self.m_phys ** 2)]
         chans.extend((w / (2.0 * PI), m2) for m2, w in self.multiparticle)
         return chans
-
-
-def _breakdown(name: str, series: EpsSeries, params: SchemeParams) -> EntropyBreakdown:
-    return EntropyBreakdown(name=name, series=series, m0=params.m0,
-                            mu=params.mu, lambda0=params.lambda0, tv=params.tv)
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +202,7 @@ def s_ext_2_order0(params: SchemeParams) -> EntropyBreakdown:
 
     Expansion: -2/eps - 1 + log(m0^4 TV / (4 pi^2 eps)) + O(eps).
     """
-    return _breakdown("ext2_order0", _two_point_reduced_series(params, 0, 1), params)
+    return EntropyBreakdown("ext2_order0", _two_point_reduced_series(params, 0, 1), params)
 
 
 def s_ext_2_order1(params: SchemeParams) -> EntropyBreakdown:
@@ -222,7 +220,7 @@ def s_ext_2_order1(params: SchemeParams) -> EntropyBreakdown:
     )
     mu_fac = power_series(params.mu, -1.0, order + 2)
     series = (d1 * bracket * mu_fac).scale(0.5 * params.lambda0).truncate(order)
-    return _breakdown("ext2_order1", series, params)
+    return EntropyBreakdown("ext2_order1", series, params)
 
 
 def s_ext_2_total(params: SchemeParams, mode: str = "closed") -> EntropyBreakdown:
@@ -239,7 +237,7 @@ def s_ext_2_total(params: SchemeParams, mode: str = "closed") -> EntropyBreakdow
     """
     if mode == "assembled":
         series = s_ext_2_order0(params).series + s_ext_2_order1(params).series
-        return _breakdown("ext2_total", series, params)
+        return EntropyBreakdown("ext2_total", series, params)
     if mode != "closed":
         raise ValueError(f"unknown mode {mode!r}")
     lam = params.lambda0
@@ -257,7 +255,7 @@ def s_ext_2_total(params: SchemeParams, mode: str = "closed") -> EntropyBreakdow
         },
         kmax=0,
     )
-    return _breakdown("ext2_total", series, params)
+    return EntropyBreakdown("ext2_total", series, params)
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +266,7 @@ def s_ext_21(params: SchemeParams) -> EntropyBreakdown:
 
     Expansion: -4/eps + 2 + log(m0^4 TV/(4 pi^2 eps)) + O(eps).
     """
-    return _breakdown("ext21", _two_point_reduced_series(params, 1, 2), params)
+    return EntropyBreakdown("ext21", _two_point_reduced_series(params, 1, 2), params)
 
 
 def s_int_21(params: SchemeParams) -> EntropyBreakdown:
@@ -276,7 +274,7 @@ def s_int_21(params: SchemeParams) -> EntropyBreakdown:
 
     Identical series to the zeroth-order external entropy.
     """
-    return _breakdown("int21", _two_point_reduced_series(params, 0, 1), params)
+    return EntropyBreakdown("int21", _two_point_reduced_series(params, 0, 1), params)
 
 
 def s_total_21(params: SchemeParams, use_tau: bool = True,
@@ -295,7 +293,7 @@ def s_total_21(params: SchemeParams, use_tau: bool = True,
     ab = ct.ratio_AB(params.m0, cfg, use_tau=use_tau)
     rest = math.log(params.m2 * params.tv / (32.0 * PI ** 4))
     series = EpsSeries({(0, 1): -2.0, (0, 0): ab + rest}, kmax=0)
-    return _breakdown("total21", series, params)
+    return EntropyBreakdown("total21", series, params)
 
 
 def mutual_information_21(params: SchemeParams,
@@ -309,7 +307,7 @@ def mutual_information_21(params: SchemeParams,
     if composed:
         series = (s_ext_21(params).series + s_int_21(params).series
                   - s_total_21(params).series)
-        return _breakdown("mutual21", series, params)
+        return EntropyBreakdown("mutual21", series, params)
     series = EpsSeries(
         {
             (-1, 0): -6.0,
@@ -317,7 +315,7 @@ def mutual_information_21(params: SchemeParams,
         },
         kmax=0,
     )
-    return _breakdown("mutual21", series, params)
+    return EntropyBreakdown("mutual21", series, params)
 
 
 def conditional_entropies_21(params: SchemeParams) -> tuple[EntropyBreakdown,
@@ -331,8 +329,8 @@ def conditional_entropies_21(params: SchemeParams) -> tuple[EntropyBreakdown,
     ext = s_ext_21(params).series
     internal = s_int_21(params).series
     return (
-        _breakdown("cond_ext_int", total - internal, params),
-        _breakdown("cond_int_ext", total - ext, params),
+        EntropyBreakdown("cond_ext_int", total - internal, params),
+        EntropyBreakdown("cond_int_ext", total - ext, params),
     )
 
 
@@ -370,7 +368,9 @@ def renyi_trace_radial(n: int, params: SchemeParams,
 
     Integrates (1/8 pi^2) r^3 eta(r^2)^n dr with the closed d=4 bubble,
     compactified through r = u/(1-u).  Independent of the contour
-    parametrization used by the main routine.
+    parametrization used by the main routine.  The integral is split at
+    the two-particle scale r = 2 m0: one adaptive pass over the whole range
+    can stop on too few points there and report a false convergence.
     """
     if n < 2:
         raise ValueError("replica power n must be >= 2")
@@ -389,7 +389,8 @@ def renyi_trace_radial(n: int, params: SchemeParams,
         jac = 1.0 / (1.0 - u) ** 2
         return r ** 3 * jac * eta_closed_d4(r * r, m2) ** n
 
-    return complex_quad(f, 0.0, hi) / (8.0 * PI ** 2)
+    u_t = min(2.0 * params.m0 / (1.0 + 2.0 * params.m0), hi)
+    return (complex_quad(f, 0.0, u_t) + complex_quad(f, u_t, hi)) / (8.0 * PI ** 2)
 
 
 def plane_wave_trace(params: SchemeParams) -> float:
@@ -445,7 +446,7 @@ def s_vacuum_order1(params: SchemeParams) -> EntropyBreakdown:
         },
         kmax=0,
     )
-    return _breakdown("vacuum21", series, params)
+    return EntropyBreakdown("vacuum21", series, params)
 
 
 def vacuum_finite_coefficient(m0: float, mu: float, lambda0: float = 1.0,
@@ -499,7 +500,7 @@ def s_nonperturbative(sd: SpectralDensity, params: SchemeParams) -> EntropyBreak
         norm = norm + d0.scale(coef)
         mode_sum = mode_sum + (d0 * (ratio - math.log(coef))).scale(coef)
     series = (norm.scale(params.stvol).log() + mode_sum / norm).truncate(order)
-    return _breakdown("nonpert", series, params)
+    return EntropyBreakdown("nonpert", series, params)
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +535,7 @@ def compute_quantity(name: str, params: SchemeParams, *,
         return s_nonperturbative(sd or SpectralDensity(m_phys=params.m0), params)
     if name == "tau":
         series = EpsSeries({(0, 0): ct.tau()}, kmax=0)
-        return _breakdown("tau", series, params)
+        return EntropyBreakdown("tau", series, params)
     raise UnknownQuantityError(
         f"unknown quantity {name!r}; known: {sorted(QUANTITY_NAMES)}"
     )

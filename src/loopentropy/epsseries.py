@@ -34,7 +34,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from . import specialfns as sf
@@ -52,10 +51,10 @@ LOGCAP = 2
 EXACT_ORDER = 64
 
 # entries kept by each memoized expansion (gamma_series, digamma_series,
-# power_series): the library's own Gamma/digamma keys, (j - 1, -0.5, order + k)
-# for j <= 4 at every order up to the cap, fit; the mass-dependent
-# power_series keys of a sweep cycle through it, and no caller can grow it
-# further
+# harmonic_series, power_series): the library's own Gamma/digamma keys,
+# (j - 1, -0.5, order + k), and harmonic keys, (j - 2, -0.5, order + k), for
+# j <= 4 at every order up to the cap, fit; the mass-dependent power_series
+# keys of a sweep cycle through it, and no caller can grow it further
 EXPANSION_CACHE_SIZE = 256
 
 
@@ -151,14 +150,6 @@ class EpsSeries:
         """The eps^0, log^0 coefficient."""
         return self.coefficient(0, 0)
 
-    def pole_parts(self) -> dict:
-        """Double pole, simple pole and log(eps) coefficients."""
-        return {
-            "pole2": self.coefficient(-2, 0),
-            "pole1": self.coefficient(-1, 0),
-            "logeps": self.coefficient(0, 1),
-        }
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
@@ -168,7 +159,7 @@ class EpsSeries:
     def _coerce(self, other) -> "EpsSeries":
         if isinstance(other, EpsSeries):
             return other
-        if isinstance(other, (int, float, complex, Fraction)):
+        if isinstance(other, (int, float, complex)):
             return EpsSeries.constant(complex(other))
         return NotImplemented
 
@@ -384,19 +375,6 @@ class EpsSeries:
             "kmax": self.kmax,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_zero():
-            return f"EpsSeries(0, O(eps^{self.kmax + 1}))"
-        bits = []
-        for k, l, c in self.terms():
-            body = f"{c:.6g}"
-            if k:
-                body += f"*eps^{k}"
-            if l:
-                body += f"*ln(eps)^{l}" if l > 1 else "*ln(eps)"
-            bits.append(body)
-        return "EpsSeries(" + " + ".join(bits) + f" + O(eps^{self.kmax + 1}))"
-
 
 def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeries:
     """``acc + sum_{m>=1} weight(m) * u**m`` through eps**order, for lead(u) >= 1;
@@ -538,6 +516,7 @@ def digamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
     return EpsSeries(coeffs, order)
 
 
+@_memoized
 def harmonic_series(c0: complex, slope: complex, order: int) -> EpsSeries:
-    """Expansion of the harmonic number H(c0 + slope*eps)."""
+    """Expansion of the harmonic number H(c0 + slope*eps) (memoized)."""
     return digamma_series(c0 + 1, slope, order) + sf.EULER_GAMMA

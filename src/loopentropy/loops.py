@@ -276,7 +276,7 @@ def eta(r2: float, m2: float, d: float = 4.0) -> complex:
         -i Gamma(3 - d/2) (4 pi)^(-d/2)
             * integral_0^1 dx (1 - x) [r2 x(1-x) + m^2]^(d/2 - 3)
 
-    Negative bases (possible for r2 < -4 m^2) take the +i*pi branch.
+    The base stays positive on [0, 1] for r2 > -4 m^2, so the integral is real.
     """
     if m2 <= 0:
         raise ValueError("m2 must be positive")
@@ -287,14 +287,8 @@ def eta(r2: float, m2: float, d: float = 4.0) -> complex:
         )
     power = d / 2.0 - 3.0
     pref = -1j * sf.gamma(3.0 - d / 2.0) * (4.0 * PI) ** (-d / 2.0)
-
-    def integrand(x: float) -> complex:
-        base = r2 * x * (1.0 - x) + m2
-        return base ** power + 0.0j
-
-    val = complex_quad(lambda x: (1.0 - x) * integrand(x), 0.0, 1.0,
-                       rel_tol=1e-11)
-    return pref * val
+    return pref * _quad(lambda x: (1.0 - x) * (r2 * x * (1.0 - x) + m2) ** power,
+                        0.0, 1.0, rel_tol=1e-11)
 
 
 # ----------------------------------------------------------------------
@@ -412,11 +406,8 @@ def oracle_chi_x(j: int, m2: float, d: float) -> complex:
         1j * (-1.0) ** (j + 1) * m2 ** (d / 2.0 - (j + 1))
         * (4.0 * PI) ** (-d / 2.0) / math.gamma(d / 2.0)
     )
-    re = _quad(lambda x: math.log(m2 / x) * x ** (j - d / 2.0)
-               * (1.0 - x) ** (d / 2.0 - 1.0), 0.0, 1.0, rel_tol=1e-11)
-    im = _quad(lambda x: PI * x ** (j - d / 2.0) * (1.0 - x) ** (d / 2.0 - 1.0),
-               0.0, 1.0, rel_tol=1e-11)
-    return pref * complex(re, im)
+    return pref * complex_quad(lambda x: complex(math.log(m2 / x), PI) * x ** (j - d / 2.0)
+                               * (1.0 - x) ** (d / 2.0 - 1.0), 0.0, 1.0, rel_tol=1e-11)
 
 
 def oracle_chi_radial(j: int, m2: float, d: float) -> complex:

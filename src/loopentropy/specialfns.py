@@ -24,7 +24,6 @@ from .errors import NonFiniteError, PoleError
 _sp = LazyModule("scipy.special")
 
 EULER_GAMMA = 0.57721566490153286061
-ZETA3 = 1.2020569031595942854
 PI = 3.1415926535897932385
 
 # zeta(2..16), used by the epsilon-expansion of Gamma(1 + x); see zeta_int.
@@ -62,31 +61,29 @@ def is_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
     return n <= 0 and abs(zr.real - n) <= tol and abs(zr.imag) <= tol
 
 
-def gamma(z: complex) -> complex:
-    """Gamma function for complex argument.
-
-    Raises PoleError at nonpositive integers; the caller must use the
-    series expansion around the pole instead.
-    """
+def _scipy_off_pole(name: str, z: complex) -> complex:
+    """``scipy.special.<name>(z)``, refusing the poles of Gamma (PoleError;
+    the caller must use the series expansion around the pole instead) and
+    a non-finite result (NonFiniteError)."""
     z = complex(z)
     if is_nonpositive_integer(z):
-        raise PoleError(f"gamma({z}) is a pole; use the series form")
-    return _ensure_finite(complex(_sp.gamma(z)), f"gamma({z})")
+        raise PoleError(f"{name}({z}) is a pole; use the series form")
+    return _ensure_finite(complex(getattr(_sp, name)(z)), f"{name}({z})")
+
+
+def gamma(z: complex) -> complex:
+    """Gamma function for complex argument."""
+    return _scipy_off_pole("gamma", z)
 
 
 def loggamma(z: complex) -> complex:
-    z = complex(z)
-    if is_nonpositive_integer(z):
-        raise PoleError(f"loggamma({z}) is a pole")
-    return _ensure_finite(complex(_sp.loggamma(z)), f"loggamma({z})")
+    """Principal log-Gamma function for complex argument."""
+    return _scipy_off_pole("loggamma", z)
 
 
 def digamma(z: complex) -> complex:
     """Digamma (psi) function for complex argument."""
-    z = complex(z)
-    if is_nonpositive_integer(z):
-        raise PoleError(f"digamma({z}) is a pole; use the series form")
-    return _ensure_finite(complex(_sp.digamma(z)), f"digamma({z})")
+    return _scipy_off_pole("digamma", z)
 
 
 def harmonic(z: complex) -> complex:
@@ -122,7 +119,7 @@ def zeta_int(n: int) -> float:
 
 def constants() -> tuple[float, float, float]:
     """(euler_gamma, zeta(3), pi) to better than 1e-16 relative."""
-    return EULER_GAMMA, ZETA3, PI
+    return EULER_GAMMA, ZETA[3], PI
 
 
 # Bernoulli numbers B_2, B_4, ... B_20 for Euler-Maclaurin tails.

@@ -123,24 +123,20 @@ def ratio_checks(params: SchemeParams) -> dict:
     tr_rho21 = (d0 * q2).scale(-1j * lam * two_tv)
     tr_vac2_tadpoles = (d0 * d0 * q2).scale(-(lam ** 2) * two_tv)
     ratio_a = tr_vac2_tadpoles / tr_rho21
-    expected_a = d0.scale(-1j * lam)
     # second pair: the shared quadruple-propagator integral cancels, so the
     # quotient is (-lam^2 delta0^2) / (-i lam) without evaluating it
     ratio_b = (d0 * d0).scale(-(lam ** 2)) / EpsSeries.constant(-1j * lam)
-    over_unit_b = ratio_b / EpsSeries.constant(-1j * lam)      # = delta0^2
     normalization_b = d0 * d0
     return {
         "tadpole_pair": {
             "ratio": ratio_a,
-            "expected": expected_a,
-            "normalized": ratio_a / expected_a,
+            "normalized": ratio_a / d0.scale(-1j * lam),
             "normalization_note": "exact; shared propagator-squared integral cancels",
         },
         "fully_contracted": {
             "ratio": ratio_b,
-            "over_unit_expectation": over_unit_b,
             "normalization_constant": normalization_b,
-            "normalized": over_unit_b / normalization_b,
+            "normalized": ratio_b / EpsSeries.constant(-1j * lam) / normalization_b,
             "normalization_note": (
                 "quotient retains delta0^2; recorded as the '~' normalization "
                 "constant, not asserted to be 1"

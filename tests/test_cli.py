@@ -227,6 +227,17 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert data["tv"] == 1.0   # explicit flag wins
 
 
+def test_config_may_give_the_quantity(tmp_path, capsys):
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text(json.dumps({"q": "int21"}))
+    assert main(["--config", str(cfg_path), "entropy"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["entropy", "--q", "int21"]) == 0
+    assert from_config == capsys.readouterr().out
+    assert main(["--config", str(cfg_path), "entropy", "--q", "ext21"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "ext21"  # the flag wins
+
+
 def test_check_command_passes(capsys):
     code = main(["check"])
     out = capsys.readouterr().out
@@ -280,6 +291,7 @@ CONFIGS = {
     "null_value.json": json.dumps({"m0": None}),
     "delta_cut.json": json.dumps({"delta_cut": 0.1}),
     "negative_seed.json": json.dumps({"seed": -1}),
+    "m0_only.json": json.dumps({"m0": 2.0}),
     "other_commands_keys.json": json.dumps({"mu": [1, 2], "q": "int21", "seed": 3}),
 }
 
@@ -294,6 +306,8 @@ INVALID_INPUTS = {
     "bad_choice": ["--config", "{tmp}/bad_choice.json", "figure3"],
     "null_value": ["--config", "{tmp}/null_value.json", "entropy", "--q", "int21"],
     "z_without_m_phys": ["entropy", "--q", "nonpert", "--z", "0.5"],
+    "missing_q": ["entropy"],
+    "missing_q_in_config_too": ["--config", "{tmp}/m0_only.json", "entropy"],
     "order_above_cap": ["entropy", "--q", "int21", "--order", "33"],
     "negative_order": ["trace-check", "--order", "-1"],
     "m0_inf": ["entropy", "--q", "ext21", "--m0", "inf"],

@@ -108,3 +108,12 @@ def test_ratio_AB_never_asserted_equal_to_tau():
     wide = ratio_ab_regulated(cfg_wide).real
     narrow = ratio_ab_regulated(cfg_narrow).real
     assert narrow < wide  # real part keeps falling as the cut shrinks
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ratio_AB(0.0), ValueError),
+    (lambda: ratio_AB(-1.0), ValueError),
+], ids=["ratio_AB_zero_m0", "ratio_AB_negative_m0"])
+def test_refused_inputs(call, error):
+    with pytest.raises(error):
+        call()

@@ -2,6 +2,7 @@
 relating them, the replica traces, and the spectral/vacuum entropies."""
 
 import cmath
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 
 from loopentropy import contour as ct
 from loopentropy import entropy as en
+from loopentropy.epsseries import EpsSeries
 from loopentropy.errors import UnknownQuantityError
 from loopentropy.loops import (MASS_MAX, MASS_MIN, TV_MAX, TV_MIN, WEIGHT_MAX, Z_MIN,
                                SchemeParams)
@@ -207,11 +209,16 @@ def test_renyi_integrand_vanishes_at_origin():
 
 
 def test_renyi_trace_contour_vs_radial():
-    p = params()
-    for n in (3, 4):
-        contour_val = en.renyi_trace_n(n, p)
-        radial_val = en.renyi_trace_radial(n, p)
-        assert abs(contour_val - radial_val) <= 1e-8 * abs(contour_val)
+    # m0 = 1.74552 is where one adaptive pass over the whole radial range
+    # stopped early (6.6e-8 off at n = 4) before the split at r = 2 m0
+    rng = np.random.default_rng(20240817)
+    masses = [1.0, 1.74552, *rng.uniform(0.1, 20.0, 40)]
+    for m0 in masses:
+        p = params(m0=float(m0))
+        for n in (2, 3, 4, 5):
+            contour_val = en.renyi_trace_n(n, p)
+            radial_val = en.renyi_trace_radial(n, p)
+            assert abs(contour_val - radial_val) <= 1e-8 * abs(contour_val), (m0, n)
 
 
 def test_renyi_trace_decreases_with_n():
@@ -408,6 +415,26 @@ def test_breakdown_json_schema():
     assert data["m0"] == 1.5
     assert data["tv"] == 2.0
     assert data["pole1"]["re"] == pytest.approx(-2.0)
+
+
+def test_breakdown_reads_its_parts_from_the_series():
+    series = EpsSeries({(-2, 0): 1.5j, (-1, 0): -2.0, (0, 1): 0.25, (0, 0): 3.0 - 1e-3j},
+                       kmax=0)
+    p = params(m0=2.0)
+    bd = en.EntropyBreakdown("x", series, p)
+    assert [f.name for f in dataclasses.fields(bd)] == ["name", "series", "params"]
+    assert (bd.pole2, bd.pole1, bd.logeps) == (1.5j, -2.0, 0.25)
+    assert (bd.finite, bd.residual_im) == (3.0, -1e-3)
+    assert not bd.is_real
+    assert bd.to_json_dict()["tv"] == p.tv
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: en.renyi_trace_radial(1, params()), ValueError),
+], ids=["renyi_radial_n_below_2"])
+def test_refused_inputs(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_registry_dispatch_and_unknown():

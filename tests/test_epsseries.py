@@ -246,15 +246,14 @@ def test_power_series_examples():
 
 def test_finite_and_pole_parts():
     ser = EpsSeries({(-1, 0): -2.0, (0, 0): -1.0, (0, 1): -1.0}, kmax=0)
-    parts = ser.pole_parts()
     assert ser.finite_part() == pytest.approx(-1.0)
-    assert parts["pole1"] == pytest.approx(-2.0)
-    assert parts["logeps"] == pytest.approx(-1.0)
-    assert parts["pole2"] == 0
+    assert ser.coefficient(-1, 0) == pytest.approx(-2.0)
+    assert ser.coefficient(0, 1) == pytest.approx(-1.0)
+    assert ser.coefficient(-2, 0) == 0
 
     const = EpsSeries.constant(5.0)
     assert const.finite_part() == pytest.approx(5.0)
-    assert const.pole_parts()["pole1"] == 0
+    assert const.coefficient(-1, 0) == 0
 
 
 def test_log_eps_squared_coefficient_from_inverse_square():
@@ -314,7 +313,7 @@ def test_evaluate_includes_log_channels():
 # ----------------------------------------------------------------------
 # memoized expansions
 # ----------------------------------------------------------------------
-MEMOIZED = (gamma_series, digamma_series)
+MEMOIZED = (gamma_series, digamma_series, harmonic_series)
 
 
 def _clear_expansion_caches():
@@ -421,4 +420,20 @@ def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
 
     monkeypatch.setattr(epsseries, "_cleaned", counted)
     assert point() == expected
-    assert calls == 12
+    assert calls == 10
+
+
+# ----------------------------------------------------------------------
+# refused inputs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("call, error", [
+    (lambda: EpsSeries({(-5, 0): 1}), TruncationUnderflowError),
+    (lambda: EpsSeries({(0, 3): 1}), LogCapError),
+    (lambda: power_series(0, 1.0, 4), ValueError),
+    (lambda: gamma_series(0.5, 1.0, -1), ValueError),
+    (lambda: digamma_series(0.5, 1.0, -1), ValueError),
+], ids=["pole_below_depth", "log_above_cap", "power_series_zero_base",
+        "gamma_series_negative_order", "digamma_series_negative_order"])
+def test_refused_inputs(call, error):
+    with pytest.raises(error):
+        call()

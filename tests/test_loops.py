@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from loopentropy.errors import NonConvergentError, PoleError
+from loopentropy.errors import NonConvergentError, PoleError, ToleranceNotMetError
 from loopentropy.loops import (
     COUPLING_MAX,
     COUPLING_MIN,
@@ -15,11 +15,13 @@ from loopentropy.loops import (
     TV_MIN,
     LoopValue,
     SchemeParams,
+    _quad,
     chi_closed,
     chi_over_delta_series_m2,
     chi_series,
     delta_closed,
     delta_series,
+    delta_series_m2,
     delta_stripped_series,
     eta,
     eta_closed_d4,
@@ -268,6 +270,8 @@ def test_delta_stripped_series_is_real_positive():
 # ----------------------------------------------------------------------
 def test_eta_zero_momentum_reference():
     assert eta(0.0, 1.0, 4.0) == pytest.approx(-1j / (32 * PI ** 2), rel=1e-10)
+    for m2 in (0.25, 1.0, 9.0):  # the closed form's r2 = 0 branch: the j = 2 tadpole power
+        assert eta_closed_d4(0.0, m2) == pytest.approx(delta_closed(2, m2, 4.0), rel=1e-15)
 
 
 def test_eta_zero_equals_delta2_independent_paths():
@@ -325,3 +329,24 @@ def test_eta_beyond_threshold_branch():
     # just above threshold the plain quadrature still applies
     above = eta(-3.9, 1.0, 4.0)
     assert abs(above - eta_closed_d4(-3.9, 1.0)) <= 1e-8 * abs(above)
+
+
+# ----------------------------------------------------------------------
+# refused inputs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("call, error", [
+    (lambda: _quad(lambda x: math.nan, 0.0, 1.0), NonConvergentError),
+    (lambda: _quad(lambda x: math.sin(1.0 / x) / x, 0.0, 1.0), ToleranceNotMetError),
+    (lambda: eta_closed_d4(-4.0, 1.0), NonConvergentError),
+    (lambda: delta_closed(-1, 1.0, 3.0), ValueError),
+    (lambda: delta_closed(0, 0.0, 3.0), ValueError),
+    (lambda: delta_series_m2(-1, 1.0, 4), ValueError),
+    (lambda: delta_series_m2(0, -1.0, 4), ValueError),
+    (lambda: chi_over_delta_series_m2(0, 0.0, 4), ValueError),
+    (lambda: eta(1.0, -1.0), ValueError),
+], ids=["quad_non_finite", "quad_tolerance", "eta_closed_threshold",
+        "delta_closed_negative_j", "delta_closed_zero_m2", "delta_series_negative_j",
+        "delta_series_negative_m2", "chi_over_delta_zero_m2", "eta_negative_m2"])
+def test_refused_inputs(call, error):
+    with pytest.raises(error):
+        call()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from loopentropy import specialfns as sf
-from loopentropy.errors import PoleError
+from loopentropy.errors import NonFiniteError, PoleError
 
 mpmath.mp.dps = 30
 
@@ -138,3 +138,21 @@ def test_principal_log_branch():
     assert sf.principal_log(-4.0) == pytest.approx(math.log(4.0) + 1j * math.pi)
     assert sf.principal_log(2.0) == pytest.approx(math.log(2.0))
     assert sf.principal_log(1j).imag == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: sf.gamma(200), NonFiniteError),
+    (lambda: sf.loggamma(-1), PoleError),
+    (lambda: sf.digamma(0), PoleError),
+    (lambda: sf.harmonic_int(-1), PoleError),
+    (lambda: sf.hurwitz_zeta_int(1, 1), ValueError),
+    (lambda: sf.hurwitz_zeta_int(2, 0), PoleError),
+    (lambda: sf.polygamma(0, 1), ValueError),
+    (lambda: sf.polygamma(1, -2), PoleError),
+    (lambda: sf.principal_log(0), NonFiniteError),
+], ids=["gamma_overflow", "loggamma_pole", "digamma_pole", "harmonic_int_negative",
+        "hurwitz_s_below_2", "hurwitz_pole", "polygamma_order_0", "polygamma_pole",
+        "log_zero"])
+def test_refused_inputs(call, error):
+    with pytest.raises(error):
+        call()
