@@ -169,17 +169,15 @@ def order1_blocks_n2(params: SchemeParams) -> tuple[EpsSeries, EpsSeries,
     the leading log; the real part is exact.
     """
     order = params.order
-    d0 = delta_series(0, params, order + 2)
-    d1 = delta_series(1, params, order + 2)
-    x0 = chi_series(0, params, order + 2)
-    x1 = chi_series(1, params, order + 2)
+    # d0, d1 start at eps^-1 and x0, x1 at eps^-2: each operand is built only
+    # through the order its block keeps, eps^order (t10: eps^(order - 1))
+    d0 = delta_series(0, params, order + 1)
     mu_fac = power_series(params.mu, -1.0, order + 2)
-    beta0 = d0.scale(params.stvol)
-    beta1 = (d0 * d1 * mu_fac).scale(-1j * params.stvol)
-    t00 = x0.scale(-params.stvol)
-    t10 = (d0 * x1 * mu_fac).scale(1j * params.stvol)
-    return (beta0.truncate(order), beta1.truncate(order),
-            t00.truncate(order), t10.truncate(order))
+    beta0 = d0.truncate(order).scale(params.stvol)
+    beta1 = (d0 * delta_series(1, params, order + 1) * mu_fac).scale(-1j * params.stvol)
+    t00 = chi_series(0, params, order).scale(-params.stvol)
+    t10 = (d0 * chi_series(1, params, order) * mu_fac).scale(1j * params.stvol)
+    return beta0, beta1, t00, t10
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +190,10 @@ def _two_point_reduced_series(params: SchemeParams, j: int, weight: int) -> EpsS
     i-stripped tadpole power and the ratio carries the real log branch.
     """
     order = params.order
-    dj = delta_stripped_series_m2(j, params.m2, order + 1)
-    ratio = chi_over_delta_series_m2(j, params.m2, order + 1, real_branch=True)
-    return (dj.scale(params.stvol).log() + ratio.scale(float(weight))).truncate(order)
+    # D_j starts at eps^-1 (j <= 1), so its log is known through eps^order
+    dj = delta_stripped_series_m2(j, params.m2, order - 1)
+    ratio = chi_over_delta_series_m2(j, params.m2, order, real_branch=True)
+    return dj.scale(params.stvol).log() + ratio.scale(float(weight))
 
 
 def s_ext_2_order0(params: SchemeParams) -> EntropyBreakdown:
@@ -213,13 +212,14 @@ def s_ext_2_order1(params: SchemeParams) -> EntropyBreakdown:
                + (2 gamma - 1 + log(m0^4/(16 pi^2 mu^4)))/(16 pi^2)].
     """
     order = params.order
-    d1 = delta_stripped_series_m2(1, params.m2, order + 2)
+    # D_1 starts at eps^-1; the bracket's two poles cancel, so it starts at eps^0
+    d1 = delta_stripped_series_m2(1, params.m2, order + 1)
     bracket = (
-        chi_over_delta_series_m2(1, params.m2, order + 2, real_branch=True)
-        - chi_over_delta_series_m2(0, params.m2, order + 2, real_branch=True)
+        chi_over_delta_series_m2(1, params.m2, order + 1, real_branch=True)
+        - chi_over_delta_series_m2(0, params.m2, order + 1, real_branch=True)
     )
-    mu_fac = power_series(params.mu, -1.0, order + 2)
-    series = (d1 * bracket * mu_fac).scale(0.5 * params.lambda0).truncate(order)
+    mu_fac = power_series(params.mu, -1.0, order + 1)
+    series = (d1 * bracket * mu_fac).scale(0.5 * params.lambda0)
     return EntropyBreakdown("ext2_order1", series, params)
 
 
@@ -490,16 +490,17 @@ def s_nonperturbative(sd: SpectralDensity, params: SchemeParams) -> EntropyBreak
     """
     order = params.order
     chans = sd.channels()
-    norm = EpsSeries.zero(order + 1)
-    mode_sum = EpsSeries.zero(order + 1)
+    norm = EpsSeries.zero(order)
+    mode_sum = EpsSeries.zero(order)
     for coef, m2 in chans:
         if coef == 0.0:
             continue
-        d0 = delta_stripped_series_m2(0, m2, order + 1)
-        ratio = chi_over_delta_series_m2(0, m2, order + 1, real_branch=True)
+        d0 = delta_stripped_series_m2(0, m2, order)
+        ratio = chi_over_delta_series_m2(0, m2, order, real_branch=True)
         norm = norm + d0.scale(coef)
         mode_sum = mode_sum + (d0 * (ratio - math.log(coef))).scale(coef)
-    series = (norm.scale(params.stvol).log() + mode_sum / norm).truncate(order)
+    # norm starts at eps^-1: its log needs it only through eps^(order - 1)
+    series = norm.truncate(order - 1).scale(params.stvol).log() + mode_sum / norm
     return EntropyBreakdown("nonpert", series, params)
 
 

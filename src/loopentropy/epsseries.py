@@ -51,10 +51,9 @@ LOGCAP = 2
 EXACT_ORDER = 64
 
 # entries kept by each memoized expansion (gamma_series, digamma_series,
-# harmonic_series, power_series): the library's own Gamma/digamma keys,
-# (j - 1, -0.5, order + k), and harmonic keys, (j - 2, -0.5, order + k), for
-# j <= 4 at every order up to the cap, fit; the mass-dependent power_series
-# keys of a sweep cycle through it, and no caller can grow it further
+# harmonic_series): the library's own Gamma/digamma keys, (j - 1, -0.5,
+# order + k), and harmonic keys, (j - 2, -0.5, order + k), for j <= 4 at
+# every order up to the cap, fit, and no caller can grow it further
 EXPANSION_CACHE_SIZE = 256
 
 
@@ -417,11 +416,11 @@ def _memoized(expansion):
     return memoized
 
 
-@_memoized
 def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSeries:
-    """base**(exponent_slope * eps) expanded to the given order (memoized).
+    """base**(exponent_slope * eps) expanded to the given order.
 
-    The branch of log(base) follows the library policy.
+    The branch of log(base) follows the library policy.  Not memoized: the
+    bases a sweep passes are its masses, each used once per point.
     """
     if base == 0:
         raise ValueError("power_series requires a nonzero base")
@@ -431,7 +430,7 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
     for k in range(order + 1):
         coeffs[(k, 0)] = term
         term = term * a / (k + 1)
-    return EpsSeries(coeffs, order)
+    return EpsSeries._trusted(coeffs, order)  # Python complex terms, l = 0
 
 
 def _gamma_one_plus(slope: complex, order: int) -> EpsSeries:

@@ -44,7 +44,7 @@ integrate = LazyModule("scipy.integrate")
 
 PI = sf.PI
 
-# series run internally to order + 4, which must stay below EXACT_ORDER (64)
+# series run internally to order + 2 at most, which must stay below EXACT_ORDER (64)
 MAX_ORDER = 32
 
 QUAD_REL_TOL = 1e-9
@@ -301,10 +301,11 @@ def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     if m2 <= 0:
         raise ValueError("m2 must be positive")
     pref = 1j * (-1.0) ** (j + 1) * m2 ** (1 - j) / ((4.0 * PI) ** 2 * math.gamma(j + 1))
+    # one order past the cut covers the simple pole of Gamma(j - 1 - eps/2), j <= 1
     body = (
-        power_series(m2, 0.5, order + 2)
-        * power_series(4.0 * PI, -0.5, order + 2)
-        * gamma_series(j - 1, -0.5, order + 2)
+        power_series(m2, 0.5, order + 1)
+        * power_series(4.0 * PI, -0.5, order + 1)
+        * gamma_series(j - 1, -0.5, order + 1)
     )
     return body.scale(pref).truncate(order)
 
@@ -338,11 +339,12 @@ def chi_series_m2(j: int, m2: float, order: int,
     Built from the quadrature-validated closed form
     delta_j * (H_j - H_{j-d/2} + log(-m^2)).  With ``real_branch=True``
     the +i*pi of log(-m^2) is dropped (the branch choice that the printed
-    entropy expansions absorb into their real parts).
+    entropy expansions absorb into their real parts).  Both factors start
+    at eps^-1 for j <= 1, so each is needed through eps^(order + 1).
     """
     return (
-        delta_series_m2(j, m2, order + 2)
-        * chi_over_delta_series_m2(j, m2, order + 2, real_branch)
+        delta_series_m2(j, m2, order + 1)
+        * chi_over_delta_series_m2(j, m2, order + 1, real_branch)
     ).truncate(order)
 
 

@@ -90,12 +90,9 @@ def harmonic(z: complex) -> complex:
     """Generalized harmonic number H_z = euler_gamma + psi(z + 1).
 
     For integer n >= 0 this is the partial sum 1 + 1/2 + ... + 1/n.
-    Raises PoleError when z is a negative integer.
+    Raises PoleError, through ``digamma``, when z is a negative integer.
     """
-    z = complex(z)
-    if is_nonpositive_integer(z + 1):
-        raise PoleError(f"harmonic({z}) is a pole; use the series form")
-    return EULER_GAMMA + digamma(z + 1)
+    return EULER_GAMMA + digamma(complex(z) + 1)
 
 
 def harmonic_int(n: int) -> float:

@@ -317,7 +317,7 @@ MEMOIZED = (gamma_series, digamma_series, harmonic_series)
 
 
 def _clear_expansion_caches():
-    for fn in MEMOIZED + (power_series,):
+    for fn in MEMOIZED:
         fn.cache_clear()
 
 
@@ -337,21 +337,6 @@ def test_memoized_expansions_equal_the_uncached_ones(fn):
                 assert repr(first.terms()) == expected, (c0, slope, order)
 
 
-def test_memoized_power_series_equals_the_uncached_one():
-    # numpy bases, and both signs of a zero imaginary part of base and slope
-    bases = [4 * math.pi, 2.0, np.float64(0.7), -3.0, complex(2.0, 0.0),
-             complex(2.0, -0.0), complex(-2.0, -0.0)]
-    slopes = [-0.5, 1.0, complex(0.5, 0.0), complex(0.5, -0.0)]
-    _clear_expansion_caches()
-    for order in (0, 3, 8):
-        for base in bases:
-            for slope in slopes:
-                expected = repr(power_series.__wrapped__(base, slope, order).terms())
-                first = power_series(base, slope, order)
-                assert power_series(base, slope, order) is first
-                assert repr(first.terms()) == expected, (base, slope, order)
-
-
 def test_loop_series_at_interleaved_masses_and_orders_equal_a_cold_call():
     rng = random.Random(7)
     calls = [(f, j, m2, order) for f in (delta_series_m2, chi_series_m2)
@@ -368,7 +353,7 @@ def test_loop_series_at_interleaved_masses_and_orders_equal_a_cold_call():
 
 def test_quantities_leave_cached_expansions_unchanged():
     _clear_expansion_caches()
-    # every key the pass below uses: c0 = j - 1, orders up to 8 + 6
+    # every key the pass below uses: c0 = j - 1, orders up to 8 + 2
     keys = [(c0, -0.5, order) for c0 in range(-1, 4) for order in range(15)]
     cached = {(fn, key): fn(*key) for fn in MEMOIZED for key in keys}
     before = {k: repr(v.terms()) for k, v in cached.items()}
@@ -386,8 +371,7 @@ def test_expansion_caches_stay_bounded():
         c0 = rng.uniform(0.1, 50.0)
         gamma_series(c0, 1.0, 0)
         digamma_series(c0, 1.0, 0)
-        power_series(c0, 1.0, 0)
-    for fn in MEMOIZED + (power_series,):
+    for fn in MEMOIZED:
         assert fn.cache_info().currsize <= EXPANSION_CACHE_SIZE
     # evicted library entries are rebuilt on demand
     assert repr(gamma_series(-1, -0.5, 6).terms()) == \
@@ -421,6 +405,32 @@ def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
     monkeypatch.setattr(epsseries, "_cleaned", counted)
     assert point() == expected
     assert calls == 10
+
+
+def test_a_figure2_point_makes_only_the_products_it_keeps(monkeypatch):
+    """The series products of one default figure2 point with warm expansion
+    caches.  Each of its two reduced series makes two for the tadpole body
+    and one per kept power, eps^1..eps^4, in the power sum of its log.
+    Each operand is asked for only through the order its result keeps, so
+    a padding that creeps back raises the count."""
+    p = SchemeParams.from_tv(m0=1.0, lambda0=1.0, tv=1.0, order=4)
+
+    def point():
+        return [en.s_total_21(p).finite, en.s_ext_21(p).finite,
+                en.s_int_21(p).finite, en.mutual_information_21(p).finite]
+
+    expected = point()
+    calls = 0
+    mul = EpsSeries.__mul__
+
+    def counted(self, other, **kwargs):
+        nonlocal calls
+        calls += 1
+        return mul(self, other, **kwargs)
+
+    monkeypatch.setattr(EpsSeries, "__mul__", counted)
+    assert point() == expected
+    assert calls == 12
 
 
 # ----------------------------------------------------------------------

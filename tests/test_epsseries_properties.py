@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from loopentropy.epsseries import EXACT_ORDER, KMIN_CAP, LOGCAP, EpsSeries
+from loopentropy.epsseries import EXACT_ORDER, KMIN_CAP, LOGCAP, EpsSeries, power_series
 from loopentropy.errors import LogCapError, LoopEntropyError, TruncationUnderflowError
 
 # deterministic examples and no example database, so every run is the same
@@ -158,6 +158,21 @@ def test_every_result_keeps_the_invariant_bit_for_bit(a, b, x, k):
             assert KMIN_CAP <= kk <= r.kmax and 0 <= l <= LOGCAP
         # validating the result changes no bit and no key's place
         assert _bits(EpsSeries(r.coeffs, r.kmax)) == _bits(r)
+
+
+def test_power_series_builds_its_result_without_validation():
+    # numpy bases, and both signs of a zero imaginary part of base and slope
+    bases = [4 * np.pi, 2.0, np.float64(0.7), -3.0, complex(2.0, 0.0),
+             complex(2.0, -0.0), complex(-2.0, -0.0)]
+    slopes = [-0.5, 1.0, complex(0.5, 0.0), complex(0.5, -0.0)]
+    for order in (0, 3, 8):
+        for base in bases:
+            for slope in slopes:
+                r = power_series(base, slope, order)
+                assert r.kmax == order
+                assert all(type(c) is complex and c != 0 and l == 0 and k <= order
+                           for (k, l), c in r.coeffs.items())
+                assert _bits(EpsSeries(r.coeffs, r.kmax)) == _bits(r), (base, slope, order)
 
 
 def test_sums_and_products_start_new_coefficients_from_positive_zero():

@@ -5,7 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopentropy import entropy as en
+from loopentropy import epsseries, loops
+from loopentropy.epsseries import EXACT_ORDER
 from loopentropy.errors import NonConvergentError, PoleError, ToleranceNotMetError
 from loopentropy.loops import (
     COUPLING_MAX,
@@ -19,10 +24,12 @@ from loopentropy.loops import (
     chi_closed,
     chi_over_delta_series_m2,
     chi_series,
+    chi_series_m2,
     delta_closed,
     delta_series,
     delta_series_m2,
     delta_stripped_series,
+    delta_stripped_series_m2,
     eta,
     eta_closed_d4,
     oracle_chi_radial,
@@ -263,6 +270,50 @@ def test_delta_stripped_series_is_real_positive():
         assert max(abs(c.imag) for _, _, c in ser.terms()) <= 1e-14
         assert ser.coefficient(ser.lead(), 0).real != 0
         assert ser.evaluate(1e-3).real > 0
+
+
+# ----------------------------------------------------------------------
+# each series is built only through the order its result keeps
+# ----------------------------------------------------------------------
+# deterministic examples and no example database, so every run is the same
+@settings(derandomize=True, database=None, deadline=None)
+@given(j=st.integers(0, 4), m2=st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e),
+       n=st.integers(0, 10), k=st.integers(1, 3))
+def test_a_series_built_to_fewer_orders_keeps_its_coefficients(j, m2, n, k):
+    """What the assemblies rely on when they ask for each operand only up to
+    the order they keep: the coefficients through eps^n do not depend on
+    how far a series was built, and the log of a tadpole through eps^n
+    needs the tadpole only through eps^(n + lead)."""
+    def same(a, b):  # every bit, and the key order that later sums follow
+        assert a.kmax == b.kmax
+        assert repr(list(a.coeffs.items())) == repr(list(b.coeffs.items()))
+
+    for series in (delta_series_m2, chi_series_m2, chi_over_delta_series_m2):
+        same(series(j, m2, n + k).truncate(n), series(j, m2, n))
+    x = delta_stripped_series_m2(j, m2, n + k)
+    same(x.truncate(n + x.lead()).log(), x.log().truncate(n))
+
+
+def test_series_run_internally_to_order_plus_two_at_most(monkeypatch):
+    """The expansions behind all 12 quantities and the first-order blocks
+    are asked for through eps^(MAX_ORDER + 2) at most, the bound stated at
+    ``MAX_ORDER``, which stays below the exact-series order."""
+    orders = []
+    for name in ("power_series", "gamma_series", "digamma_series", "harmonic_series"):
+        original = getattr(epsseries, name)
+
+        def spy(c0, slope, order, original=original):
+            orders.append(order)
+            return original(c0, slope, order)
+
+        for module in (epsseries, loops, en):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    p = SchemeParams(order=MAX_ORDER)
+    for name in en.QUANTITY_NAMES:
+        en.compute_quantity(name, p)
+    en.order1_blocks_n2(p)
+    assert max(orders) == MAX_ORDER + 2 < EXACT_ORDER
 
 
 # ----------------------------------------------------------------------
