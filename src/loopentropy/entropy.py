@@ -21,6 +21,7 @@ Quantity names used throughout (and by the CLI registry):
     cond_int_ext  conditional entropy total21 - ext21
     vacuum21      first-order entropy of the zero-point state
     nonpert       spectral-representation (non-perturbative) entropy
+    tau           the contour constant tau, as a finite series
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from .loops import (
     Z_MIN,
     SchemeParams,
     chi_over_delta_series_m2,
-    chi_series,
+    chi_series_m2,
     complex_quad,
-    delta_series,
+    delta_series_m2,
     delta_stripped_series_m2,
+    eta_closed_d4,
     _quad,
     check_mass_range,
 )
@@ -168,15 +170,15 @@ def order1_blocks_n2(params: SchemeParams) -> tuple[EpsSeries, EpsSeries,
     assembled two-point entropy up to a constant +i pi/2 from the branch of
     the leading log; the real part is exact.
     """
-    order = params.order
+    order, m2 = params.order, params.m2
     # d0, d1 start at eps^-1 and x0, x1 at eps^-2: each operand is built only
     # through the order its block keeps, eps^order (t10: eps^(order - 1))
-    d0 = delta_series(0, params, order + 1)
+    d0 = delta_series_m2(0, m2, order + 1)
     mu_fac = power_series(params.mu, -1.0, order + 2)
     beta0 = d0.truncate(order).scale(params.stvol)
-    beta1 = (d0 * delta_series(1, params, order + 1) * mu_fac).scale(-1j * params.stvol)
-    t00 = chi_series(0, params, order).scale(-params.stvol)
-    t10 = (d0 * chi_series(1, params, order) * mu_fac).scale(1j * params.stvol)
+    beta1 = (d0 * delta_series_m2(1, m2, order + 1) * mu_fac).scale(-1j * params.stvol)
+    t00 = chi_series_m2(0, m2, order).scale(-params.stvol)
+    t10 = (d0 * chi_series_m2(1, m2, order) * mu_fac).scale(1j * params.stvol)
     return beta0, beta1, t00, t10
 
 
@@ -318,6 +320,11 @@ def mutual_information_21(params: SchemeParams,
     return EntropyBreakdown("mutual21", series, params)
 
 
+def _conditional_21(name: str, given, params: SchemeParams) -> EntropyBreakdown:
+    """total21 minus the entropy ``given`` of the conditioning state."""
+    return EntropyBreakdown(name, s_total_21(params).series - given(params).series, params)
+
+
 def conditional_entropies_21(params: SchemeParams) -> tuple[EntropyBreakdown,
                                                             EntropyBreakdown]:
     """Conditional entropies (ext given int, int given ext).
@@ -325,13 +332,8 @@ def conditional_entropies_21(params: SchemeParams) -> tuple[EntropyBreakdown,
     Finite parts tau + 1 - log(8 pi^2) ~ -0.102 and
     tau - 2 - log(8 pi^2) ~ -3.102, independent of m0.
     """
-    total = s_total_21(params).series
-    ext = s_ext_21(params).series
-    internal = s_int_21(params).series
-    return (
-        EntropyBreakdown("cond_ext_int", total - internal, params),
-        EntropyBreakdown("cond_int_ext", total - ext, params),
-    )
+    return (_conditional_21("cond_ext_int", s_int_21, params),
+            _conditional_21("cond_int_ext", s_ext_21, params))
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +376,6 @@ def renyi_trace_radial(n: int, params: SchemeParams,
     """
     if n < 2:
         raise ValueError("replica power n must be >= 2")
-    from .loops import eta_closed_d4
-
     cfg = cfg or ct.ContourConfig()
     m2 = params.m2
     hi = 1.0
@@ -527,9 +527,9 @@ def compute_quantity(name: str, params: SchemeParams, *,
     if name == "mutual21":
         return mutual_information_21(params)
     if name == "cond_ext_int":
-        return conditional_entropies_21(params)[0]
+        return _conditional_21(name, s_int_21, params)
     if name == "cond_int_ext":
-        return conditional_entropies_21(params)[1]
+        return _conditional_21(name, s_ext_21, params)
     if name == "vacuum21":
         return s_vacuum_order1(params)
     if name == "nonpert":

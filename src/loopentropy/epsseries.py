@@ -50,10 +50,10 @@ LOGCAP = 2
 # that mixed arithmetic is always limited by the genuinely truncated operand.
 EXACT_ORDER = 64
 
-# entries kept by each memoized expansion (gamma_series, digamma_series,
-# harmonic_series): the library's own Gamma/digamma keys, (j - 1, -0.5,
-# order + k), and harmonic keys, (j - 2, -0.5, order + k), for j <= 4 at
-# every order up to the cap, fit, and no caller can grow it further
+# entries kept by each memoized expansion (gamma_series, harmonic_series): the
+# library's own Gamma keys, (j - 1, -0.5, order + k), and harmonic keys,
+# (j - 2, -0.5, order + k), for j <= 4 at every order up to the cap, fit, and
+# no caller can grow it further
 EXPANSION_CACHE_SIZE = 256
 
 
@@ -475,9 +475,8 @@ def gamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
     return EpsSeries(logg, order).exp()
 
 
-@_memoized
 def digamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
-    """Expansion of digamma(c0 + slope*eps) around eps = 0 (memoized).
+    """Expansion of digamma(c0 + slope*eps) around eps = 0.
 
     Handles nonpositive-integer c0, where the expansion carries a simple
     pole -1/(slope*eps) plus a regular tail.

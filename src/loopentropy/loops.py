@@ -177,8 +177,14 @@ def _quad(f: Callable[[float], float], a: float, b: float,
     with np.errstate(over="ignore", invalid="ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=rel_tol,
-                                      limit=QUAD_LIMIT)
+            try:
+                val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=rel_tol,
+                                          limit=QUAD_LIMIT)
+            except ZeroDivisionError as exc:
+                # subdivision reached a singular endpoint, as x == 1.0 in (1 - x)**-s
+                raise ToleranceNotMetError(
+                    "quadrature reached a singular endpoint before meeting its "
+                    "tolerance") from exc
     if not math.isfinite(val):
         raise NonConvergentError("quadrature returned a non-finite value")
     if err > max(abs(val), 1e-300) * rel_tol * 100 and err > 1e-13:
@@ -310,9 +316,9 @@ def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     return body.scale(pref).truncate(order)
 
 
-def delta_series(j: int, params: SchemeParams, order: int | None = None) -> EpsSeries:
+def delta_series(j: int, params: SchemeParams) -> EpsSeries:
     """Tadpole-power integral as a series in eps = d - 4."""
-    return delta_series_m2(j, params.m2, params.order if order is None else order)
+    return delta_series_m2(j, params.m2, params.order)
 
 
 def delta_stripped_series_m2(j: int, m2: float, order: int) -> EpsSeries:
@@ -326,37 +332,34 @@ def delta_stripped_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     return delta_series_m2(j, m2, order).scale(1j)
 
 
-def delta_stripped_series(j: int, params: SchemeParams,
-                          order: int | None = None) -> EpsSeries:
-    return delta_stripped_series_m2(j, params.m2,
-                                    params.order if order is None else order)
+def delta_stripped_series(j: int, params: SchemeParams) -> EpsSeries:
+    return delta_stripped_series_m2(j, params.m2, params.order)
 
 
-def chi_series_m2(j: int, m2: float, order: int,
-                  real_branch: bool = False) -> EpsSeries:
+def chi_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     """Log-weighted integral at squared mass m2 as a series in eps = d - 4.
 
     Built from the quadrature-validated closed form
-    delta_j * (H_j - H_{j-d/2} + log(-m^2)).  With ``real_branch=True``
-    the +i*pi of log(-m^2) is dropped (the branch choice that the printed
-    entropy expansions absorb into their real parts).  Both factors start
-    at eps^-1 for j <= 1, so each is needed through eps^(order + 1).
+    delta_j * (H_j - H_{j-d/2} + log(-m^2)), with the +i*pi branch of the
+    log.  Both factors start at eps^-1 for j <= 1, so each is needed through
+    eps^(order + 1).
     """
     return (
-        delta_series_m2(j, m2, order + 1)
-        * chi_over_delta_series_m2(j, m2, order + 1, real_branch)
+        delta_series_m2(j, m2, order + 1) * chi_over_delta_series_m2(j, m2, order + 1)
     ).truncate(order)
 
 
-def chi_series(j: int, params: SchemeParams, order: int | None = None,
-               real_branch: bool = False) -> EpsSeries:
-    return chi_series_m2(j, params.m2, params.order if order is None else order,
-                         real_branch)
+def chi_series(j: int, params: SchemeParams) -> EpsSeries:
+    return chi_series_m2(j, params.m2, params.order)
 
 
 def chi_over_delta_series_m2(j: int, m2: float, order: int,
                              real_branch: bool = False) -> EpsSeries:
-    """The ratio chi_j / delta_j: H_j - H_{j-d/2} + log(-m^2) as a series."""
+    """The ratio chi_j / delta_j: H_j - H_{j-d/2} + log(-m^2) as a series.
+
+    With ``real_branch=True`` the +i*pi of log(-m^2) is dropped (the branch
+    choice that the printed entropy expansions absorb into their real parts).
+    """
     if m2 <= 0:
         raise ValueError("m2 must be positive")
     log_term = math.log(m2) + (0.0 if real_branch else 1j * PI)
@@ -366,12 +369,8 @@ def chi_over_delta_series_m2(j: int, m2: float, order: int,
     )
 
 
-def chi_over_delta_series(j: int, params: SchemeParams,
-                          order: int | None = None,
-                          real_branch: bool = False) -> EpsSeries:
-    return chi_over_delta_series_m2(j, params.m2,
-                                    params.order if order is None else order,
-                                    real_branch)
+def chi_over_delta_series(j: int, params: SchemeParams) -> EpsSeries:
+    return chi_over_delta_series_m2(j, params.m2, params.order)
 
 
 # ----------------------------------------------------------------------

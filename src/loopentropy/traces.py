@@ -19,11 +19,12 @@ dependent (see :func:`ratio_checks`).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .epsseries import EpsSeries
 from .errors import LoopEntropyError
-from .loops import SchemeParams, delta_series, delta_series_m2
+from .loops import SchemeParams, delta_series_m2
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,8 @@ def tr_rho4_inferred(Z: float, m_phys: float, e0_2t: float,
     """
     if params.lambda0 == 0.0:
         raise LoopEntropyError("tr_rho4_inferred requires a nonzero coupling")
-    import cmath
-
     vac = overlap_sq * cmath.exp(-1j * e0_2t)
-    d0_bare = delta_series(0, params)
+    d0_bare = delta_series_m2(0, params.m2, params.order)
     d0_phys = delta_series_m2(0, m_phys * m_phys, params.order)
     head = EpsSeries.constant((1j / params.lambda0) * (vac - 1.0))
     return head + d0_bare * (d0_bare - d0_phys.scale(params.stvol * Z))
@@ -115,18 +114,18 @@ def ratio_checks(params: SchemeParams) -> dict:
     lam = params.lambda0
     if lam == 0.0:
         raise LoopEntropyError("ratio_checks requires a nonzero coupling lambda0")
-    d0 = delta_series(0, params)
-    d1 = delta_series(1, params)
+    d0 = delta_series_m2(0, params.m2, params.order)
+    d1 = delta_series_m2(1, params.m2, params.order)
+    d0_sq = d0 * d0
     two_tv = params.stvol
     # shared double-propagator integral: int d^4x Delta(x)^2 = -delta_1
     q2 = d1.scale(-1.0)
     tr_rho21 = (d0 * q2).scale(-1j * lam * two_tv)
-    tr_vac2_tadpoles = (d0 * d0 * q2).scale(-(lam ** 2) * two_tv)
+    tr_vac2_tadpoles = (d0_sq * q2).scale(-(lam ** 2) * two_tv)
     ratio_a = tr_vac2_tadpoles / tr_rho21
     # second pair: the shared quadruple-propagator integral cancels, so the
     # quotient is (-lam^2 delta0^2) / (-i lam) without evaluating it
-    ratio_b = (d0 * d0).scale(-(lam ** 2)) / EpsSeries.constant(-1j * lam)
-    normalization_b = d0 * d0
+    ratio_b = d0_sq.scale(-(lam ** 2)) / EpsSeries.constant(-1j * lam)
     return {
         "tadpole_pair": {
             "ratio": ratio_a,
@@ -135,8 +134,8 @@ def ratio_checks(params: SchemeParams) -> dict:
         },
         "fully_contracted": {
             "ratio": ratio_b,
-            "normalization_constant": normalization_b,
-            "normalized": ratio_b / EpsSeries.constant(-1j * lam) / normalization_b,
+            "normalization_constant": d0_sq,
+            "normalized": ratio_b / EpsSeries.constant(-1j * lam) / d0_sq,
             "normalization_note": (
                 "quotient retains delta0^2; recorded as the '~' normalization "
                 "constant, not asserted to be 1"

@@ -167,7 +167,7 @@ def test_log_of_tadpole_series_vs_numeric():
     from loopentropy.loops import SchemeParams, delta_stripped_series
 
     p = SchemeParams.from_tv(m0=1.0, tv=1.0, order=4)
-    series = delta_stripped_series(0, p, order=4).scale(p.stvol).log()
+    series = delta_stripped_series(0, p).scale(p.stvol).log()
     assert series.coefficient(0, 1) == pytest.approx(-1.0, abs=1e-12)
     expected_finite = math.log(1.0 / (4.0 * math.pi ** 2))
     assert series.coefficient(0, 0) == pytest.approx(expected_finite, abs=1e-12)
@@ -313,7 +313,7 @@ def test_evaluate_includes_log_channels():
 # ----------------------------------------------------------------------
 # memoized expansions
 # ----------------------------------------------------------------------
-MEMOIZED = (gamma_series, digamma_series, harmonic_series)
+MEMOIZED = (gamma_series, harmonic_series)
 
 
 def _clear_expansion_caches():
@@ -370,7 +370,7 @@ def test_expansion_caches_stay_bounded():
     for _ in range(10_000):
         c0 = rng.uniform(0.1, 50.0)
         gamma_series(c0, 1.0, 0)
-        digamma_series(c0, 1.0, 0)
+        harmonic_series(c0, 1.0, 0)
     for fn in MEMOIZED:
         assert fn.cache_info().currsize <= EXPANSION_CACHE_SIZE
     # evicted library entries are rebuilt on demand

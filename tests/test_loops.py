@@ -2,6 +2,7 @@
 against closed forms, and the bubble at general momentum."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopentropy import entropy as en
-from loopentropy import epsseries, loops
+from loopentropy import checks, epsseries, loops, traces
 from loopentropy.epsseries import EXACT_ORDER
 from loopentropy.errors import NonConvergentError, PoleError, ToleranceNotMetError
 from loopentropy.loops import (
@@ -316,6 +317,32 @@ def test_series_run_internally_to_order_plus_two_at_most(monkeypatch):
     assert max(orders) == MAX_ORDER + 2 < EXACT_ORDER
 
 
+def test_no_library_call_reaches_a_params_form(monkeypatch):
+    """Mass enters a loop one way inside the library: through the
+    ``(j, m2, order)`` forms.  The params forms are public adapters only."""
+    calls = []
+    for name in ("delta_series", "delta_stripped_series", "chi_series",
+                 "chi_over_delta_series"):
+        original = getattr(loops, name)
+
+        def spy(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("loopentropy") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    p = SchemeParams.from_tv(m0=1.7, mu=0.6, lambda0=0.8, tv=2.0, order=6)
+    for name in en.QUANTITY_NAMES:
+        en.compute_quantity(name, p)
+    en.order1_blocks_n2(p)
+    traces.ratio_checks(p)
+    traces.tr_rho4_inferred(0.9, 1.2, 0.4, p)
+    checks.run_all()
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # the bubble eta
 # ----------------------------------------------------------------------
@@ -395,9 +422,15 @@ def test_eta_beyond_threshold_branch():
     (lambda: delta_series_m2(0, -1.0, 4), ValueError),
     (lambda: chi_over_delta_series_m2(0, 0.0, 4), ValueError),
     (lambda: eta(1.0, -1.0), ValueError),
+    # d just above 0: subdivision reaches x == 1.0, where (1 - x)^(d/2 - 1) divides by zero
+    (lambda: oracle_chi_x(0, 0.05050689758849527, 2.7202514838453595e-06),
+     ToleranceNotMetError),
+    (lambda: oracle_chi_x(0, 0.9802443534272027, 4.0643410696021195e-05),
+     ToleranceNotMetError),
 ], ids=["quad_non_finite", "quad_tolerance", "eta_closed_threshold",
         "delta_closed_negative_j", "delta_closed_zero_m2", "delta_series_negative_j",
-        "delta_series_negative_m2", "chi_over_delta_zero_m2", "eta_negative_m2"])
+        "delta_series_negative_m2", "chi_over_delta_zero_m2", "eta_negative_m2",
+        "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()
