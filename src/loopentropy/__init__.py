@@ -9,10 +9,10 @@ families, series algebra and contour coefficients they are built from.
 
 from .contour import ContourConfig, coeff_a, coeff_b, ratio_AB, ratio_ab_regulated, tau
 from .entropy import (
+    QUANTITIES,
     EntropyBreakdown,
     SpectralDensity,
     compute_quantity,
-    conditional_entropies_21,
     entropy_order1_generic,
     mutual_information_21,
     order1_blocks_n2,
@@ -62,10 +62,10 @@ from .traces import TraceSet, ratio_checks, tr_rho4_inferred, vacuum_trace_phi4,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContourConfig", "EntropyBreakdown", "EpsSeries", "LoopValue",
+    "ContourConfig", "EntropyBreakdown", "EpsSeries", "LoopValue", "QUANTITIES",
     "SchemeParams", "SpectralDensity", "TraceSet",
     "coeff_a", "coeff_b", "ratio_AB", "ratio_ab_regulated", "tau",
-    "compute_quantity", "conditional_entropies_21", "entropy_order1_generic",
+    "compute_quantity", "entropy_order1_generic",
     "mutual_information_21", "order1_blocks_n2", "plane_wave_trace",
     "renyi_trace_n", "renyi_trace_radial", "s_ext_2_order0", "s_ext_2_order1",
     "s_ext_2_total", "s_ext_21", "s_int_21", "s_nonperturbative", "s_total_21",

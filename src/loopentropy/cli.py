@@ -163,6 +163,11 @@ def cmd_figure3(cfg: SweepConfig) -> str:
                          "Vacuum entropy coefficient", "finite coefficient")
 
 
+def _readers(input_name: str) -> str:
+    """The quantities whose ``reads`` hold ``input_name``, comma separated."""
+    return ", ".join(name for name, q in en.QUANTITIES.items() if input_name in q.reads)
+
+
 def _parse_mu_list(text: str) -> tuple:
     if not text.strip():
         raise argparse.ArgumentTypeError("mu list must be nonempty")
@@ -238,12 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_scheme(pe)
     pe.add_argument("--quad-ratio", action="store_true",
                     help="use the regulated contour ratio instead of tau "
-                         "(total21 only)")
+                         f"({_readers('contour')} only)")
     pe.add_argument("--delta-cut", type=float, default=None,
                     help="endpoint cut of the contour ratio "
                          "(default 0.05; needs --quad-ratio)")
     pe.add_argument("--m-phys", type=float, default=None,
-                    help="physical mass for the spectral quantity (nonpert only)")
+                    help="physical mass for the spectral quantity "
+                         f"({_readers('spectrum')} only)")
     pe.add_argument("--z", type=float, default=None,
                     help="field strength for the spectral quantity "
                          "(default 1; needs --m-phys)")
@@ -335,12 +341,13 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "entropy":
             params = _scheme(args)
-            if args.quad_ratio and args.q != "total21":
-                raise ValueError("--quad-ratio applies only to --q total21")
             if args.delta_cut is not None and not args.quad_ratio:
                 raise ValueError("--delta-cut needs --quad-ratio")
-            if args.m_phys is not None and args.q != "nonpert":
-                raise ValueError("--m-phys applies only to --q nonpert")
+            reads = en.QUANTITIES[args.q].reads if args.q in en.QUANTITIES else ()
+            for flag, given, needs in (("--quad-ratio", args.quad_ratio, "contour"),
+                                       ("--m-phys", args.m_phys is not None, "spectrum")):
+                if given and needs not in reads:
+                    raise ValueError(f"{flag} applies only to --q {_readers(needs)}")
             cfg = (ct.ContourConfig() if args.delta_cut is None
                    else ct.ContourConfig(endpoint_cut=args.delta_cut))
             sd = None

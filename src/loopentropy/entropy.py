@@ -8,20 +8,9 @@ quantity is assembled from the loop families the assembly uses the
 i-stripped (real, positive-leading) tadpole series so that its coefficients
 come out real term by term and agree with the quoted forms.
 
-Quantity names used throughout (and by the CLI registry):
-
-    ext2_order0   coupling-free entropy of the two-point reduced state
-    ext2_order1   first-order correction to it
-    ext2_total    both orders combined
-    ext21         entropy of the externally reduced first-order state
-    int21         entropy of the internally reduced first-order state
-    total21       replica-limit entropy of the full first-order state
-    mutual21      mutual information ext21 + int21 - total21
-    cond_ext_int  conditional entropy total21 - int21
-    cond_int_ext  conditional entropy total21 - ext21
-    vacuum21      first-order entropy of the zero-point state
-    nonpert       spectral-representation (non-perturbative) entropy
-    tau           the contour constant tau, as a finite series
+The named quantities, with what each one means and the scheme inputs it
+reads, are the table :data:`QUANTITIES` (listed in the README's
+"Quantities" table); :func:`compute_quantity` evaluates one by name.
 """
 
 from __future__ import annotations
@@ -29,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import contour as ct
 from . import specialfns as sf
@@ -298,18 +288,13 @@ def s_total_21(params: SchemeParams, use_tau: bool = True,
     return EntropyBreakdown("total21", series, params)
 
 
-def mutual_information_21(params: SchemeParams,
-                          composed: bool = False) -> EntropyBreakdown:
+def mutual_information_21(params: SchemeParams) -> EntropyBreakdown:
     """Mutual information between real and virtual states at first order.
 
-    Quoted form: -6/eps + 1 - tau + log(2 m0^4 TV).  With ``composed=True``
-    the series is instead assembled as ext21 + int21 - total21; the two
-    agree coefficient by coefficient.
+    Quoted form: -6/eps + 1 - tau + log(2 m0^4 TV).  It agrees coefficient
+    by coefficient with ext21 + int21 - total21 (the check suite composes
+    and compares the two).
     """
-    if composed:
-        series = (s_ext_21(params).series + s_int_21(params).series
-                  - s_total_21(params).series)
-        return EntropyBreakdown("mutual21", series, params)
     series = EpsSeries(
         {
             (-1, 0): -6.0,
@@ -320,20 +305,9 @@ def mutual_information_21(params: SchemeParams,
     return EntropyBreakdown("mutual21", series, params)
 
 
-def _conditional_21(name: str, given, params: SchemeParams) -> EntropyBreakdown:
-    """total21 minus the entropy ``given`` of the conditioning state."""
-    return EntropyBreakdown(name, s_total_21(params).series - given(params).series, params)
-
-
-def conditional_entropies_21(params: SchemeParams) -> tuple[EntropyBreakdown,
-                                                            EntropyBreakdown]:
-    """Conditional entropies (ext given int, int given ext).
-
-    Finite parts tau + 1 - log(8 pi^2) ~ -0.102 and
-    tau - 2 - log(8 pi^2) ~ -3.102, independent of m0.
-    """
-    return (_conditional_21("cond_ext_int", s_int_21, params),
-            _conditional_21("cond_int_ext", s_ext_21, params))
+def _conditional_21(name: str, given) -> Callable[[SchemeParams], EntropyBreakdown]:
+    """Builder of total21 minus the entropy ``given`` of the conditioning state."""
+    return lambda p: EntropyBreakdown(name, s_total_21(p).series - given(p).series, p)
 
 
 # ----------------------------------------------------------------------
@@ -505,44 +479,64 @@ def s_nonperturbative(sd: SpectralDensity, params: SchemeParams) -> EntropyBreak
 
 
 # ----------------------------------------------------------------------
-# registry for the CLI and the check suite
+# the quantity table, for the CLI and the check suite
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Quantity:
+    """A named entropy's builder, one-line meaning and ``reads``: the inputs
+    among ``m0``, ``mu``, ``lambda0``, ``tv``, ``contour`` (total21's endpoint
+    cut, ``use_tau``/``cfg``) and ``spectrum`` (nonpert's density ``sd``) that
+    move a printed part; any other input moves none beyond rounding."""
+
+    build: Callable[..., EntropyBreakdown]
+    reads: frozenset
+    meaning: str
+
+
+def _row(build, reads: str, meaning: str) -> Quantity:
+    return Quantity(build, frozenset(reads.split()), meaning)
+
+
+QUANTITIES: dict[str, Quantity] = {
+    "ext2_order0": _row(s_ext_2_order0, "m0 tv",
+                        "coupling-free entropy of the two-point reduced state"),
+    "ext2_order1": _row(s_ext_2_order1, "m0 mu lambda0",
+                        "first-order (in lambda0) correction to ext2_order0"),
+    "ext2_total": _row(s_ext_2_total, "m0 mu lambda0 tv",
+                       "ext2_order0 + ext2_order1, as the quoted closed form"),
+    "ext21": _row(s_ext_21, "m0 tv", "entropy of the externally reduced first-order state"),
+    "int21": _row(s_int_21, "m0 tv", "entropy of the internally reduced first-order state"),
+    "total21": _row(s_total_21, "m0 tv contour",
+                    "replica-limit entropy of the full first-order state"),
+    "mutual21": _row(mutual_information_21, "m0 tv",
+                     "mutual information ext21 + int21 - total21"),
+    "cond_ext_int": _row(_conditional_21("cond_ext_int", s_int_21), "",
+                         "conditional entropy total21 - int21; finite part ~ -0.102"),
+    "cond_int_ext": _row(_conditional_21("cond_int_ext", s_ext_21), "",
+                         "conditional entropy total21 - ext21; finite part ~ -3.102"),
+    "vacuum21": _row(s_vacuum_order1, "m0 mu lambda0 tv",
+                     "first-order entropy of the zero-point state"),
+    "nonpert": _row(lambda params, sd=None: s_nonperturbative(
+                        sd or SpectralDensity(m_phys=params.m0), params), "m0 tv spectrum",
+                    "spectral-representation entropy; by default one particle at m0"),
+    "tau": _row(lambda p: EntropyBreakdown("tau", EpsSeries({(0, 0): ct.tau()}, kmax=0), p),
+                "", "the contour constant tau, as a finite series"),
+}
+
+QUANTITY_NAMES = tuple(QUANTITIES)
+
+
 def compute_quantity(name: str, params: SchemeParams, *,
                      use_tau: bool = True,
                      cfg: ct.ContourConfig | None = None,
                      sd: SpectralDensity | None = None) -> EntropyBreakdown:
-    """Evaluate a named entropy quantity for the given scheme."""
-    if name == "ext2_order0":
-        return s_ext_2_order0(params)
-    if name == "ext2_order1":
-        return s_ext_2_order1(params)
-    if name == "ext2_total":
-        return s_ext_2_total(params)
-    if name == "ext21":
-        return s_ext_21(params)
-    if name == "int21":
-        return s_int_21(params)
-    if name == "total21":
-        return s_total_21(params, use_tau=use_tau, cfg=cfg)
-    if name == "mutual21":
-        return mutual_information_21(params)
-    if name == "cond_ext_int":
-        return _conditional_21(name, s_int_21, params)
-    if name == "cond_int_ext":
-        return _conditional_21(name, s_ext_21, params)
-    if name == "vacuum21":
-        return s_vacuum_order1(params)
-    if name == "nonpert":
-        return s_nonperturbative(sd or SpectralDensity(m_phys=params.m0), params)
-    if name == "tau":
-        series = EpsSeries({(0, 0): ct.tau()}, kmax=0)
-        return EntropyBreakdown("tau", series, params)
-    raise UnknownQuantityError(
-        f"unknown quantity {name!r}; known: {sorted(QUANTITY_NAMES)}"
-    )
-
-
-QUANTITY_NAMES = (
-    "ext2_order0", "ext2_order1", "ext2_total", "ext21", "int21", "total21",
-    "mutual21", "cond_ext_int", "cond_int_ext", "vacuum21", "nonpert", "tau",
-)
+    """Evaluate the quantity ``name`` of :data:`QUANTITIES` for the given
+    scheme.  ``use_tau`` and ``cfg`` reach only the quantity that reads
+    ``contour``, and ``sd`` only the one that reads ``spectrum``."""
+    quantity = QUANTITIES.get(name)
+    if quantity is None:
+        raise UnknownQuantityError(f"unknown quantity {name!r}; known: {sorted(QUANTITIES)}")
+    extra = {"use_tau": use_tau, "cfg": cfg} if "contour" in quantity.reads else {}
+    if "spectrum" in quantity.reads:
+        extra["sd"] = sd
+    return quantity.build(params, **extra)

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -258,6 +259,18 @@ def test_check_fault_injection_names_oracle():
     assert checks_mod.exit_code(results) == 1
     failed = [r.name for r in results if r.passed is False]
     assert failed == ["delta_vs_radial_oracle"]
+
+
+def test_check_tau_verdict_is_numeric_only(monkeypatch):
+    # a clock that advances a second per reading: the value is right, so PASS
+    ticks = iter(range(100))
+    monkeypatch.setattr(checks_mod, "time",
+                        types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    slow = checks_mod.check_tau()
+    assert slow.status == "PASS"
+    assert "runtime=1000000.0us" in slow.detail
+    monkeypatch.setattr(checks_mod.ct, "tau", lambda: 3.3)
+    assert checks_mod.check_tau().status == "FAIL"
 
 
 def test_console_script_end_to_end(tmp_path):

@@ -45,7 +45,8 @@ CORNERS = ((1e-30, 1e-30, 1e-30, 1e-30), (1e30, 1e30, 1e30, 1e30),
 REFUSALS = (
     ["entropy"], ["entropy", "--q", "nope"], ["entropy", "--q", "nope", "--quad-ratio"],
     ["entropy", "--q", "nope", "--m-phys", "2"], ["entropy", "--q", "nope", "--z", "0.5"],
-    ["entropy", "--q", "nope", "--m0", "inf"], ["entropy", "--q", "nope", "--delta-cut", "0.1"],
+    ["entropy", "--q", "nope", "--m0", "inf"],
+    ["entropy", "--q", "nope", "--delta-cut", "0.1"],
     ["entropy", "--q", "nope", "--quad-ratio", "--m-phys", "2"],
     ["entropy", "--q", "mutual21", "--quad-ratio"],
     ["entropy", "--q", "int21", "--quad-ratio", "--m-phys", "2"],
@@ -107,7 +108,8 @@ def commands() -> list[list[str]]:
         m0, tv = repr(_log_uniform(rng)), repr(_log_uniform(rng))
         cut = repr(rng.uniform(0.02, 0.2))
         out.append(["entropy", "--q", "total21", "--m0", m0, "--tv", tv, "--quad-ratio"])
-        out.append(["entropy", "--q", "total21", "--m0", m0, "--quad-ratio", "--delta-cut", cut])
+        out.append(["entropy", "--q", "total21", "--m0", m0, "--quad-ratio",
+                    "--delta-cut", cut])
         out.append(["tau", "--delta-cut", cut])
     out += [["tau"], ["tau", "--json"], ["trace-check"]]
     for figure in ("figure2", "figure3"):

@@ -136,7 +136,7 @@ def test_mutual_composition_identity_over_grid():
         for tv in (1.0, 10.0):
             p = params(m0=float(m0), tv=tv)
             quoted = en.mutual_information_21(p).series
-            composed = en.mutual_information_21(p, composed=True).series
+            composed = en.s_ext_21(p).series + en.s_int_21(p).series - en.s_total_21(p).series
             assert quoted.max_coeff_diff(composed, through_k=0) <= 1e-10
 
 
@@ -149,14 +149,15 @@ def test_mutual_positivity_threshold():
 
 
 def test_conditional_entropies_values_and_difference():
-    ce, ci = en.conditional_entropies_21(params())
+    ce = en.compute_quantity("cond_ext_int", params())
+    ci = en.compute_quantity("cond_int_ext", params())
     assert ce.finite == pytest.approx(-0.102, abs=1e-3)
     assert ci.finite == pytest.approx(-3.102, abs=1e-3)
     assert ce.finite - ci.finite == pytest.approx(3.0, abs=1e-12)
 
 
 def test_conditional_entropies_mass_independent():
-    finites = [en.conditional_entropies_21(params(m0=float(m0)))[0].finite
+    finites = [en.compute_quantity("cond_ext_int", params(m0=float(m0))).finite
                for m0 in np.linspace(0.5, 10.0, 50)]
     assert np.ptp(finites) <= 1e-9
 
