@@ -26,7 +26,7 @@ from loopentropy import (
     tau,
 )
 
-params = SchemeParams.from_tv(m0=1.0, mu=1.0, lambda0=1.0, tv=1.0)
+params = SchemeParams(m0=1.0, mu=1.0, lambda0=1.0, tv=1.0)
 
 print(f"reference scheme: m0=1, mu=1, lambda0=1, TV=1   (tau = {tau():.6f})")
 print(f"{'quantity':14s} {'1/eps^2':>10s} {'1/eps':>10s} {'log(eps)':>10s} {'finite':>12s}")
@@ -44,15 +44,15 @@ print("\nmutual info composition, worst coefficient dev:",
 
 # Conditional entropies do not depend on the bare mass.
 for m0 in (0.5, 2.0, 8.0):
-    p = SchemeParams.from_tv(m0=m0)
+    p = SchemeParams(m0=m0)
     ce, ci = compute_quantity("cond_ext_int", p), compute_quantity("cond_int_ext", p)
     print(f"m0={m0:4.1f}: S(ext|int)={ce.finite:+.6f}  S(int|ext)={ci.finite:+.6f}")
 
 # All three entropies grow as 4 log(m0) at large mass.
 h = 1e-6
 for label, fn in (("total", s_total_21), ("ext", s_ext_21), ("int", s_int_21)):
-    up = fn(SchemeParams.from_tv(m0=9.0 * math.exp(h))).finite
-    dn = fn(SchemeParams.from_tv(m0=9.0 * math.exp(-h))).finite
+    up = fn(SchemeParams(m0=9.0 * math.exp(h))).finite
+    dn = fn(SchemeParams(m0=9.0 * math.exp(-h))).finite
     print(f"d(finite {label})/d log m0 at m0=9: {(up - dn) / (2 * h):.4f}")
 
 # The generic first-order assembly, fed the two-point building blocks with
@@ -70,6 +70,6 @@ print("\ngeneric assembly vs two-point total:",
 # with the physical mass; the field strength cancels in the normalization.
 sd = SpectralDensity(Z=0.8, m_phys=2.0)
 spectral = s_nonperturbative(sd, params)
-reference = compute_quantity("ext2_order0", SchemeParams.from_tv(m0=2.0))
+reference = compute_quantity("ext2_order0", SchemeParams(m0=2.0))
 print("spectral one-particle vs zeroth order at m=2, dev:",
       f"{spectral.series.max_coeff_diff(reference.series):.1e}")

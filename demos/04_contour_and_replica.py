@@ -36,11 +36,11 @@ print(f"\nclosed-form tau = {tau():.10f} (the regulated ratio drifts instead "
 # The only mass dependence of the ratio is +log(m0^2), in either mode.
 for m0 in (1.0, 2.0):
     print(f"ratio_AB(m0={m0}): tau mode {ratio_AB(m0):+.6f}   "
-          f"quadrature mode {ratio_AB(m0, ContourConfig(0.05), use_tau=False):+.6f}")
+          f"quadrature mode {ratio_AB(m0, ContourConfig(0.05)):+.6f}")
 
 # Integer replica powers of the bubble: finite from n = 3 up, regulated at
 # n = 2, and cross-checked against a direct radial quadrature.
-p = SchemeParams.from_tv(m0=1.0)
+p = SchemeParams(m0=1.0)
 print("\nreplica traces of the bubble (independent parametrizations)")
 for n in (3, 4, 5):
     contour = renyi_trace_n(n, p)

@@ -59,7 +59,7 @@ def check_tau() -> CheckResult:
 def check_conditional_constancy() -> CheckResult:
     finites_ei, finites_ie = [], []
     for m0 in np.linspace(0.5, 10.0, 50):
-        p = SchemeParams.from_tv(m0=float(m0), tv=1.0)
+        p = SchemeParams(m0=float(m0), tv=1.0)
         finites_ei.append(en.compute_quantity("cond_ext_int", p).finite)
         finites_ie.append(en.compute_quantity("cond_int_ext", p).finite)
     dev = max(np.ptp(finites_ei), np.ptp(finites_ie))
@@ -144,7 +144,7 @@ def check_mutual_identity() -> CheckResult:
     worst = 0.0
     for m0 in (0.5, 1.0, 2.0, 5.0, 10.0):
         for tv in (1.0, 10.0):
-            p = SchemeParams.from_tv(m0=m0, tv=tv)
+            p = SchemeParams(m0=m0, tv=tv)
             quoted = en.mutual_information_21(p).series
             composed = en.s_ext_21(p).series + en.s_int_21(p).series - en.s_total_21(p).series
             worst = max(worst, quoted.max_coeff_diff(composed, through_k=0))
@@ -164,7 +164,7 @@ def check_trace_relations(seed: int = 20240820) -> CheckResult:
                       delta0=d0, lambda0=float(rng.uniform(0.1, 2.0)))
         worst = max(worst, vacuum_trace_phi4(ts).max_coeff_diff(vacuum_trace_phir(ts)))
     # round trip: inferred four-point trace plugged back must return the overlap
-    p = SchemeParams.from_tv(m0=1.2, lambda0=0.7, tv=1.0)
+    p = SchemeParams(m0=1.2, lambda0=0.7, tv=1.0)
     overlap, e0_2t = 0.93, 0.41
     t4 = tr_rho4_inferred(1.0, p.m0, e0_2t, p, overlap_sq=overlap)
     d0 = loops.delta_series_m2(0, p.m2, p.order)
@@ -179,7 +179,7 @@ def check_trace_relations(seed: int = 20240820) -> CheckResult:
 
 
 def check_plane_wave() -> CheckResult:
-    vals = [(tv, en.plane_wave_trace(SchemeParams.from_tv(tv=tv))) for tv in (1.0, 5.0)]
+    vals = [(tv, en.plane_wave_trace(SchemeParams(tv=tv))) for tv in (1.0, 5.0)]
     ok = vals[0][1] == 0.5 and vals[1][1] == 0.1 and all(v > 0 for _, v in vals)
     return CheckResult("plane_wave_trace", ok,
                        " ".join(f"TV={tv}:{v:.6g}" for tv, v in vals))
@@ -218,7 +218,7 @@ def info_ratio_vs_tau() -> CheckResult:
 
 
 def info_combined_expansion_offset() -> CheckResult:
-    p = SchemeParams.from_tv()
+    p = SchemeParams()
     closed = en.s_ext_2_total(p, mode="closed").series
     assembled = en.s_ext_2_total(p, mode="assembled").series
     diff = closed - assembled

@@ -28,7 +28,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import contour as ct
 from . import entropy as en
@@ -57,10 +57,11 @@ def _print_json(payload: dict) -> None:
 @dataclass
 class SweepConfig:
     """Grid and output options for the figure commands (``mu`` and
-    ``convention`` are figure3's).
+    ``convention`` are figure3's; the grid defaults are figure2's).
 
     The grid ends and every scale in ``mu`` lie in [MASS_MIN, MASS_MAX];
-    ``lambda0`` and ``tv`` obey the ranges of :class:`SchemeParams`.
+    ``lambda0``, ``tv`` and ``order`` take the defaults and obey the ranges
+    of :class:`SchemeParams`.  An output path, if given, is nonempty.
     """
 
     m0_min: float = 1.0
@@ -68,9 +69,9 @@ class SweepConfig:
     steps: int = 200
     log_grid: bool = False
     mu: tuple = (0.5, 1.0, 2.0)
-    lambda0: float = 1.0
-    tv: float = 1.0
-    order: int = 4
+    lambda0: float = SchemeParams.lambda0
+    tv: float = SchemeParams.tv
+    order: int = SchemeParams.order
     out: str | None = None
     svg: str | None = None
     convention: str = "figure"
@@ -86,6 +87,8 @@ class SweepConfig:
             raise ValueError("m0-min must be below m0-max")
         if not self.mu:
             raise ValueError("mu list must be nonempty")
+        if "" in (self.out, self.svg):
+            raise ValueError(f"{'out' if self.out == '' else 'svg'} must be a nonempty path")
 
     def grid(self) -> list[float]:
         """The m0 grid.  The linear grid is numpy's ``linspace`` arithmetic
@@ -119,7 +122,7 @@ def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     and the external+internal sum over the m0 grid."""
     rows = []
     for m0 in cfg.grid():
-        p = SchemeParams.from_tv(m0=m0, lambda0=cfg.lambda0, tv=cfg.tv, order=cfg.order)
+        p = SchemeParams(m0=m0, lambda0=cfg.lambda0, tv=cfg.tv, order=cfg.order)
         s_tot = en.s_total_21(p).finite
         s_ext = en.s_ext_21(p).finite
         s_int = en.s_int_21(p).finite
@@ -177,6 +180,18 @@ def _parse_mu_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad mu list {text!r}") from exc
 
 
+def _parse_delta_cut(text: str) -> ct.ContourConfig:
+    """The cut as a ContourConfig, so that its range error names the flag."""
+    try:
+        cut = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        return ct.ContourConfig(endpoint_cut=cut)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_seed(text: str) -> int:
     try:
         value = int(text)
@@ -209,33 +224,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scheme(p):
-        p.add_argument("--m0", type=float, default=1.0)
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--lambda0", type=float, default=1.0)
-        p.add_argument("--tv", type=float, default=1.0)
-        p.add_argument("--order", type=int, default=4)
+    def add_scheme(p, names=tuple(f.name for f in fields(SchemeParams))):
+        for name in names:  # each default, and its type, is SchemeParams'
+            default = getattr(SchemeParams, name)
+            p.add_argument(f"--{name}", type=type(default), default=default)
 
-    def add_grid(p, m0_min, m0_max, steps):
+    def add_grid(p, m0_min=SweepConfig.m0_min, m0_max=SweepConfig.m0_max,
+                 steps=SweepConfig.steps):
         p.add_argument("--m0-min", type=float, default=m0_min)
         p.add_argument("--m0-max", type=float, default=m0_max)
         p.add_argument("--steps", type=int, default=steps)
         p.add_argument("--log-grid", action="store_true")
-        p.add_argument("--lambda0", type=float, default=1.0)
-        p.add_argument("--tv", type=float, default=1.0)
-        p.add_argument("--order", type=int, default=4)
+        add_scheme(p, ("lambda0", "tv", "order"))
         p.add_argument("--out", help="CSV output path (stdout if omitted)")
         p.add_argument("--svg", help="optional SVG chart path")
 
-    p2 = sub.add_parser("figure2", help="two-point entropy curves vs m0")
-    add_grid(p2, 1.0, 10.0, 200)
+    add_grid(sub.add_parser("figure2", help="two-point entropy curves vs m0"))
 
     p3 = sub.add_parser("figure3", help="vacuum entropy coefficient vs m0")
     add_grid(p3, 0.2, 6.0, 300)
-    p3.add_argument("--mu", type=_parse_mu_list, default=(0.5, 1.0, 2.0),
+    p3.add_argument("--mu", type=_parse_mu_list, default=SweepConfig.mu,
                     help="comma-separated scale list, one curve per value")
     p3.add_argument("--convention", choices=("figure", "closed_form"),
-                    default="figure",
+                    default=SweepConfig.convention,
                     help="finite-coefficient convention (see docs)")
 
     pe = sub.add_parser("entropy", help="one quantity as JSON")
@@ -244,30 +255,28 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--quad-ratio", action="store_true",
                     help="use the regulated contour ratio instead of tau "
                          f"({_readers('contour')} only)")
-    pe.add_argument("--delta-cut", type=float, default=None,
+    pe.add_argument("--delta-cut", type=_parse_delta_cut, default=None,
                     help="endpoint cut of the contour ratio "
-                         "(default 0.05; needs --quad-ratio)")
+                         f"(default {ct.ContourConfig.endpoint_cut:g}; needs --quad-ratio)")
     pe.add_argument("--m-phys", type=float, default=None,
                     help="physical mass for the spectral quantity "
                          f"({_readers('spectrum')} only)")
     pe.add_argument("--z", type=float, default=None,
                     help="field strength for the spectral quantity "
-                         "(default 1; needs --m-phys)")
+                         f"(default {en.SpectralDensity.Z:g}; needs --m-phys)")
 
     pt = sub.add_parser("tau", help="closed-form contour-ratio constant")
     pt.add_argument("--json", action="store_true")
-    pt.add_argument("--delta-cut", type=float, default=None,
+    pt.add_argument("--delta-cut", type=_parse_delta_cut, default=None,
                     help="also report the regulated a/b at this endpoint cut")
 
-    pr = sub.add_parser("trace-check", help="trace-relation ratio report")
-    add_scheme(pr)
+    add_scheme(sub.add_parser("trace-check", help="trace-relation ratio report"))
 
     pc = sub.add_parser("check", help="run the invariant suite")
     pc.add_argument("--seed", type=_parse_seed, default=20240817,
                     help="seed of the sampled checks (a non-negative integer)")
 
-    parser._command_parsers = {"figure2": p2, "figure3": p3, "entropy": pe,
-                               "tau": pt, "trace-check": pr, "check": pc}
+    parser._command_parsers = sub.choices
     return parser
 
 
@@ -312,8 +321,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str, command: str) -> N
 
 
 def _scheme(args: argparse.Namespace) -> SchemeParams:
-    return SchemeParams.from_tv(m0=args.m0, mu=args.mu, lambda0=args.lambda0, tv=args.tv,
-                                order=args.order)
+    return SchemeParams(**{f.name: getattr(args, f.name) for f in fields(SchemeParams)})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -348,16 +356,14 @@ def main(argv: list[str] | None = None) -> int:
                                        ("--m-phys", args.m_phys is not None, "spectrum")):
                 if given and needs not in reads:
                     raise ValueError(f"{flag} applies only to --q {_readers(needs)}")
-            cfg = (ct.ContourConfig() if args.delta_cut is None
-                   else ct.ContourConfig(endpoint_cut=args.delta_cut))
             sd = None
             if args.m_phys is not None:
-                sd = en.SpectralDensity(Z=1.0 if args.z is None else args.z,
+                sd = en.SpectralDensity(Z=en.SpectralDensity.Z if args.z is None else args.z,
                                         m_phys=args.m_phys)
             elif args.z is not None:
                 raise ValueError("--z needs --m-phys")
             bd = en.compute_quantity(args.q, params, use_tau=not args.quad_ratio,
-                                     cfg=cfg, sd=sd)
+                                     cfg=args.delta_cut, sd=sd)
             _print_json(bd.to_json_dict())
             return 0
 
@@ -366,9 +372,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.json or args.delta_cut is not None:
                 payload = {"tau": value}
                 if args.delta_cut is not None:
-                    reg = ct.ratio_ab_regulated(ct.ContourConfig(endpoint_cut=args.delta_cut))
+                    reg = ct.ratio_ab_regulated(args.delta_cut)
                     payload["regulated_ratio"] = {"re": reg.real, "im": reg.imag,
-                                                  "endpoint_cut": args.delta_cut}
+                                                  "endpoint_cut": args.delta_cut.endpoint_cut}
                 _print_json(payload)
             else:
                 print(fmt(value))

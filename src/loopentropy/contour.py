@@ -41,7 +41,7 @@ class ContourConfig:
 
     def __post_init__(self):
         if not 0.0 < self.endpoint_cut < 1.0:
-            raise ValueError("endpoint_cut must lie in (0, 1)")
+            raise ValueError(f"endpoint_cut must lie in (0, 1), not {self.endpoint_cut!r}")
 
 
 def _weight(t: float) -> float:
@@ -79,15 +79,13 @@ def ratio_ab_regulated(cfg: ContourConfig = ContourConfig()) -> complex:
     return coeff_a(cfg) / coeff_b(cfg)
 
 
-def ratio_AB(m0: float, cfg: ContourConfig = ContourConfig(),
-             use_tau: bool = True) -> complex:
+def ratio_AB(m0: float, cfg: ContourConfig | None = None) -> complex:
     """A/B = a/b + log(m0^2), the only m0 dependence of the pair.
 
-    With ``use_tau`` (default) a/b is replaced by the closed-form tau;
-    otherwise the regulated quadrature ratio at ``cfg.endpoint_cut`` is
-    used and the caller should report the cut alongside.
+    a/b is the closed-form tau without ``cfg`` (default), else the regulated
+    quadrature ratio at ``cfg.endpoint_cut``, which the caller should report.
     """
     if m0 <= 0:
         raise ValueError("m0 must be positive")
-    head = complex(tau()) if use_tau else ratio_ab_regulated(cfg)
+    head = complex(tau()) if cfg is None else ratio_ab_regulated(cfg)
     return head + 2.0 * math.log(m0)

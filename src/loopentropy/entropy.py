@@ -269,20 +269,18 @@ def s_int_21(params: SchemeParams) -> EntropyBreakdown:
     return EntropyBreakdown("int21", _two_point_reduced_series(params, 0, 1), params)
 
 
-def s_total_21(params: SchemeParams, use_tau: bool = True,
-               cfg: ct.ContourConfig | None = None) -> EntropyBreakdown:
+def s_total_21(params: SchemeParams, cfg: ct.ContourConfig | None = None) -> EntropyBreakdown:
     """Replica-limit entropy of the full first-order two-point state.
 
     Expansion: tau + log(m0^4 TV/(32 pi^4 eps^2)) + O(eps), where tau (or,
-    with ``use_tau=False``, the regulated contour ratio) stands in for the
+    given ``cfg``, the regulated contour ratio at its cut) stands in for the
     ratio of the contour coefficients.
 
     The m0^4 under the log already contains the log(m0^2) carried by that
     ratio (the reading fixed by the mutual-information identity), so only
     m0^2 is added here.
     """
-    cfg = cfg or ct.ContourConfig()
-    ab = ct.ratio_AB(params.m0, cfg, use_tau=use_tau)
+    ab = ct.ratio_AB(params.m0, cfg)
     rest = math.log(params.m2 * params.tv / (32.0 * PI ** 4))
     series = EpsSeries({(0, 1): -2.0, (0, 0): ab + rest}, kmax=0)
     return EntropyBreakdown("total21", series, params)
@@ -314,7 +312,7 @@ def _conditional_21(name: str, given) -> Callable[[SchemeParams], EntropyBreakdo
 # replica traces of the first-order state
 # ----------------------------------------------------------------------
 def renyi_trace_n(n: int, params: SchemeParams,
-                  cfg: ct.ContourConfig | None = None) -> complex:
+                  cfg: ct.ContourConfig = ct.ContourConfig()) -> complex:
     """Regulated momentum integral of the n-th power of the bubble.
 
     This is the nontrivial factor of the n-th replica trace: the d^4r
@@ -329,7 +327,6 @@ def renyi_trace_n(n: int, params: SchemeParams,
     """
     if n < 2:
         raise ValueError("replica power n must be >= 2")
-    cfg = cfg or ct.ContourConfig()
     hi = 1.0 if n >= 3 else 1.0 - cfg.endpoint_cut
     val = _quad(lambda t: t ** (3 - n) * (1.0 - t * t) ** (n - 3)
                 * np.arctanh(t) ** n, 0.0, hi)
@@ -339,7 +336,7 @@ def renyi_trace_n(n: int, params: SchemeParams,
 
 
 def renyi_trace_radial(n: int, params: SchemeParams,
-                       cfg: ct.ContourConfig | None = None) -> complex:
+                       cfg: ct.ContourConfig = ct.ContourConfig()) -> complex:
     """Cross-check of :func:`renyi_trace_n` by direct radial quadrature.
 
     Integrates (1/8 pi^2) r^3 eta(r^2)^n dr with the closed d=4 bubble,
@@ -350,7 +347,6 @@ def renyi_trace_radial(n: int, params: SchemeParams,
     """
     if n < 2:
         raise ValueError("replica power n must be >= 2")
-    cfg = cfg or ct.ContourConfig()
     m2 = params.m2
     hi = 1.0
     if n == 2:
@@ -485,7 +481,7 @@ def s_nonperturbative(sd: SpectralDensity, params: SchemeParams) -> EntropyBreak
 class Quantity:
     """A named entropy's builder, one-line meaning and ``reads``: the inputs
     among ``m0``, ``mu``, ``lambda0``, ``tv``, ``contour`` (total21's endpoint
-    cut, ``use_tau``/``cfg``) and ``spectrum`` (nonpert's density ``sd``) that
+    cut ``cfg``) and ``spectrum`` (nonpert's density ``sd``) that
     move a printed part; any other input moves none beyond rounding."""
 
     build: Callable[..., EntropyBreakdown]
@@ -531,12 +527,14 @@ def compute_quantity(name: str, params: SchemeParams, *,
                      cfg: ct.ContourConfig | None = None,
                      sd: SpectralDensity | None = None) -> EntropyBreakdown:
     """Evaluate the quantity ``name`` of :data:`QUANTITIES` for the given
-    scheme.  ``use_tau`` and ``cfg`` reach only the quantity that reads
-    ``contour``, and ``sd`` only the one that reads ``spectrum``."""
+    scheme.  The quantity that reads ``contour`` gets tau when ``use_tau``,
+    else the regulated ratio at ``cfg`` (default cut if None); only the one
+    that reads ``spectrum`` gets ``sd``."""
     quantity = QUANTITIES.get(name)
     if quantity is None:
         raise UnknownQuantityError(f"unknown quantity {name!r}; known: {sorted(QUANTITIES)}")
-    extra = {"use_tau": use_tau, "cfg": cfg} if "contour" in quantity.reads else {}
+    cfg = None if use_tau else cfg or ct.ContourConfig()
+    extra = {"cfg": cfg} if "contour" in quantity.reads else {}
     if "spectrum" in quantity.reads:
         extra["sd"] = sd
     return quantity.build(params, **extra)

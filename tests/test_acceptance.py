@@ -46,7 +46,7 @@ def test_criterion_02_conditional_entropies():
     grid = np.linspace(0.5, 10.0, 50)
     ei, ie = [], []
     for m0 in grid:
-        p = SchemeParams.from_tv(m0=float(m0), tv=1.0)
+        p = SchemeParams(m0=float(m0), tv=1.0)
         ei.append(en.compute_quantity("cond_ext_int", p).finite)
         ie.append(en.compute_quantity("cond_int_ext", p).finite)
     dev = max(np.ptp(ei), np.ptp(ie))
@@ -122,7 +122,7 @@ def test_criterion_05_mutual_information_identity():
     worst = 0.0
     for m0 in np.linspace(0.5, 10.0, 25):
         for tv in (1.0, 10.0):
-            p = SchemeParams.from_tv(m0=float(m0), tv=tv)
+            p = SchemeParams(m0=float(m0), tv=tv)
             quoted = en.mutual_information_21(p).series
             composed = en.s_ext_21(p).series + en.s_int_21(p).series - en.s_total_21(p).series
             worst = max(worst, quoted.max_coeff_diff(composed, through_k=0))
@@ -204,7 +204,7 @@ def test_criterion_09_trace_relations():
                       lambda0=float(rng.uniform(0.1, 2.0)))
         worst = max(worst,
                     vacuum_trace_phi4(ts).max_coeff_diff(vacuum_trace_phir(ts)))
-    p = SchemeParams.from_tv(m0=1.2, lambda0=0.7, tv=1.5, order=4)
+    p = SchemeParams(m0=1.2, lambda0=0.7, tv=1.5, order=4)
     overlap, e0_2t, z, m_phys = 0.93, 0.41, 0.85, 1.9
     t4 = tr_rho4_inferred(z, m_phys, e0_2t, p, overlap_sq=overlap)
     d0 = loops.delta_series(0, p)
@@ -223,7 +223,7 @@ def test_criterion_09_trace_relations():
 
 
 def test_criterion_10_plane_wave_trace():
-    vals = {tv: en.plane_wave_trace(SchemeParams.from_tv(tv=tv))
+    vals = {tv: en.plane_wave_trace(SchemeParams(tv=tv))
             for tv in (1.0, 5.0, 0.25)}
     ok = vals[1.0] == 0.5 and vals[5.0] == 0.1 and vals[0.25] == 1.0 / 0.5
     _report(10, ok,

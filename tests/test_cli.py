@@ -54,7 +54,7 @@ def test_figure2_17_digit_round_trip():
     from loopentropy.loops import SchemeParams
 
     for row in rows:
-        p = SchemeParams.from_tv(m0=row[0], mu=1.0, lambda0=1.0, tv=1.0)
+        p = SchemeParams(m0=row[0], mu=1.0, lambda0=1.0, tv=1.0)
         assert row[1] == en.s_total_21(p).finite  # exact, not approximate
 
 
@@ -303,6 +303,8 @@ CONFIGS = {
     "bad_choice.json": json.dumps({"convention": "sideways"}),
     "null_value.json": json.dumps({"m0": None}),
     "delta_cut.json": json.dumps({"delta_cut": 0.1}),
+    "delta_cut_above_one.json": json.dumps({"delta_cut": 1.5}),
+    "empty_svg.json": json.dumps({"svg": ""}),
     "negative_seed.json": json.dumps({"seed": -1}),
     "m0_only.json": json.dumps({"m0": 2.0}),
     "other_commands_keys.json": json.dumps({"mu": [1, 2], "q": "int21", "seed": 3}),
@@ -336,6 +338,10 @@ INVALID_INPUTS = {
     "figure_mu_empty_entry": ["figure3", "--mu", "1,,2"],
     "figure_mu_trailing_comma": ["figure3", "--mu", "1,"],
     "figure2_mu": ["figure2", "--mu", "2"],
+    # an output path is nonempty
+    "empty_out": ["figure2", "--steps", "3", "--out", ""],
+    "empty_svg": ["figure2", "--steps", "3", "--svg", ""],
+    "config_empty_svg": ["--config", "{tmp}/empty_svg.json", "figure3", "--steps", "3"],
     "bad_float": ["entropy", "--q", "int21", "--m0", "abc"],
     # flags that the chosen quantity would not read
     "quad_ratio_not_total21": ["entropy", "--q", "mutual21", "--quad-ratio"],
@@ -407,6 +413,18 @@ def test_mass_out_of_range_names_the_bound(capsys):
 def test_coupling_and_tv_errors_name_the_flag(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["tau", "--delta-cut", "1.5"], "1.5"),
+    (["entropy", "--q", "total21", "--quad-ratio", "--delta-cut", "nan"], "nan"),
+    (["--config", "{tmp}/delta_cut_above_one.json", "tau"], "1.5"),
+])
+def test_delta_cut_error_names_the_flag(argv, value, tmp_path, capsys):
+    (tmp_path / "delta_cut_above_one.json").write_text(CONFIGS["delta_cut_above_one.json"])
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: argument --delta-cut: endpoint_cut must lie in (0, 1), not {value}\n")
 
 
 def test_check_seed_error_names_the_flag(capsys):

@@ -2,6 +2,7 @@
 and the mass dependence of their ratio."""
 
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,8 @@ def test_config_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             ContourConfig(endpoint_cut=bad)
+    with pytest.raises(ValueError, match=r"^endpoint_cut must lie in \(0, 1\), not 1.5$"):
+        ContourConfig(endpoint_cut=1.5)
 
 
 def test_weight_vanishes_at_origin():
@@ -94,10 +97,19 @@ def test_ratio_AB_mass_dependence_is_pure_log():
         assert abs(lhs - 2.0 * math.log(m0)) <= 1e-12
     # quadrature mode: same property at quadrature tolerance
     cfg = ContourConfig(endpoint_cut=0.05)
-    base = ratio_AB(1.0, cfg, use_tau=False)
+    base = ratio_AB(1.0, cfg)
     for m0 in (0.5, 2.0):
-        lhs = ratio_AB(m0, cfg, use_tau=False) - base
+        lhs = ratio_AB(m0, cfg) - base
         assert abs(lhs - 2.0 * math.log(m0)) <= 1e-9
+
+
+def test_ratio_AB_with_a_config_uses_its_cut():
+    # a ContourConfig alone selects the regulated ratio at its cut, bit for bit
+    rng = random.Random(31)
+    for _ in range(4):
+        m0, cfg = 10.0 ** rng.uniform(-3.0, 3.0), ContourConfig(rng.uniform(0.02, 0.2))
+        assert ratio_AB(m0, cfg) == ratio_ab_regulated(cfg) + 2.0 * math.log(m0)
+        assert ratio_AB(m0, None) == ratio_AB(m0) == tau() + 2.0 * math.log(m0)
 
 
 def test_ratio_AB_never_asserted_equal_to_tau():

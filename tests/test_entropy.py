@@ -22,7 +22,7 @@ GAMMA = 0.57721566490153286061
 
 
 def params(m0=1.0, mu=1.0, lam=1.0, tv=1.0, order=4):
-    return SchemeParams.from_tv(m0=m0, mu=mu, lambda0=lam, tv=tv, order=order)
+    return SchemeParams(m0=m0, mu=mu, lambda0=lam, tv=tv, order=order)
 
 
 # ----------------------------------------------------------------------
@@ -114,9 +114,20 @@ def test_total21_mass_conventions():
     assert combined == pytest.approx(4 * math.log(2.0), abs=1e-12)
 
 
+def test_total21_with_a_config_uses_its_cut():
+    for m0, cut in ((0.3, 0.17), (2.0, 0.05), (40.0, 0.021)):
+        p, cfg = params(m0=m0, tv=3.0), ct.ContourConfig(endpoint_cut=cut)
+        rest = math.log(p.m2 * p.tv / (32.0 * PI ** 4))
+        for given in (cfg, None):
+            series = en.s_total_21(p, cfg=given).series
+            assert series.coefficient(0, 0) == ct.ratio_AB(m0, given) + rest
+            assert series == en.compute_quantity("total21", p, use_tau=given is None,
+                                                 cfg=given).series
+        assert ct.ratio_AB(m0, cfg) != ct.ratio_AB(m0)
+
+
 def test_total21_quadrature_mode_flagged_nonreal():
-    bd = en.s_total_21(params(), use_tau=False,
-                       cfg=ct.ContourConfig(endpoint_cut=0.05))
+    bd = en.s_total_21(params(), cfg=ct.ContourConfig(endpoint_cut=0.05))
     assert not bd.is_real
     assert bd.residual_im == pytest.approx(PI / 2, rel=1e-9)
 

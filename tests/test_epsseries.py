@@ -166,7 +166,7 @@ def test_log_of_tadpole_series_vs_numeric():
     # numeric log at small eps via Richardson extrapolation of the remainder
     from loopentropy.loops import SchemeParams, delta_stripped_series
 
-    p = SchemeParams.from_tv(m0=1.0, tv=1.0, order=4)
+    p = SchemeParams(m0=1.0, tv=1.0, order=4)
     series = delta_stripped_series(0, p).scale(p.stvol).log()
     assert series.coefficient(0, 1) == pytest.approx(-1.0, abs=1e-12)
     expected_finite = math.log(1.0 / (4.0 * math.pi ** 2))
@@ -387,7 +387,7 @@ def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
     caches, as every point after a sweep's first sees them.  The kernel's
     own results skip validation, so the count is pinned: an operation
     routed back through ``EpsSeries(...)`` raises it."""
-    p = SchemeParams.from_tv(m0=1.0, lambda0=1.0, tv=1.0, order=4)
+    p = SchemeParams(m0=1.0, lambda0=1.0, tv=1.0, order=4)
 
     def point():
         return [en.s_total_21(p).finite, en.s_ext_21(p).finite,
@@ -413,7 +413,7 @@ def test_a_figure2_point_makes_only_the_products_it_keeps(monkeypatch):
     and one per kept power, eps^1..eps^4, in the power sum of its log.
     Each operand is asked for only through the order its result keeps, so
     a padding that creeps back raises the count."""
-    p = SchemeParams.from_tv(m0=1.0, lambda0=1.0, tv=1.0, order=4)
+    p = SchemeParams(m0=1.0, lambda0=1.0, tv=1.0, order=4)
 
     def point():
         return [en.s_total_21(p).finite, en.s_ext_21(p).finite,

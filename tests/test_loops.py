@@ -1,6 +1,7 @@
 """Loop-integral families: closed forms against quadrature oracles, series
 against closed forms, and the bubble at general momentum."""
 
+import dataclasses
 import math
 import sys
 
@@ -63,22 +64,30 @@ def test_scheme_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(mu=0.0)
     with pytest.raises(ValueError):
-        SchemeParams(stvol=0.0)
-    p = SchemeParams.from_tv(tv=3.0)
+        SchemeParams(tv=0.0)
+    p = SchemeParams(tv=3.0)
     assert p.stvol == 6.0
     assert p.tv == 3.0
     for lambda0 in (0.0, COUPLING_MIN, -COUPLING_MIN, COUPLING_MAX, -COUPLING_MAX):
         for tv in (TV_MIN, TV_MAX):
-            assert SchemeParams.from_tv(lambda0=lambda0, tv=tv).tv == tv
+            assert SchemeParams(lambda0=lambda0, tv=tv).tv == tv
+
+
+@pytest.mark.parametrize("tv", [TV_MIN, 1.0, TV_MAX])
+def test_scheme_params_stvol_is_twice_tv(tv):
+    p = SchemeParams(tv=tv)
+    assert p.tv == tv and p.stvol == 2 * tv
+    assert [f.name for f in dataclasses.fields(SchemeParams)] == [
+        "m0", "mu", "lambda0", "tv", "order"]
 
 
 @pytest.mark.parametrize("kwargs", [
     {"m0": math.inf}, {"m0": math.nan}, {"mu": math.inf}, {"lambda0": math.nan},
-    {"lambda0": -math.inf}, {"stvol": math.inf},
+    {"lambda0": -math.inf}, {"tv": math.inf},
     {"order": -1}, {"order": MAX_ORDER + 1}, {"order": 2.5}, {"order": True},
     {"m0": 1e31}, {"m0": 1e-31}, {"mu": 1e31}, {"mu": 1e-31},
     {"lambda0": 1e31}, {"lambda0": -1e31}, {"lambda0": 1e-31}, {"lambda0": -1e-300},
-    {"stvol": 4e30}, {"stvol": 1e-30}, {"stvol": -2.0},
+    {"tv": 2e30}, {"tv": 5e-31}, {"tv": -1.0},
 ])
 def test_scheme_params_rejects_nonfinite_and_bad_orders(kwargs):
     with pytest.raises(ValueError):
@@ -333,7 +342,7 @@ def test_no_library_call_reaches_a_params_form(monkeypatch):
             if module is not None and module.__name__.startswith("loopentropy") \
                     and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
-    p = SchemeParams.from_tv(m0=1.7, mu=0.6, lambda0=0.8, tv=2.0, order=6)
+    p = SchemeParams(m0=1.7, mu=0.6, lambda0=0.8, tv=2.0, order=6)
     for name in en.QUANTITY_NAMES:
         en.compute_quantity(name, p)
     en.order1_blocks_n2(p)

@@ -47,7 +47,7 @@ SHIFTS = {
 def _expected(name: str, p: SchemeParams) -> EpsSeries:
     """The law's prediction for ``name`` at ``p``, from the quantity at m0 = 1."""
     unit = en.compute_quantity(name, SchemeParams(m0=1.0, mu=p.mu, lambda0=p.lambda0,
-                                                  stvol=p.stvol, order=p.order)).series
+                                                  tv=p.tv, order=p.order)).series
     if name == "ext2_order1":  # D_1 carries m0^eps; the bracket's log(m0^2) cancels
         # the series starts at eps^-1, so the factor is needed one power further
         return unit * power_series(p.m0, 1.0, unit.kmax + 1)
@@ -86,7 +86,7 @@ LAWS = ("ext2_order1", *SHIFTS)
 def test_mass_scaling_law_through_the_finite_part(m0, mu, tv, lambda0, order):
     """Poles, log(eps) and finite parts follow the law at every mass, scale,
     volume, coupling and order in range."""
-    p = SchemeParams.from_tv(m0=m0, mu=mu, lambda0=lambda0, tv=tv, order=order)
+    p = SchemeParams(m0=m0, mu=mu, lambda0=lambda0, tv=tv, order=order)
     for name in LAWS:
         assert _deviation(name, p, through_k=0) <= TOL, name
 
@@ -102,5 +102,5 @@ def test_the_laws_cover_every_series_quantity_but_the_vacuum():
     for name in ("ext21", "nonpert")])
 def test_mass_scaling_law_through_every_known_power(name):
     """The whole series at m0 = 1e25, order 8, against the law."""
-    p = SchemeParams.from_tv(m0=1e25, order=8)
+    p = SchemeParams(m0=1e25, order=8)
     assert _deviation(name, p, through_k=None) <= TOL

@@ -51,7 +51,7 @@ def _draw(rng: random.Random, name: str):
 def _parts(name: str, call: dict) -> list[float]:
     scheme = {k: call[k] for k in ("m0", "mu", "lambda0", "tv")}
     extra = {k: call[k] for k in ("use_tau", "cfg", "sd") if k in call}
-    bd = en.compute_quantity(name, SchemeParams.from_tv(order=call["order"], **scheme),
+    bd = en.compute_quantity(name, SchemeParams(order=call["order"], **scheme),
                              **extra)
     return [bd.pole2.real, bd.pole2.imag, bd.pole1.real, bd.pole1.imag,
             bd.logeps.real, bd.logeps.imag, bd.finite, bd.residual_im]

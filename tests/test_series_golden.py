@@ -48,7 +48,7 @@ def records() -> list[dict]:
     out = []
     for scheme in schemes():
         for order in ORDERS:
-            params = SchemeParams.from_tv(order=order, **scheme)
+            params = SchemeParams(order=order, **scheme)
             for name in QUANTITY_NAMES:
                 series = compute_quantity(name, params).series
                 out.append({

@@ -109,26 +109,26 @@ def test_linearity_in_coupling():
 
 
 def test_tr_rho4_inferred_trivial_rows():
-    p = SchemeParams.from_tv(m0=1.0, lambda0=0.5, tv=1.0, order=3)
+    p = SchemeParams(m0=1.0, lambda0=0.5, tv=1.0, order=3)
     d0 = delta_series(0, p)
     # overlap 1, phase 0, Z=1, m_phys=m0: head vanishes, bracket = d0(d0 - 2TV d0)
     t4 = tr_rho4_inferred(1.0, p.m0, 0.0, p, overlap_sq=1.0)
     expected = d0 * (d0 - d0.scale(p.stvol))
     assert t4.max_coeff_diff(expected) <= 1e-12
     # TV = 1/2 makes stvol = 1 and the bracket vanish entirely
-    p_half = SchemeParams.from_tv(m0=1.0, lambda0=0.5, tv=0.5, order=3)
+    p_half = SchemeParams(m0=1.0, lambda0=0.5, tv=0.5, order=3)
     t4_half = tr_rho4_inferred(1.0, p_half.m0, 0.0, p_half, overlap_sq=1.0)
     assert t4_half.max_abs() <= 1e-14
 
 
 def test_tr_rho4_inferred_requires_coupling():
-    p = SchemeParams.from_tv(lambda0=0.0)
+    p = SchemeParams(lambda0=0.0)
     with pytest.raises(LoopEntropyError):
         tr_rho4_inferred(1.0, 1.0, 0.0, p)
 
 
 def test_round_trip_overlap_recovery():
-    p = SchemeParams.from_tv(m0=1.3, lambda0=0.7, tv=2.0, order=4)
+    p = SchemeParams(m0=1.3, lambda0=0.7, tv=2.0, order=4)
     overlap, e0_2t = 0.87, 1.234
     t4 = tr_rho4_inferred(0.9, 2.0, e0_2t, p, overlap_sq=overlap)
     d0 = delta_series(0, p)
@@ -142,14 +142,14 @@ def test_round_trip_overlap_recovery():
 
 
 def test_ratio_checks_first_relation_exact():
-    p = SchemeParams.from_tv(m0=1.4, lambda0=0.6, tv=1.0, order=4)
+    p = SchemeParams(m0=1.4, lambda0=0.6, tv=1.0, order=4)
     report = ratio_checks(p)
     normalized = report["tadpole_pair"]["normalized"]
     assert normalized.max_coeff_diff(EpsSeries.constant(1.0, normalized.kmax)) <= 1e-12
 
 
 def test_ratio_checks_second_relation_normalization():
-    p = SchemeParams.from_tv(m0=1.4, lambda0=0.6, tv=1.0, order=4)
+    p = SchemeParams(m0=1.4, lambda0=0.6, tv=1.0, order=4)
     report = ratio_checks(p)
     entry = report["fully_contracted"]
     d0 = delta_series(0, p)
@@ -161,8 +161,8 @@ def test_ratio_checks_second_relation_normalization():
 
 
 def test_ratio_checks_scale_linearly_in_coupling():
-    p1 = SchemeParams.from_tv(m0=1.4, lambda0=0.6, order=4)
-    p2 = SchemeParams.from_tv(m0=1.4, lambda0=1.2, order=4)
+    p1 = SchemeParams(m0=1.4, lambda0=0.6, order=4)
+    p2 = SchemeParams(m0=1.4, lambda0=1.2, order=4)
     r1 = ratio_checks(p1)["tadpole_pair"]["ratio"]
     r2 = ratio_checks(p2)["tadpole_pair"]["ratio"]
     assert r2.max_coeff_diff(r1.scale(2.0)) <= 1e-12 * max(r1.max_abs(), 1.0)
