@@ -528,11 +528,15 @@ def compute_quantity(name: str, params: SchemeParams, *,
                      sd: SpectralDensity | None = None) -> EntropyBreakdown:
     """Evaluate the quantity ``name`` of :data:`QUANTITIES` for the given
     scheme.  The quantity that reads ``contour`` gets tau when ``use_tau``,
-    else the regulated ratio at ``cfg`` (default cut if None); only the one
-    that reads ``spectrum`` gets ``sd``."""
+    else the regulated ratio at ``cfg`` (default cut if None); a ``cfg``
+    given with ``use_tau`` is refused.  Only the quantity that reads
+    ``spectrum`` gets ``sd``."""
     quantity = QUANTITIES.get(name)
     if quantity is None:
         raise UnknownQuantityError(f"unknown quantity {name!r}; known: {sorted(QUANTITIES)}")
+    if use_tau and cfg is not None:
+        raise ValueError("a contour cfg selects the regulated ratio; pass use_tau=False "
+                         "with it")
     cfg = None if use_tau else cfg or ct.ContourConfig()
     extra = {"cfg": cfg} if "contour" in quantity.reads else {}
     if "spectrum" in quantity.reads:

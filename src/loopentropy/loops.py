@@ -10,11 +10,13 @@ external momentum r.  Each is available three ways: exact-d closed form,
 epsilon-series around d = 4, and independent adaptive quadrature (the
 oracles, used by the validation suite and the ``check`` command).
 
-numpy and ``scipy.integrate`` are imported on first use, not with this
-module: the series paths call neither.  numpy serves the quadrature
-integrands and the closed bubble ``eta_closed_d4``; the quadratures
-run only for the oracles, the regulated contour ratio (``--quad-ratio``,
-``tau --delta-cut``), the contour coefficients and the Renyi traces.
+numpy and QUADPACK (``loopentropy._quadpack``, which loads scipy's compiled
+routine without the ``scipy.integrate`` package) are imported on first use,
+not with this module: the series paths call neither.  numpy serves the
+quadrature integrands and the closed bubble ``eta_closed_d4``; the
+quadratures run only for the oracles, the regulated contour ratio
+(``--quad-ratio``, ``tau --delta-cut``), the contour coefficients and the
+Renyi traces.
 
 Closed forms for ``chi``: evaluating the Feynman-parameter x-integral gives
 
@@ -40,7 +42,7 @@ from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
 from .errors import NonConvergentError, PoleError, ToleranceNotMetError
 
 np = LazyModule("numpy")
-integrate = LazyModule("scipy.integrate")
+integrate = LazyModule("loopentropy._quadpack")
 
 PI = sf.PI
 
@@ -167,21 +169,17 @@ class LoopValue:
 
 def _quad(f: Callable[[float], float], a: float, b: float,
           rel_tol: float = QUAD_REL_TOL) -> float:
-    # QUADPACK's convergence warnings are advisory; the returned error
-    # estimate is re-checked below and failures raise instead of warning.
-    import warnings
-
+    # QUADPACK's convergence flags (ier 1-5) are not acted on; the returned
+    # error estimate is re-checked below and failures raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            try:
-                val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=rel_tol,
-                                          limit=QUAD_LIMIT)
-            except ZeroDivisionError as exc:
-                # subdivision reached a singular endpoint, as x == 1.0 in (1 - x)**-s
-                raise ToleranceNotMetError(
-                    "quadrature reached a singular endpoint before meeting its "
-                    "tolerance") from exc
+        try:
+            val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=rel_tol,
+                                      limit=QUAD_LIMIT)
+        except ZeroDivisionError as exc:
+            # subdivision reached a singular endpoint, as x == 1.0 in (1 - x)**-s
+            raise ToleranceNotMetError(
+                "quadrature reached a singular endpoint before meeting its "
+                "tolerance") from exc
     if not math.isfinite(val):
         raise NonConvergentError("quadrature returned a non-finite value")
     if err > max(abs(val), 1e-300) * rel_tol * 100 and err > 1e-13:

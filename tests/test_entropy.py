@@ -126,6 +126,17 @@ def test_total21_with_a_config_uses_its_cut():
         assert ct.ratio_AB(m0, cfg) != ct.ratio_AB(m0)
 
 
+def test_a_config_with_use_tau_is_refused():
+    cfg = ct.ContourConfig(endpoint_cut=0.1)
+    for name in ("total21", "ext21"):
+        with pytest.raises(ValueError, match="use_tau=False"):
+            en.compute_quantity(name, params(), cfg=cfg)
+        with pytest.raises(ValueError, match="use_tau=False"):
+            en.compute_quantity(name, params(), use_tau=True, cfg=cfg)
+    regulated = en.compute_quantity("total21", params(), use_tau=False, cfg=cfg)
+    assert regulated.series == en.s_total_21(params(), cfg=cfg).series
+
+
 def test_total21_quadrature_mode_flagged_nonreal():
     bd = en.s_total_21(params(), cfg=ct.ContourConfig(endpoint_cut=0.05))
     assert not bd.is_real

@@ -1,8 +1,11 @@
 """scipy and numpy are imported on first use only.
 
-scipy serves only the oracles and the quadratures; numpy serves those, the
-log grid of the figure commands and ``check``.  The import checks run in a
-fresh interpreter, since any quadrature elsewhere in the suite leaves both
+scipy serves only the oracles and the quadratures, and of it the library
+loads QUADPACK's compiled extension (``loopentropy._quadpack``) and
+``scipy.special`` (``gamma``/``loggamma``/``digamma``, which ``check`` reads),
+never the ``scipy.integrate`` package; numpy serves those, the log grid of
+the figure commands and ``check``.  The import checks run in a fresh
+interpreter, since any quadrature elsewhere in the suite leaves both
 imported in the test process.
 """
 
@@ -82,13 +85,29 @@ def test_log_grid_loads_numpy_on_demand():
     assert proc.stdout.strip() == "7"  # comment, header and 5 rows
 
 
-def test_quadrature_paths_still_load_scipy_on_demand():
-    proc = _run(["entropy", "--q", "total21", "--quad-ratio"])
-    assert proc.returncode == 0 and not proc.stderr, proc.stderr
-    assert '"residual_im"' in proc.stdout
-    proc = _run(["check"])
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.rstrip().endswith("all checks passed")
+# run with a CLI command as its arguments
+QUADRATURE_PATH = r'''
+import contextlib, io, sys
+from loopentropy.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
+print(code, " ".join(m for m in heavy if m in sys.modules))
+print(out.getvalue(), end="")
+'''
+
+
+def test_quadrature_paths_load_quadpack_without_scipy_integrate():
+    for argv, loaded, printed in (
+            (["check"], "scipy.special", "all checks passed"),
+            (["tau", "--delta-cut", "0.1"], "", '"regulated_ratio"'),
+            (["entropy", "--q", "total21", "--quad-ratio"], "", '"residual_im"')):
+        proc = _run(argv, QUADRATURE_PATH)
+        assert proc.returncode == 0 and not proc.stderr, (argv, proc.stderr)
+        status, out = proc.stdout.split("\n", 1)
+        assert status == f"0 {loaded}", argv
+        assert printed in out, (argv, out)
 
 
 def test_invalid_input_in_a_fresh_process_has_no_traceback(tmp_path):
