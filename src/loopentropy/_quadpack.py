@@ -4,10 +4,11 @@ The library uses one scipy routine, ``scipy.integrate.quad``, but importing
 the ``scipy.integrate`` package also loads ``scipy.special``, ``scipy.optimize``,
 ``scipy.sparse``, ``scipy.linalg`` and more, which dominates the start-up of
 the quadrature commands.  This module loads only the compiled
-``scipy/integrate/_quadpack`` extension, under a private module name, and
-repeats what ``quad`` does for the bounds the library passes, so values and
-error estimates are the same bits: the same C routine runs with the same
-arguments.
+``scipy/integrate/_quadpack`` extension, under a private module name, with
+the loader it shares with ``loopentropy._special``
+(``_lazy.scipy_extension``), and repeats what ``quad`` does for the bounds
+the library passes, so values and error estimates are the same bits: the
+same C routine runs with the same arguments.
 
 It relies on scipy's layout: the extension lives at ``integrate/_quadpack``
 inside the scipy package and exposes ``_qagse(func, a, b, args, full_output,
@@ -17,30 +18,11 @@ epsabs, epsrel, limit)``, each returning ``(value, abserr, ier)``.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 
-_NAME = "loopentropy._quadpack._quadpack"  # PyInit__quadpack needs the last part
+from ._lazy import scipy_extension
 
-
-def _load():
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy_dir, "integrate", "_quadpack" + suffix)
-        if os.path.exists(path):
-            loader = importlib.machinery.ExtensionFileLoader(_NAME, path)
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_file_location(_NAME, path, loader=loader))
-            loader.exec_module(module)
-            return module
-    from importlib.metadata import version
-    raise ImportError(f"scipy {version('scipy')} has no integrate/_quadpack extension "
-                      f"under {scipy_dir}")
-
-
-_ext = _load()
+_ext = scipy_extension("integrate", "_quadpack")
 
 
 def quad(func, a: float, b: float, epsabs: float, epsrel: float,

@@ -512,6 +512,8 @@ QUANTITIES: dict[str, Quantity] = {
                          "conditional entropy total21 - ext21; finite part ~ -3.102"),
     "vacuum21": _row(s_vacuum_order1, "m0 mu lambda0 tv",
                      "first-order entropy of the zero-point state"),
+    # m0 only through the default density: with an explicit sd (--m-phys) the
+    # mass comes from sd, and m0 is echoed but moves no part
     "nonpert": _row(lambda params, sd=None: s_nonperturbative(
                         sd or SpectralDensity(m_phys=params.m0), params), "m0 tv spectrum",
                     "spectral-representation entropy; by default one particle at m0"),

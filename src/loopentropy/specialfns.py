@@ -1,16 +1,18 @@
 """Complex special functions used by the closed-form loop integrals.
 
 Everything here is a plain function of python complex numbers.  The gamma,
-loggamma and digamma evaluations are delegated to ``scipy.special``
-(Lanczos-grade accuracy on the strip we care about), which is imported on
-the first such call: the eps-series of the loop families at j = 0, 1 (every
-entropy the command line serves by default) sit on the poles of Gamma and
-need only the zeta table, so they never load scipy.  The polygamma ladder
-is computed from the Hurwitz zeta function via Euler-Maclaurin summation
-because scipy's polygamma does not accept complex arguments.  All constants
-are stored as 20-significant-digit literals since they seed the tolerances
-of the validation suite; zeta(n) above the table comes from the same
-Hurwitz sum.
+loggamma and digamma evaluations are delegated to scipy's compiled
+``gamma``/``loggamma``/``psi`` ufuncs (Lanczos-grade accuracy on the strip
+we care about), which ``loopentropy._special`` loads on the first such call
+from their extension alone, never through the ``scipy.special`` package: the
+same ufuncs, so the same bits, without the package's import.  The eps-series
+of the loop families at j = 0, 1 (every entropy the command line serves by
+default) sit on the poles of Gamma and need only the zeta table, so they
+never load it.  The polygamma ladder is computed from the Hurwitz zeta
+function via Euler-Maclaurin summation because scipy's polygamma does not
+accept complex arguments.  All constants are stored as 20-significant-digit
+literals since they seed the tolerances of the validation suite; zeta(n)
+above the table comes from the same Hurwitz sum.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from ._lazy import LazyModule
 from .errors import NonFiniteError, PoleError
 
-_sp = LazyModule("scipy.special")
+_sp = LazyModule("loopentropy._special")
 
 EULER_GAMMA = 0.57721566490153286061
 PI = 3.1415926535897932385
@@ -62,9 +64,9 @@ def is_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
 
 
 def _scipy_off_pole(name: str, z: complex) -> complex:
-    """``scipy.special.<name>(z)``, refusing the poles of Gamma (PoleError;
-    the caller must use the series expansion around the pole instead) and
-    a non-finite result (NonFiniteError)."""
+    """scipy's ufunc ``<name>(z)`` from ``loopentropy._special``, refusing
+    the poles of Gamma (PoleError; the caller must use the series expansion
+    around the pole instead) and a non-finite result (NonFiniteError)."""
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError(f"{name}({z}) is a pole; use the series form")

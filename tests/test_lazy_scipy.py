@@ -1,9 +1,12 @@
 """scipy and numpy are imported on first use only.
 
 scipy serves only the oracles and the quadratures, and of it the library
-loads QUADPACK's compiled extension (``loopentropy._quadpack``) and
-``scipy.special`` (``gamma``/``loggamma``/``digamma``, which ``check`` reads),
-never the ``scipy.integrate`` package; numpy serves those, the log grid of
+loads two compiled extensions alone: QUADPACK's (``loopentropy._quadpack``)
+and the special-function ufuncs (``loopentropy._special``: ``gamma``,
+``loggamma``, ``digamma``, which ``check`` reads), never the
+``scipy.integrate`` or ``scipy.special`` package.  The second puts no
+``scipy`` name in ``sys.modules``, so the series paths are also checked
+never to load ``loopentropy._special``.  numpy serves those, the log grid of
 the figure commands and ``check``.  The import checks run in a fresh
 interpreter, since any quadrature elsewhere in the suite leaves both
 imported in the test process.
@@ -14,7 +17,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from loopentropy._lazy import LazyModule
+import pytest
+
+from loopentropy._lazy import LazyModule, scipy_extension
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -52,6 +57,7 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert not loaded(), (argv, loaded())
+    assert "loopentropy._special" not in sys.modules, argv
 print(len(commands))
 '''
 
@@ -92,15 +98,16 @@ from loopentropy.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
-print(code, " ".join(m for m in heavy if m in sys.modules))
+watched = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special",
+           "loopentropy._special")
+print(code, " ".join(m for m in watched if m in sys.modules))
 print(out.getvalue(), end="")
 '''
 
 
 def test_quadrature_paths_load_quadpack_without_scipy_integrate():
     for argv, loaded, printed in (
-            (["check"], "scipy.special", "all checks passed"),
+            (["check"], "loopentropy._special", "all checks passed"),
             (["tau", "--delta-cut", "0.1"], "", '"regulated_ratio"'),
             (["entropy", "--q", "total21", "--quad-ratio"], "", '"residual_im"')):
         proc = _run(argv, QUADRATURE_PATH)
@@ -138,3 +145,11 @@ def test_lazy_module_imports_on_first_lookup_then_serves_from_its_dict(tmp_path,
         assert proxy.VALUE is value
     finally:
         sys.modules.pop(name, None)
+
+
+def test_a_missing_scipy_extension_is_an_import_error_naming_the_version():
+    from importlib.metadata import version
+
+    with pytest.raises(ImportError, match=rf"scipy {version('scipy')} has no "
+                                          r"special/_no_such_ext extension"):
+        scipy_extension("special", "_no_such_ext")

@@ -1,12 +1,20 @@
 """Special-function layer: values against an independent high-precision
-oracle (mpmath), recurrence properties, and pole behavior."""
+oracle (mpmath), recurrence properties, pole behavior, and the same bits as
+``scipy.special`` from the ufuncs that ``loopentropy._special`` loads alone."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp_special
 
+from loopentropy import _special, checks, epsseries, loops
 from loopentropy import specialfns as sf
 from loopentropy.errors import NonFiniteError, PoleError
 
@@ -156,3 +164,112 @@ def test_principal_log_branch():
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()
+
+
+# ----------------------------------------------------------------------
+# loopentropy._special against scipy.special, by float.hex
+# ----------------------------------------------------------------------
+UFUNCS = ("gamma", "loggamma", "digamma")
+
+
+def _hex(value):
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _edge_points():
+    """Points next to the poles of Gamma, overflow, inf, nan and 1e-300."""
+    inf, nan = math.inf, math.nan
+    pts = [0j, -1 + 0j, -5 + 0j, 1e-300 + 0j, -1e-300 + 0j, 1e-300j,
+           171.6 + 0j, 172.0 + 0j, 200 + 0j, 1e300 + 0j, -170.5 + 0j, -1e300 + 0j,
+           0.5 + 1e3j, 0.5 - 1e3j, 1e300 + 1e300j]
+    for n in range(0, 21):
+        for delta in (1e-14, 1e-12, 1e-9, 1e-6):
+            pts += [complex(-n + delta, 0.0), complex(-n - delta, 0.0),
+                    complex(-n, delta), complex(-n + delta, -delta)]
+    for re, im in ((inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf), (inf, inf),
+                   (-inf, inf), (nan, 0.0), (0.0, nan), (nan, nan), (inf, nan), (1.0, inf)):
+        pts.append(complex(re, im))
+    return pts
+
+
+def _grid(seed, n):
+    rng = random.Random(seed)
+    pts = [complex(rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)) for _ in range(n)]
+    pts += [complex(rng.uniform(-1.0, 5.0), rng.uniform(-1e-3, 1e-3)) for _ in range(n // 4)]
+    return pts + _edge_points()
+
+
+def _library_arguments(monkeypatch):
+    """Every (name, z) that ``_scipy_off_pole`` receives in the check suite
+    and in seeded closed-form tadpole and log-weighted loop calls."""
+    calls = []
+    off_pole = sf._scipy_off_pole
+
+    def record(name, z):
+        calls.append((name, complex(z)))
+        return off_pole(name, z)
+
+    # the memoized expansions would hide the calls that earlier tests made first
+    epsseries.gamma_series.cache_clear()
+    epsseries.harmonic_series.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(sf, "_scipy_off_pole", record)
+        checks.run_all()
+        rng = random.Random(4091)
+        for _ in range(200):
+            j, m2 = rng.randint(0, 4), rng.uniform(0.01, 50.0)
+            d = rng.uniform(0.5, 2 * j + 1.9)
+            loops.delta_closed(j, m2, d)
+            loops.chi_closed(j, m2, d)
+    return calls
+
+
+def test_the_library_arguments_give_scipy_special_bits(monkeypatch):
+    calls = _library_arguments(monkeypatch)
+    assert {name for name, _ in calls} == set(UFUNCS)
+    assert len(calls) > 400
+    for name, z in calls:
+        ours, theirs = getattr(_special, name)(z), getattr(sp_special, name)(z)
+        assert _hex(ours) == _hex(theirs), (name, z)
+        assert _hex(sf._scipy_off_pole(name, z)) == _hex(theirs), (name, z)
+
+
+def test_a_seeded_grid_and_the_edges_give_scipy_special_bits():
+    pts = _grid(20261018, 4000)
+    for name in UFUNCS:
+        ours, theirs = getattr(_special, name), getattr(sp_special, name)
+        for z in pts:
+            assert _hex(ours(z)) == _hex(theirs(z)), (name, z)
+    assert _special._ext is not sp_special._special_ufuncs
+
+
+LOAD_ORDER = r"""
+import math, random, sys
+from loopentropy import _special
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+rng = random.Random(77)
+pts = [complex(rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)) for _ in range(500)]
+pts += [complex(-n + 1e-9, 0.0) for n in range(21)]
+pts += [0j, 1e-300 + 0j, 200 + 0j, complex(math.inf, 0.0), complex(math.nan, 0.0)]
+
+def hexes(module):
+    values = [complex(getattr(module, name)(z))
+              for name in ("gamma", "loggamma", "digamma") for z in pts]
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+before = hexes(_special)
+import scipy.special
+assert hexes(_special) == before == hexes(scipy.special)
+print(len(before))
+"""
+
+
+def test_loading_special_before_scipy_special_keeps_the_bits():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", LOAD_ORDER],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{3 * 526}\n"
