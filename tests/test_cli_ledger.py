@@ -5,9 +5,9 @@ the exit code, the sha256 of stdout and, for a refusal (exit 2), the one
 ``error:`` line on stderr.  The commands cover seeded schemes over the
 documented ranges and their corners (all 12 quantities, zero and negative
 couplings, orders 0, 1, 4, 9 and 32), ``tau`` and ``trace-check``,
-non-default and log grids of both figures, ``figure3 --convention
-closed_form``, the exit-2 refusals and ``check`` (its ``runtime=`` fields
-stripped).  Commands run in-process.
+non-default and log grids of both figures, both figures at orders 0 and 32,
+``figure3 --convention closed_form``, the exit-2 refusals and ``check``
+(its ``runtime=`` fields stripped).  Commands run in-process.
 
 Entries marked ``versioned`` print numbers made by numpy or scipy routines
 (quadrature, ``np.geomspace``); they are compared only under the numpy and
@@ -128,6 +128,13 @@ def commands() -> list[list[str]]:
             ["figure3", "--steps", "9", "--mu", "0.3,1,4", "--convention", "closed_form",
              "--m0-min", "0.1", "--m0-max", "20"],
             ["figure2", "--steps", "11", "--m0-min", "0.5", "--m0-max", "3", "--tv", "7"]]
+    # both figures at the ends of the order range
+    out += [["figure2", "--steps", "6", "--order", "0"],
+            ["figure2", "--steps", "6", "--m0-min", "0.01", "--m0-max", "100", "--log-grid",
+             "--lambda0", "-3", "--tv", "0.4", "--order", "32"],
+            ["figure3", "--steps", "6", "--mu", "0.7,3", "--order", "0"],
+            ["figure3", "--steps", "6", "--m0-min", "0.5", "--m0-max", "12", "--tv", "5",
+             "--order", "32"]]
     out += [list(argv) for argv in REFUSALS]
     out += [["check"], ["check", "--seed", "1"]]
     return out
