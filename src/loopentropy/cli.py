@@ -9,6 +9,12 @@ tau          the closed-form contour-ratio constant
 trace-check  the trace-relation ratio report as JSON
 check        the full invariant suite; exit 1 on any failure
 
+``entropy``, ``figure2`` and ``figure3`` print only pole, log(eps) and
+finite coefficients, which do not depend on how far a series is built:
+``entropy`` and ``figure2`` build every series at order 0, and ``figure3``
+evaluates a closed form.  Their ``--order`` is range-checked and then
+unread.  ``trace-check`` prints whole series, built to ``--order``.
+
 Floats are printed with 17 significant digits so that CSV values round-trip
 binary doubles exactly; CSV rows are comma separated with LF endings and a
 leading '#' comment recording the grid.  Output is strict: a non-finite
@@ -28,7 +34,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import contour as ct
 from . import entropy as en
@@ -61,7 +67,8 @@ class SweepConfig:
 
     The grid ends and every scale in ``mu`` lie in [MASS_MIN, MASS_MAX];
     ``lambda0``, ``tv`` and ``order`` take the defaults and obey the ranges
-    of :class:`SchemeParams`.  An output path, if given, is nonempty.
+    of :class:`SchemeParams`; ``order`` is only checked, since the figures
+    are built at order 0.  An output path, if given, is nonempty.
     """
 
     m0_min: float = 1.0
@@ -122,7 +129,7 @@ def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     and the external+internal sum over the m0 grid."""
     rows = []
     for m0 in cfg.grid():
-        p = SchemeParams(m0=m0, lambda0=cfg.lambda0, tv=cfg.tv, order=cfg.order)
+        p = SchemeParams(m0=m0, lambda0=cfg.lambda0, tv=cfg.tv, order=0)
         s_tot = en.s_total_21(p).finite
         s_ext = en.s_ext_21(p).finite
         s_int = en.s_int_21(p).finite
@@ -348,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "entropy":
-            params = _scheme(args)
+            params = replace(_scheme(args), order=0)  # --order is only checked
             if args.delta_cut is not None and not args.quad_ratio:
                 raise ValueError("--delta-cut needs --quad-ratio")
             reads = en.QUANTITIES[args.q].reads if args.q in en.QUANTITIES else ()

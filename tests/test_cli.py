@@ -529,16 +529,37 @@ def test_sweep_config_caps_and_finiteness():
             SweepConfig(**kwargs)
 
 
-@pytest.mark.parametrize("order", ["20", "32"])
-def test_high_orders_give_the_order_4_finite_part(order, capsys):
-    from loopentropy.entropy import QUANTITY_NAMES
+def _record_orders(monkeypatch, module, names) -> list[int]:
+    """Wrap the functions ``names`` of ``module`` so that each call records
+    the order of the SchemeParams it is handed."""
+    from loopentropy.loops import SchemeParams
 
-    for q in QUANTITY_NAMES:
-        finite = []
-        for o in ("4", order):
-            assert main(["entropy", "--q", q, "--m0", "1.7", "--order", o]) == 0
-            finite.append(json.loads(capsys.readouterr().out)["finite"])
-        assert finite[1] == pytest.approx(finite[0], rel=1e-12, abs=1e-12), q
+    seen = []
+    for name in names:
+        def spy(*args, _fn=getattr(module, name), **kwargs):
+            seen.extend(a.order for a in args if isinstance(a, SchemeParams))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_cli_hands_the_library_the_order_it_prints(monkeypatch, capsys):
+    """entropy and figure2 print eps^0 and below, so they build at order 0
+    whatever --order says; trace-check prints whole series at --order."""
+    from loopentropy import cli as cli_mod
+    from loopentropy import entropy as en
+
+    seen = _record_orders(monkeypatch, en, ["compute_quantity"])
+    for q in en.QUANTITY_NAMES:
+        assert main(["entropy", "--q", q, "--order", "9"]) == 0
+    assert seen == [0] * len(en.QUANTITY_NAMES)
+    seen = _record_orders(monkeypatch, en, ["s_total_21", "s_ext_21", "s_int_21",
+                                            "mutual_information_21"])
+    assert main(["figure2", "--steps", "3", "--order", "6"]) == 0
+    assert len(seen) >= 12 and set(seen) == {0}
+    seen = _record_orders(monkeypatch, cli_mod, ["ratio_checks"])
+    assert main(["trace-check", "--order", "6"]) == 0
+    assert seen == [6]
 
 
 # ----------------------------------------------------------------------
@@ -576,9 +597,12 @@ FLAG_CASES = {
     ("trace-check", "--order"): ([], "2"),
     ("check", "--seed"): ([], "1"),
 }
-# read by nothing that reaches the output (figure2 --lambda0 reaches only the
-# grid comment: no figure2 column depends on the coupling), yet passed by the
-# benchmark's workloads, so they stay until it stops passing them (ROADMAP item 1)
+# read by nothing that reaches the output, yet passed by the benchmark's
+# workloads, so they stay until it stops passing them (ROADMAP item 1).  The
+# --order of entropy, figure2 and figure3 is unread by construction: it is
+# range-checked, and the CLI builds at order 0 (figure3 reads no order at all).
+# figure2 --lambda0 reaches only the grid comment: no figure2 column depends on
+# the coupling.
 UNREAD_FLAGS = {("figure2", "--order"), ("figure3", "--order"), ("entropy", "--order"),
                 ("trace-check", "--mu"), ("figure2", "--lambda0")}
 

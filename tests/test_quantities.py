@@ -7,6 +7,10 @@ more than 1e-12 (absolute).  Both bounds are fixed.  Inputs outside ``reads``
 are varied from seeded schemes over the documented ranges; inputs inside it
 from the unit scheme, where every dependence shows, over the same ranges.
 ``nonpert`` runs at its default density, so ``m0`` reaches it as ``m_phys``.
+
+The parts a quantity prints do not depend on the truncation order: they are
+equal bit for bit at order 0 and at orders 1, 4, 9 and 32.  The CLI relies on
+this to build ``entropy`` at order 0 whatever its ``--order``.
 """
 
 import random
@@ -83,6 +87,37 @@ def test_a_quantity_moves_with_exactly_the_inputs_it_reads(name):
                         "lambda0": _coupling(rng), "tv": _magnitude(rng), "order": order}
                 move = _largest_move(name, base, _draw(rng, input_name))
                 assert move <= STAYS, (name, input_name, base, move)
+
+
+# the CLI ledger's corners, as (m0, mu, lambda0, tv)
+CORNERS = ((1e-30, 1e-30, 1e-30, 1e-30), (1e30, 1e30, 1e30, 1e30),
+           (1e-30, 1e30, -1e30, 1e30), (1e30, 1e-30, 0.0, 1e-30))
+N_SCHEMES = 24
+
+
+def _order_cases(rng: random.Random) -> list[tuple[str, dict, dict]]:
+    """(name, scheme, extra arguments) for every quantity at seeded schemes
+    (every third coupling 0, every third negative) and at the corners, plus
+    ``nonpert`` at explicit densities and ``total21`` at seeded cuts."""
+    schemes = [{"m0": _magnitude(rng), "mu": _magnitude(rng),
+                "lambda0": (0.0, -1.0, 1.0)[i % 3] * _magnitude(rng), "tv": _magnitude(rng)}
+               for i in range(N_SCHEMES)]
+    schemes += [dict(zip(("m0", "mu", "lambda0", "tv"), corner)) for corner in CORNERS]
+    cases = [(name, scheme, {}) for scheme in schemes for name in en.QUANTITIES]
+    for scheme in schemes[:N_SCHEMES]:
+        sd = en.SpectralDensity(Z=_magnitude(rng, -30.0, 0.0), m_phys=_magnitude(rng))
+        cases.append(("nonpert", scheme, {"sd": sd}))
+        cut = ct.ContourConfig(endpoint_cut=rng.uniform(1e-3, 0.999))
+        cases.append(("total21", scheme, {"use_tau": False, "cfg": cut}))
+    return cases
+
+
+def test_printed_parts_do_not_depend_on_the_order():
+    for name, scheme, extra in _order_cases(random.Random(f"{SEED}-orders")):
+        want = en.compute_quantity(name, SchemeParams(order=0, **scheme), **extra)
+        for order in (1, 4, 9, 32):
+            got = en.compute_quantity(name, SchemeParams(order=order, **scheme), **extra)
+            assert got.to_json_dict() == want.to_json_dict(), (name, scheme, extra, order)
 
 
 def _readme_rows() -> list[list[str]]:
