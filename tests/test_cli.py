@@ -529,6 +529,20 @@ def test_sweep_config_caps_and_finiteness():
             SweepConfig(**kwargs)
 
 
+@pytest.mark.parametrize("order", ["20", "32"])
+def test_high_orders_give_the_order_4_finite_part(order, capsys):
+    """The printed finite part does not depend on --order; the exact,
+    library-level form is tests/test_quantities.py's order test."""
+    from loopentropy.entropy import QUANTITY_NAMES
+
+    for q in QUANTITY_NAMES:
+        finite = []
+        for o in ("4", order):
+            assert main(["entropy", "--q", q, "--m0", "1.7", "--order", o]) == 0
+            finite.append(json.loads(capsys.readouterr().out)["finite"])
+        assert finite[1] == pytest.approx(finite[0], rel=1e-12, abs=1e-12), q
+
+
 def _record_orders(monkeypatch, module, names) -> list[int]:
     """Wrap the functions ``names`` of ``module`` so that each call records
     the order of the SchemeParams it is handed."""
