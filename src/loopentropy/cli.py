@@ -36,14 +36,10 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 
-from . import contour as ct
-from . import entropy as en
 from ._lazy import LazyModule
 from .errors import LoopEntropyError, NonFiniteError
-from .loops import (MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range,
-                    check_mass_range)
-from .svg import render_line_chart
-from .traces import ratio_checks
+from .params import (MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range,
+                     check_mass_range)
 
 np = LazyModule("numpy")
 
@@ -127,6 +123,8 @@ def _write_csv(path: str | None, comment: str, header: list[str],
 def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     """Finite parts of total/external/internal entropy, mutual information
     and the external+internal sum over the m0 grid."""
+    from . import entropy as en
+
     rows = []
     for m0 in cfg.grid():
         p = SchemeParams(m0=m0, lambda0=cfg.lambda0, tv=cfg.tv, order=0)
@@ -147,6 +145,8 @@ def _write_figure(cfg: SweepConfig, what: str, header: list[str], rows: list[lis
                f"lambda0={fmt(cfg.lambda0)}")
     text = _write_csv(cfg.out, comment, header, rows)
     if cfg.svg:
+        from .svg import render_line_chart
+
         curves = [(label, [r[i] for r in rows]) for i, label in enumerate(labels, 1)]
         render_line_chart(cfg.svg, [r[0] for r in rows], curves, title=title,
                           xlabel="m0", ylabel=ylabel)
@@ -162,6 +162,8 @@ def cmd_figure2(cfg: SweepConfig) -> str:
 
 def figure3_rows(cfg: SweepConfig) -> list[list[float]]:
     """Vacuum-entropy finite coefficient per mu over the m0 grid."""
+    from . import entropy as en
+
     return [[m0, *(en.vacuum_finite_coefficient(m0, mu, cfg.lambda0, cfg.tv, cfg.convention)
                    for mu in cfg.mu)] for m0 in cfg.grid()]
 
@@ -175,6 +177,8 @@ def cmd_figure3(cfg: SweepConfig) -> str:
 
 def _readers(input_name: str) -> str:
     """The quantities whose ``reads`` hold ``input_name``, comma separated."""
+    from . import entropy as en
+
     return ", ".join(name for name, q in en.QUANTITIES.items() if input_name in q.reads)
 
 
@@ -187,14 +191,17 @@ def _parse_mu_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad mu list {text!r}") from exc
 
 
-def _parse_delta_cut(text: str) -> ct.ContourConfig:
-    """The cut as a ContourConfig, so that its range error names the flag."""
+def _parse_delta_cut(text: str):
+    """The cut as a ``contour.ContourConfig``, so that its range error names
+    the flag."""
+    from .contour import ContourConfig
+
     try:
         cut = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     try:
-        return ct.ContourConfig(endpoint_cut=cut)
+        return ContourConfig(endpoint_cut=cut)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -212,15 +219,85 @@ def _parse_seed(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line on stderr (exit 2), and
     reads a negative number in exponent notation (``-1e-3``) as a value,
-    where argparse alone would take it for an option."""
+    where argparse alone would take it for an option.
 
-    def __init__(self, *args, **kwargs):
+    A subcommand's parser is made with ``add_arguments``, the function that
+    adds its options, and calls it when it is first parsed: a process
+    imports only what the options of the command it runs need (``entropy``'s
+    help text reads the quantity table).
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
         super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
         self._negative_number_matcher = re.compile(
             r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
+
+
+def _add_scheme(p, names=tuple(f.name for f in fields(SchemeParams))):
+    for name in names:  # each default, and its type, is SchemeParams'
+        default = getattr(SchemeParams, name)
+        p.add_argument(f"--{name}", type=type(default), default=default)
+
+
+def _add_grid(p, m0_min=SweepConfig.m0_min, m0_max=SweepConfig.m0_max,
+              steps=SweepConfig.steps):
+    p.add_argument("--m0-min", type=float, default=m0_min)
+    p.add_argument("--m0-max", type=float, default=m0_max)
+    p.add_argument("--steps", type=int, default=steps)
+    p.add_argument("--log-grid", action="store_true")
+    _add_scheme(p, ("lambda0", "tv", "order"))
+    p.add_argument("--out", help="CSV output path (stdout if omitted)")
+    p.add_argument("--svg", help="optional SVG chart path")
+
+
+def _add_figure3(p):
+    _add_grid(p, 0.2, 6.0, 300)
+    p.add_argument("--mu", type=_parse_mu_list, default=SweepConfig.mu,
+                   help="comma-separated scale list, one curve per value")
+    p.add_argument("--convention", choices=("figure", "closed_form"),
+                   default=SweepConfig.convention,
+                   help="finite-coefficient convention (see docs)")
+
+
+def _add_entropy(p):
+    from .contour import ContourConfig
+    from .entropy import SpectralDensity
+
+    p.add_argument("--q", help="quantity name")
+    _add_scheme(p)
+    p.add_argument("--quad-ratio", action="store_true",
+                   help="use the regulated contour ratio instead of tau "
+                        f"({_readers('contour')} only)")
+    p.add_argument("--delta-cut", type=_parse_delta_cut, default=None,
+                   help="endpoint cut of the contour ratio "
+                        f"(default {ContourConfig.endpoint_cut:g}; needs --quad-ratio)")
+    p.add_argument("--m-phys", type=float, default=None,
+                   help="physical mass for the spectral quantity "
+                        f"({_readers('spectrum')} only)")
+    p.add_argument("--z", type=float, default=None,
+                   help="field strength for the spectral quantity "
+                        f"(default {SpectralDensity.Z:g}; needs --m-phys)")
+
+
+def _add_tau(p):
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--delta-cut", type=_parse_delta_cut, default=None,
+                   help="also report the regulated a/b at this endpoint cut")
+
+
+def _add_check(p):
+    p.add_argument("--seed", type=_parse_seed, default=20240817,
+                   help="seed of the sampled checks (a non-negative integer)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,59 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_scheme(p, names=tuple(f.name for f in fields(SchemeParams))):
-        for name in names:  # each default, and its type, is SchemeParams'
-            default = getattr(SchemeParams, name)
-            p.add_argument(f"--{name}", type=type(default), default=default)
-
-    def add_grid(p, m0_min=SweepConfig.m0_min, m0_max=SweepConfig.m0_max,
-                 steps=SweepConfig.steps):
-        p.add_argument("--m0-min", type=float, default=m0_min)
-        p.add_argument("--m0-max", type=float, default=m0_max)
-        p.add_argument("--steps", type=int, default=steps)
-        p.add_argument("--log-grid", action="store_true")
-        add_scheme(p, ("lambda0", "tv", "order"))
-        p.add_argument("--out", help="CSV output path (stdout if omitted)")
-        p.add_argument("--svg", help="optional SVG chart path")
-
-    add_grid(sub.add_parser("figure2", help="two-point entropy curves vs m0"))
-
-    p3 = sub.add_parser("figure3", help="vacuum entropy coefficient vs m0")
-    add_grid(p3, 0.2, 6.0, 300)
-    p3.add_argument("--mu", type=_parse_mu_list, default=SweepConfig.mu,
-                    help="comma-separated scale list, one curve per value")
-    p3.add_argument("--convention", choices=("figure", "closed_form"),
-                    default=SweepConfig.convention,
-                    help="finite-coefficient convention (see docs)")
-
-    pe = sub.add_parser("entropy", help="one quantity as JSON")
-    pe.add_argument("--q", help="quantity name")
-    add_scheme(pe)
-    pe.add_argument("--quad-ratio", action="store_true",
-                    help="use the regulated contour ratio instead of tau "
-                         f"({_readers('contour')} only)")
-    pe.add_argument("--delta-cut", type=_parse_delta_cut, default=None,
-                    help="endpoint cut of the contour ratio "
-                         f"(default {ct.ContourConfig.endpoint_cut:g}; needs --quad-ratio)")
-    pe.add_argument("--m-phys", type=float, default=None,
-                    help="physical mass for the spectral quantity "
-                         f"({_readers('spectrum')} only)")
-    pe.add_argument("--z", type=float, default=None,
-                    help="field strength for the spectral quantity "
-                         f"(default {en.SpectralDensity.Z:g}; needs --m-phys)")
-
-    pt = sub.add_parser("tau", help="closed-form contour-ratio constant")
-    pt.add_argument("--json", action="store_true")
-    pt.add_argument("--delta-cut", type=_parse_delta_cut, default=None,
-                    help="also report the regulated a/b at this endpoint cut")
-
-    add_scheme(sub.add_parser("trace-check", help="trace-relation ratio report"))
-
-    pc = sub.add_parser("check", help="run the invariant suite")
-    pc.add_argument("--seed", type=_parse_seed, default=20240817,
-                    help="seed of the sampled checks (a non-negative integer)")
-
+    sub.add_parser("figure2", help="two-point entropy curves vs m0", add_arguments=_add_grid)
+    sub.add_parser("figure3", help="vacuum entropy coefficient vs m0",
+                   add_arguments=_add_figure3)
+    sub.add_parser("entropy", help="one quantity as JSON", add_arguments=_add_entropy)
+    sub.add_parser("tau", help="closed-form contour-ratio constant", add_arguments=_add_tau)
+    sub.add_parser("trace-check", help="trace-relation ratio report", add_arguments=_add_scheme)
+    sub.add_parser("check", help="run the invariant suite", add_arguments=_add_check)
     parser._command_parsers = sub.choices
     return parser
 
@@ -355,6 +386,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "entropy":
+            from . import entropy as en
+
             params = replace(_scheme(args), order=0)  # --order is only checked
             if args.delta_cut is not None and not args.quad_ratio:
                 raise ValueError("--delta-cut needs --quad-ratio")
@@ -375,6 +408,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "tau":
+            from . import contour as ct
+
             value = ct.tau()
             if args.json or args.delta_cut is not None:
                 payload = {"tau": value}
@@ -388,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "trace-check":
+            from .traces import ratio_checks
+
             report = ratio_checks(_scheme(args))
             tadpole, full = report["tadpole_pair"], report["fully_contracted"]
             _print_json({

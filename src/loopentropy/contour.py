@@ -16,6 +16,9 @@ cut delta and reported together with it.  The closed-form constant
 is the canonical finite stand-in for a/b; the regulated quadrature ratio
 does not converge to it as delta -> 0 (its real part drifts logarithmically),
 so the two are reported side by side and never asserted equal.
+
+The quadratures are ``loops``' and are imported when a coefficient is first
+asked for, so that ``tau`` alone loads no series or loop module.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 from . import specialfns as sf
 from ._lazy import LazyModule
-from .loops import complex_quad, _quad
 
 np = LazyModule("numpy")
 
@@ -50,6 +52,8 @@ def _weight(t: float) -> float:
 
 def coeff_b(cfg: ContourConfig = ContourConfig()) -> complex:
     """Regulated b coefficient; real and positive, divergent as the cut -> 0."""
+    from .loops import _quad
+
     val = _quad(_weight, 0.0, 1.0 - cfg.endpoint_cut)
     return complex(val / (8.0 * PI ** 2))
 
@@ -64,6 +68,8 @@ def _log_factor(t: float) -> complex:
 
 def coeff_a(cfg: ContourConfig = ContourConfig()) -> complex:
     """Regulated a coefficient (complex; imaginary part is (pi/2) * b)."""
+    from .loops import complex_quad
+
     return complex_quad(lambda t: _weight(t) * _log_factor(t),
                         0.0, 1.0 - cfg.endpoint_cut) / (8.0 * PI ** 2)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import contour as ct
@@ -26,9 +25,6 @@ from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
 from .errors import UnknownQuantityError
 from .loops import (
-    WEIGHT_MAX,
-    Z_MIN,
-    SchemeParams,
     chi_over_delta_series_m2,
     chi_series_m2,
     complex_quad,
@@ -36,8 +32,8 @@ from .loops import (
     delta_stripped_series_m2,
     eta_closed_d4,
     _quad,
-    check_mass_range,
 )
+from .params import WEIGHT_MAX, Z_MIN, SchemeParams, check_mass_range
 
 np = LazyModule("numpy")
 
@@ -134,14 +130,15 @@ class SpectralDensity:
 # ----------------------------------------------------------------------
 def entropy_order1_generic(beta0: EpsSeries, beta1: EpsSeries,
                            t00: EpsSeries, t10: EpsSeries,
-                           W0: Fraction | float, W1: Fraction | float,
+                           W0: float, W1: float,
                            lambda0: float) -> EpsSeries:
     """First-order entropy from its trace building blocks.
 
         log(b0) - t00/b0 - lambda0 (W1/W0) [b1 t00 - b0 t10] / b0^2
 
     where b_i are the state traces and t_i0 the Tr[rho_i log(rho_0)]
-    blocks.  Pure series assembly; division errors propagate.
+    blocks.  The weights may be any reals (a ``Fraction`` too); each goes
+    through ``float``.  Pure series assembly; division errors propagate.
     """
     w = float(W1) / float(W0)
     b0sq = beta0 * beta0

@@ -560,8 +560,8 @@ def _record_orders(monkeypatch, module, names) -> list[int]:
 def test_cli_hands_the_library_the_order_it_prints(monkeypatch, capsys):
     """entropy and figure2 print eps^0 and below, so they build at order 0
     whatever --order says; trace-check prints whole series at --order."""
-    from loopentropy import cli as cli_mod
     from loopentropy import entropy as en
+    from loopentropy import traces
 
     seen = _record_orders(monkeypatch, en, ["compute_quantity"])
     for q in en.QUANTITY_NAMES:
@@ -571,7 +571,7 @@ def test_cli_hands_the_library_the_order_it_prints(monkeypatch, capsys):
                                             "mutual_information_21"])
     assert main(["figure2", "--steps", "3", "--order", "6"]) == 0
     assert seen == [0] * 12  # four library calls per grid point
-    seen = _record_orders(monkeypatch, cli_mod, ["ratio_checks"])
+    seen = _record_orders(monkeypatch, traces, ["ratio_checks"])
     assert main(["trace-check", "--order", "6"]) == 0
     assert seen == [6]
 
@@ -622,8 +622,11 @@ UNREAD_FLAGS = {("figure2", "--order"), ("figure3", "--order"), ("entropy", "--o
 
 
 def test_every_flag_has_a_case():
+    commands = build_parser()._command_parsers
+    for sub in commands.values():
+        sub.parse_known_args([])  # a subcommand gets its options when first parsed
     flags = {(command, option)
-             for command, sub in build_parser()._command_parsers.items()
+             for command, sub in commands.items()
              for action in sub._actions for option in action.option_strings
              if option not in ("-h", "--help")}
     assert flags == set(FLAG_CASES)
