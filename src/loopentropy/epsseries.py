@@ -26,6 +26,11 @@ keys were first produced (a product accumulates in the order of its left
 operand's keys), and a sum or product starts each coefficient it creates
 from ``0.0 + ...``, which turns a ``-0.0`` part of the first term into
 ``+0.0``, so the signs of zero parts stay what they have always been.
+The power sum behind ``inverse``, ``log`` and ``exp`` (``_power_sum``)
+accumulates every power in place in one dict, and keeps both properties: a
+coefficient it creates starts from ``0.0 + ...`` at the end of the key
+order, as in a sum per power, and one whose sum cancels to zero is dropped
+at once, so a later power restarts it there.
 """
 
 from __future__ import annotations
@@ -100,10 +105,15 @@ class EpsSeries:
     def _trusted(cls, coeffs: dict, kmax: int) -> "EpsSeries":
         """A series from coefficients that already keep the invariant but for
         zeros and powers above ``kmax``, which are dropped; the key order is
-        kept and ``__post_init__`` is skipped."""
+        kept and ``__post_init__`` is skipped.  A dict with nothing to drop
+        is kept, not copied, so the caller must not change it afterwards."""
+        for key, c in coeffs.items():
+            if not c or key[0] > kmax:
+                coeffs = {key: c for key, c in coeffs.items() if c and key[0] <= kmax}
+                break
         out = object.__new__(cls)
         fields = out.__dict__  # the frozen fields, set as __post_init__ would
-        fields["coeffs"] = {key: c for key, c in coeffs.items() if c and key[0] <= kmax}
+        fields["coeffs"] = coeffs
         fields["kmax"] = kmax
         return out
 
@@ -200,8 +210,10 @@ class EpsSeries:
         kmax = min(self.kmax + lead2, o.kmax + lead1, EXACT_ORDER)
         keep = kmax if cut is None else min(kmax, cut)
         out: dict[tuple[int, int], complex] = {}
+        get = out.get
+        right = o.coeffs.items()
         for (k1, l1), c1 in self.coeffs.items():
-            for (k2, l2), c2 in o.coeffs.items():
+            for (k2, l2), c2 in right:
                 k, l = k1 + k2, l1 + l2
                 if k > kmax:
                     continue
@@ -210,7 +222,7 @@ class EpsSeries:
                         f"product creates log(eps)^{l} above the cap {LOGCAP}"
                     )
                 if k <= keep:
-                    out[(k, l)] = out.get((k, l), 0.0) + c1 * c2
+                    out[(k, l)] = get((k, l), 0.0) + c1 * c2
         result = EpsSeries._trusted(out, keep)
         if lead1 + lead2 < KMIN_CAP:
             _check_pole_depth(result.coeffs)  # a product that underflowed to 0 passes
@@ -377,14 +389,35 @@ class EpsSeries:
 
 def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeries:
     """``acc + sum_{m>=1} weight(m) * u**m`` through eps**order, for lead(u) >= 1;
-    ``weight=None`` adds each power unscaled."""
+    ``weight=None`` adds each power unscaled.
+
+    Each power is added into one dict, with the bits of ``acc + term.scale(w)``
+    taken power by power: a coefficient that the weight underflows to zero
+    is not added, and a key whose sum cancels to zero is dropped at once, so
+    a later power restarts it from ``0.0 +`` at the end of the key order.
+    The result keeps the lowest ``kmax`` of ``acc`` and the powers.
+    """
+    out = dict(acc.coeffs)
+    get = out.get
+    kmax = acc.kmax
     term = EpsSeries.constant(1.0, order)
     for m in range(1, max(order, 0) + 1):
         term = term.__mul__(u, cut=order)
         if term.is_zero():
             break
-        acc = acc + (term if weight is None else term.scale(weight(m)))
-    return acc
+        kmax = min(kmax, term.kmax)
+        w = None if weight is None else complex(weight(m))
+        for key, c in term.coeffs.items():
+            if w is not None:
+                c = c * w
+                if not c:
+                    continue
+            total = get(key, 0.0) + c
+            if total:
+                out[key] = total
+            else:  # only a stored coefficient can cancel to zero
+                del out[key]
+    return EpsSeries._trusted(out, kmax)
 
 
 # ----------------------------------------------------------------------
@@ -419,8 +452,9 @@ def _memoized(expansion):
 def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSeries:
     """base**(exponent_slope * eps) expanded to the given order.
 
-    The branch of log(base) follows the library policy.  Not memoized: the
-    bases a sweep passes are its masses, each used once per point.
+    The branch of log(base) follows the library policy.  Not memoized here:
+    the bases a sweep passes are its masses and scales, each used once per
+    point; ``loops`` caches the one constant base, 4*pi, by order.
     """
     if base == 0:
         raise ValueError("power_series requires a nonzero base")

@@ -31,6 +31,7 @@ and reported by the check suite as an informational finding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -214,6 +215,18 @@ def eta(r2: float, m2: float, d: float = 4.0) -> complex:
 # ----------------------------------------------------------------------
 # epsilon-series around d = 4  (eps = d - 4)
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=MAX_ORDER + 2, typed=True)
+def _four_pi_factor(order: int) -> EpsSeries:
+    """(4 pi)**(-eps/2) to the given order, shared by every tadpole body.
+
+    Its base is a constant, so the cache is keyed by the order alone and
+    holds the MAX_ORDER + 2 orders the library asks for, 1..MAX_ORDER + 2;
+    the mass and scale factors are not cached, each mass of a sweep being
+    used once.
+    """
+    return power_series(4.0 * PI, -0.5, order)
+
+
 def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     """Tadpole-power integral at squared mass m2 as a series in eps = d - 4."""
     if j < 0:
@@ -224,7 +237,7 @@ def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     # one order past the cut covers the simple pole of Gamma(j - 1 - eps/2), j <= 1
     body = (
         power_series(m2, 0.5, order + 1)
-        * power_series(4.0 * PI, -0.5, order + 1)
+        * _four_pi_factor(order + 1)
         * gamma_series(j - 1, -0.5, order + 1)
     )
     return body.scale(pref).truncate(order)
@@ -314,15 +327,21 @@ def oracle_chi_x(j: int, m2: float, d: float) -> complex:
     """Feynman-parameter x-integral quadrature of the log-weighted family.
 
     integrand: log(-m^2/x) x^(j-d/2) (1-x)^(d/2-1) on (0, 1), with the
-    +i*pi branch for the negative argument of the log.
+    +i*pi branch for the negative argument of the log.  The integrand can be
+    singular at both ends, so each half of the interval is its own
+    quadrature, with one singular end each.
     """
     _check_radial_convergence(j, d)
     pref = (
         1j * (-1.0) ** (j + 1) * m2 ** (d / 2.0 - (j + 1))
         * (4.0 * PI) ** (-d / 2.0) / math.gamma(d / 2.0)
     )
-    return pref * complex_quad(lambda x: complex(math.log(m2 / x), PI) * x ** (j - d / 2.0)
-                               * (1.0 - x) ** (d / 2.0 - 1.0), 0.0, 1.0, rel_tol=1e-11)
+
+    def f(x):
+        return complex(math.log(m2 / x), PI) * x ** (j - d / 2.0) * (1.0 - x) ** (d / 2.0 - 1.0)
+
+    return pref * (complex_quad(f, 0.0, 0.5, rel_tol=1e-11)
+                   + complex_quad(f, 0.5, 1.0, rel_tol=1e-11))
 
 
 def oracle_chi_radial(j: int, m2: float, d: float) -> complex:

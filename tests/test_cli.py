@@ -248,6 +248,15 @@ def test_check_command_passes(capsys):
     assert "chi_alternate_form_sign" in out
 
 
+def test_check_meets_every_quadrature_tolerance_at_seed_174(capsys):
+    # its chi x-integral missed 1e-11 in one pass over (0, 1) and exited 2
+    code = main(["check", "--seed", "174"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len([line for line in lines if line.startswith("[")]) == 13
+    assert "[FAIL]" not in "\n".join(lines)
+
+
 def test_check_fault_injection_names_oracle():
     # a sign flip in the closed form must be caught by the radial oracle
     def flipped(j, m2, d):

@@ -381,19 +381,20 @@ def test_expansion_caches_stay_bounded():
 # ----------------------------------------------------------------------
 # allocation guard
 # ----------------------------------------------------------------------
+def _figure2_point() -> list:
+    """The four quantities ``cli.figure2_rows`` reads, at a default point."""
+    p = SchemeParams(m0=1.0, lambda0=1.0, tv=1.0, order=4)
+    return [en.s_total_21(p).finite, en.s_ext_21(p).finite,
+            en.s_int_21(p).finite, en.mutual_information_21(p).finite]
+
+
 def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
     """The validating constructions of one default figure2 point (the four
     quantities ``cli.figure2_rows`` reads, at m0 = 1) with warm expansion
     caches, as every point after a sweep's first sees them.  The kernel's
     own results skip validation, so the count is pinned: an operation
     routed back through ``EpsSeries(...)`` raises it."""
-    p = SchemeParams(m0=1.0, lambda0=1.0, tv=1.0, order=4)
-
-    def point():
-        return [en.s_total_21(p).finite, en.s_ext_21(p).finite,
-                en.s_int_21(p).finite, en.mutual_information_21(p).finite]
-
-    expected = point()
+    expected = _figure2_point()
     calls = 0
     cleaned = epsseries._cleaned
 
@@ -403,7 +404,7 @@ def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
         return cleaned(coeffs, kmax)
 
     monkeypatch.setattr(epsseries, "_cleaned", counted)
-    assert point() == expected
+    assert _figure2_point() == expected
     assert calls == 10
 
 
@@ -413,13 +414,7 @@ def test_a_figure2_point_makes_only_the_products_it_keeps(monkeypatch):
     and one per kept power, eps^1..eps^4, in the power sum of its log.
     Each operand is asked for only through the order its result keeps, so
     a padding that creeps back raises the count."""
-    p = SchemeParams(m0=1.0, lambda0=1.0, tv=1.0, order=4)
-
-    def point():
-        return [en.s_total_21(p).finite, en.s_ext_21(p).finite,
-                en.s_int_21(p).finite, en.mutual_information_21(p).finite]
-
-    expected = point()
+    expected = _figure2_point()
     calls = 0
     mul = EpsSeries.__mul__
 
@@ -429,8 +424,33 @@ def test_a_figure2_point_makes_only_the_products_it_keeps(monkeypatch):
         return mul(self, other, **kwargs)
 
     monkeypatch.setattr(EpsSeries, "__mul__", counted)
-    assert point() == expected
+    assert _figure2_point() == expected
     assert calls == 12
+
+
+def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
+    """The sums and the kernel series of one default figure2 point with warm
+    caches.  The power sum behind each of its two logs adds every power into
+    one result, and the constant 4*pi factor of each tadpole body comes from
+    a cache, so a power sum that goes back to a sum and a scaled copy per
+    power raises both counts."""
+    expected = _figure2_point()
+    counts = {"add": 0, "built": 0}
+    add = EpsSeries.__add__
+    trusted = EpsSeries.__dict__["_trusted"].__func__
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    def counted_trusted(cls, coeffs, kmax):
+        counts["built"] += 1
+        return trusted(cls, coeffs, kmax)
+
+    monkeypatch.setattr(EpsSeries, "__add__", counted_add)
+    monkeypatch.setattr(EpsSeries, "_trusted", classmethod(counted_trusted))
+    assert _figure2_point() == expected
+    assert counts == {"add": 6, "built": 34}
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Property tests of the series kernel: division against inverse-then-multiply,
 the ring laws, the inverse and log/exp round trips, the truncation
-bookkeeping, and the invariant that every operation's result keeps without
-the validating constructor, over generated series.  Tolerances are fixed."""
+bookkeeping, the invariant that every operation's result keeps without
+the validating constructor, and the in-place power sum against one series
+sum per power, bit for bit, over generated series.  Tolerances are fixed."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from loopentropy import epsseries
 from loopentropy.epsseries import EXACT_ORDER, KMIN_CAP, LOGCAP, EpsSeries, power_series
 from loopentropy.errors import LogCapError, LoopEntropyError, TruncationUnderflowError
 
@@ -204,3 +209,105 @@ def test_pole_depth_and_log_cap_refusals(build, error):
     else:
         with pytest.raises(error):
             build()
+
+
+# ----------------------------------------------------------------------
+# the power sum behind log, inverse, exp and division, bit for bit
+# ----------------------------------------------------------------------
+def _reference_power_sum(acc, u, order, weight=None):
+    """The power sum as one series sum per power: ``acc + term.scale(w)``."""
+    term = EpsSeries.constant(1.0, order)
+    for m in range(1, max(order, 0) + 1):
+        term = term.__mul__(u, cut=order)
+        if term.is_zero():
+            break
+        acc = acc + (term if weight is None else term.scale(weight(m)))
+    return acc
+
+
+# small integers and halves multiply and add exactly, so partial sums cancel
+# to exactly zero mid-sum; zero parts of both signs; and 2.2e-162, whose
+# square is the smallest subnormal, which a weight of 1/2 rounds to zero
+SMALL = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 0.0, -0.0, 2.2e-162, -5e-324])
+EDGE_COEFF = st.one_of(
+    st.builds(complex, SMALL, st.sampled_from([0.0, -0.0])),
+    st.builds(complex, SMALL, SMALL),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+# a series drawn whole from these real dyadics cancels often
+DYADIC = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5]).map(complex)
+EDGE_LEAD = st.sampled_from([1.0, -1.0, 2.0, 0.5, complex(-0.0, 1.0), complex(1.0, -0.0),
+                             complex(-2.0, -0.0), complex(3.0, 0.5)])
+
+
+@st.composite
+def edge_series(draw, lead_range=(-1, 2), lead_coeff=EDGE_LEAD):
+    """A series with a nonzero leading term, invertible by default, log(eps)
+    channels, edge coefficients and a finite or exact truncation order."""
+    lead = draw(st.integers(*lead_range))
+    kmax = draw(st.one_of(st.integers(lead, lead + 6), st.just(EXACT_ORDER)))
+    coeffs = {(lead, 0): draw(lead_coeff)}
+    coeff = draw(st.sampled_from([EDGE_COEFF, DYADIC]))
+    for k in range(lead + 1, lead + 1 + draw(st.integers(0, 5))):
+        for l in range(2):
+            if l == 0 or draw(st.booleans()):
+                coeffs[(k, l)] = draw(coeff)
+    return EpsSeries(coeffs, kmax)
+
+
+@st.composite
+def exp_series(draw):
+    """A series ``exp`` accepts: no poles, an integer log(eps) at eps^0."""
+    s = draw(edge_series(lead_range=(1, 2)))
+    extra = {(0, 0): draw(EDGE_COEFF), (0, 1): float(draw(st.integers(-1, 1)))}
+    return EpsSeries({**extra, **s.coeffs}, s.kmax)
+
+
+def _outcome(build):
+    """The result's kmax and every part's bits in key order, or the refusal."""
+    try:
+        r = build()
+    except LoopEntropyError as exc:
+        return type(exc).__name__
+    return r.kmax, _bits(r)
+
+
+def _matches_reference(build):
+    got = _outcome(build)
+    with mock.patch.object(epsseries, "_power_sum", _reference_power_sum):
+        assert got == _outcome(build)
+
+
+@settings(KERNEL, max_examples=300)
+@given(a=edge_series(), b=edge_series())
+# the eps^3 sum cancels after the second power and restarts at the third, at
+# the end of the key order: u1 u2 - u3 in the log, 2 u1 u2 - u3 in the inverse
+@example(a=EpsSeries({(k, 0): 1.0 for k in range(5)}, 4),
+         b=EpsSeries({(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0, (3, 0): 2.0, (4, 0): 1.0}, 4))
+def test_log_inverse_and_division_sum_their_powers_bit_for_bit(a, b):
+    _matches_reference(a.log)
+    _matches_reference(b.inverse)
+    _matches_reference(lambda: a / b)
+
+
+@settings(KERNEL, max_examples=300)
+@given(exp_series())
+def test_exp_sums_its_powers_bit_for_bit(x):
+    _matches_reference(x.exp)
+
+
+POWER_WEIGHTS = {"none": None, "log": lambda m: (-1.0) ** (m + 1) / m,
+                 "exp": lambda m: 1.0 / math.factorial(m)}
+
+
+@settings(KERNEL, max_examples=300)
+@given(acc=edge_series(), u=edge_series(lead_range=(1, 2), lead_coeff=EDGE_COEFF.filter(bool)),
+       order=st.integers(0, 6), weight=st.sampled_from(sorted(POWER_WEIGHTS)))
+# u**2 is the smallest subnormal, which the weight 1/2 rounds to zero: added,
+# it would turn the -0.0 of the sum's own coefficient into +0.0
+@example(acc=EpsSeries({(2, 0): complex(1.0, -0.0)}), u=EpsSeries({(1, 0): 2.2e-162}),
+         order=2, weight="exp")
+def test_the_power_sum_adds_each_power_as_one_series_sum_would(acc, u, order, weight):
+    w = POWER_WEIGHTS[weight]
+    assert _outcome(lambda: epsseries._power_sum(acc, u, order, w)) == \
+        _outcome(lambda: _reference_power_sum(acc, u, order, w))
