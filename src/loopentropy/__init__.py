@@ -52,22 +52,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContourConfig", "EntropyBreakdown", "EpsSeries", "LoopValue", "QUANTITIES",
-    "SchemeParams", "SpectralDensity", "TraceSet",
-    "coeff_a", "coeff_b", "ratio_AB", "ratio_ab_regulated", "tau",
-    "compute_quantity", "entropy_order1_generic",
-    "mutual_information_21", "order1_blocks_n2", "plane_wave_trace",
-    "renyi_trace_n", "renyi_trace_radial", "s_ext_2_order0", "s_ext_2_order1",
-    "s_ext_2_total", "s_ext_21", "s_int_21", "s_nonperturbative", "s_total_21",
-    "s_vacuum_order1", "vacuum_finite_coefficient",
-    "digamma_series", "gamma_series", "harmonic_series", "power_series",
-    "chi_closed", "chi_over_delta_series", "chi_series", "delta_closed",
-    "delta_series", "delta_stripped_series", "eta", "eta_closed_d4",
-    "oracle_chi_radial", "oracle_chi_x", "oracle_delta_radial",
-    "constants", "digamma", "gamma", "harmonic", "polygamma",
-    "ratio_checks", "tr_rho4_inferred", "vacuum_trace_phi4", "vacuum_trace_phir",
-    "LoopEntropyError", "PoleError", "NonFiniteError", "TruncationUnderflowError",
-    "NonInvertibleLeadingTermError", "LogCapError", "NonConvergentError",
-    "ToleranceNotMetError", "UnknownQuantityError",
-]
+__all__ = list(_SUBMODULE)

@@ -453,8 +453,11 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
     """base**(exponent_slope * eps) expanded to the given order.
 
     The branch of log(base) follows the library policy.  Not memoized here:
-    the bases a sweep passes are its masses and scales, each used once per
-    point; ``loops`` caches the one constant base, 4*pi, by order.
+    the bases a sweep passes are its masses and scales, new at each point.
+    A figure2 point builds its mass factor twice (``ext21`` and ``int21``
+    each), but a cache hit costs about 1.5 us against a 2.6 us build, so
+    caching by mass would save about 1 us of a 200 us point and hold one
+    entry per mass.  ``loops`` caches the one constant base, 4*pi, by order.
     """
     if base == 0:
         raise ValueError("power_series requires a nonzero base")

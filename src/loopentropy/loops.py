@@ -17,16 +17,6 @@ quadrature integrands and the closed bubble ``eta_closed_d4``; the
 quadratures run only for the oracles, the regulated contour ratio
 (``--quad-ratio``, ``tau --delta-cut``), the contour coefficients and the
 Renyi traces.
-
-Closed forms for ``chi``: evaluating the Feynman-parameter x-integral gives
-
-    chi_j = delta_j * (H_j - H_{j - d/2} + log(-m^2))
-
-while the alternative harmonic-number form circulating for this family
-carries an extra (-1)^j on the whole bracket.  The two disagree for odd j;
-quadrature validates the first, which is therefore the default
-(``form="integral"``).  The other is kept available as ``form="alternate"``
-and reported by the check suite as an informational finding.
 """
 
 from __future__ import annotations
@@ -51,6 +41,7 @@ integrate = LazyModule("loopentropy._quadpack")
 PI = sf.PI
 
 QUAD_REL_TOL = 1e-9
+ORACLE_REL_TOL = 1e-11  # the quadrature oracles' tighter tolerance
 QUAD_LIMIT = 400  # subinterval cap for the adaptive quadrature
 
 
@@ -145,22 +136,16 @@ def delta_closed(j: int, m2: float, d: float) -> complex:
     )
 
 
-def chi_closed(j: int, m2: float, d: float, form: str = "integral") -> complex:
+def chi_closed(j: int, m2: float, d: float) -> complex:
     """Closed form of the log-weighted integral at exact dimension d.
 
-    ``form="integral"`` is the quadrature-validated evaluation of the
-    Feynman-parameter x-integral; ``form="alternate"`` applies the extra
-    (-1)^j discussed in the module docstring.  log(-m^2) takes the +i*pi
-    branch.
+    Evaluating the Feynman-parameter x-integral gives
+    chi_j = delta_j * (H_j - H_{j - d/2} + log(-m^2)), validated by
+    quadrature; log(-m^2) takes the +i*pi branch.
     """
-    base = delta_closed(j, m2, d) * (
+    return delta_closed(j, m2, d) * (
         sf.harmonic_int(j) - sf.harmonic(j - d / 2.0) + sf.principal_log(-m2)
     )
-    if form == "integral":
-        return base
-    if form == "alternate":
-        return (-1.0) ** j * base
-    raise ValueError(f"unknown chi form {form!r}")
 
 
 def eta_closed_d4(r2: float, m2: float) -> complex:
@@ -209,20 +194,20 @@ def eta(r2: float, m2: float, d: float = 4.0) -> complex:
     power = d / 2.0 - 3.0
     pref = -1j * sf.gamma(3.0 - d / 2.0) * (4.0 * PI) ** (-d / 2.0)
     return pref * _quad(lambda x: (1.0 - x) * (r2 * x * (1.0 - x) + m2) ** power,
-                        0.0, 1.0, rel_tol=1e-11)
+                        0.0, 1.0, rel_tol=ORACLE_REL_TOL)
 
 
 # ----------------------------------------------------------------------
 # epsilon-series around d = 4  (eps = d - 4)
 # ----------------------------------------------------------------------
-@functools.lru_cache(maxsize=MAX_ORDER + 2, typed=True)
+@functools.lru_cache(maxsize=MAX_ORDER + 3, typed=True)
 def _four_pi_factor(order: int) -> EpsSeries:
     """(4 pi)**(-eps/2) to the given order, shared by every tadpole body.
 
     Its base is a constant, so the cache is keyed by the order alone and
-    holds the MAX_ORDER + 2 orders the library asks for, 1..MAX_ORDER + 2;
-    the mass and scale factors are not cached, each mass of a sweep being
-    used once.
+    holds the MAX_ORDER + 3 orders the library asks for, 0..MAX_ORDER + 2
+    (order 0 when an order-0 entropy asks for its tadpole through eps^-1).
+    The mass factors are not cached; see ``epsseries.power_series``.
     """
     return power_series(4.0 * PI, -0.5, order)
 
@@ -319,7 +304,7 @@ def oracle_delta_radial(j: int, m2: float, d: float) -> complex:
     """
     _check_radial_convergence(j, d)
     val = _quad(lambda u: u ** (d / 2.0 - 1.0) * (u + m2) ** (-(j + 1.0)),
-                0.0, np.inf, rel_tol=1e-11)
+                0.0, np.inf, rel_tol=ORACLE_REL_TOL)
     return 1j * (-1.0) ** (j + 1) * (4.0 * PI) ** (-d / 2.0) / math.gamma(d / 2.0) * val
 
 
@@ -340,19 +325,30 @@ def oracle_chi_x(j: int, m2: float, d: float) -> complex:
     def f(x):
         return complex(math.log(m2 / x), PI) * x ** (j - d / 2.0) * (1.0 - x) ** (d / 2.0 - 1.0)
 
-    return pref * (complex_quad(f, 0.0, 0.5, rel_tol=1e-11)
-                   + complex_quad(f, 0.5, 1.0, rel_tol=1e-11))
+    return pref * (complex_quad(f, 0.0, 0.5, rel_tol=ORACLE_REL_TOL)
+                   + complex_quad(f, 0.5, 1.0, rel_tol=ORACLE_REL_TOL))
 
 
 def oracle_chi_radial(j: int, m2: float, d: float) -> complex:
     """Direct Wick-rotated momentum quadrature of the log-weighted family.
 
-    Uses log(-(u + m^2)) = log(u + m^2) + i*pi on the rotated contour.
+    Uses log(-(u + m^2)) = log(u + m^2) + i*pi on the rotated contour.  The
+    integrand is singular at u = 0 and decays only like u^(d/2 - j - 2) log(u),
+    so (0, m^2) is integrated as it stands and (m^2, inf) through u = m^2/t
+    on (0, 1), each with one singular end.  One pass over (0, inf) missed its
+    tolerance at j=0, m2=1.08, d=1.49 (error estimate 2.2e-6 on 15.6), and a
+    split at u = m^2 without the substitution at j=1, m2=8.10, d=1.89.
     """
     _check_radial_convergence(j, d)
-    re = _quad(lambda u: u ** (d / 2.0 - 1.0) * (u + m2) ** (-(j + 1.0))
-               * math.log(u + m2), 0.0, np.inf, rel_tol=1e-11)
-    im = _quad(lambda u: PI * u ** (d / 2.0 - 1.0) * (u + m2) ** (-(j + 1.0)),
-               0.0, np.inf, rel_tol=1e-11)
+
+    def weight(u):
+        return u ** (d / 2.0 - 1.0) * (u + m2) ** (-(j + 1.0))
+
+    def integral(g):
+        return (_quad(g, 0.0, m2, rel_tol=ORACLE_REL_TOL)
+                + _quad(lambda t: g(m2 / t) * m2 / t / t, 0.0, 1.0, rel_tol=ORACLE_REL_TOL))
+
+    re = integral(lambda u: weight(u) * math.log(u + m2))
+    im = integral(lambda u: PI * weight(u))
     return 1j * (-1.0) ** (j + 1) * (4.0 * PI) ** (-d / 2.0) / math.gamma(d / 2.0) \
         * complex(re, im)

@@ -249,25 +249,27 @@ def test_check_command_passes(capsys):
 
 
 def test_check_meets_every_quadrature_tolerance_at_seed_174(capsys):
-    # its chi x-integral missed 1e-11 in one pass over (0, 1) and exited 2
-    code = main(["check", "--seed", "174"])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 0
-    assert len([line for line in lines if line.startswith("[")]) == 13
-    assert "[FAIL]" not in "\n".join(lines)
+    # 174: the chi x-integral missed 1e-11 in one pass over (0, 1) and exited 2;
+    # 480: so did the chi radial integral in one pass over (0, inf)
+    for seed in ("174", "480"):
+        code = main(["check", "--seed", seed])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0, seed
+        assert len([line for line in lines if line.startswith("[")]) == 13
+        assert "[FAIL]" not in "\n".join(lines)
 
 
-def test_check_fault_injection_names_oracle():
-    # a sign flip in the closed form must be caught by the radial oracle
-    def flipped(j, m2, d):
-        from loopentropy.loops import delta_closed
+def test_check_fault_injection_names_oracle(monkeypatch):
+    # a sign flip in the closed form must fail every check that reads it
+    from loopentropy import loops
 
-        return -delta_closed(j, m2, d)
-
-    results = checks_mod.run_all(delta_closed_impl=flipped)
+    delta_closed = loops.delta_closed
+    monkeypatch.setattr(loops, "delta_closed", lambda j, m2, d: -delta_closed(j, m2, d))
+    results = checks_mod.run_all()
     assert checks_mod.exit_code(results) == 1
     failed = [r.name for r in results if r.passed is False]
-    assert failed == ["delta_vs_radial_oracle"]
+    assert failed == ["delta_vs_radial_oracle", "chi_quadrature_consistency",
+                      "eta_zero_equals_delta2", "series_error_scaling"]
 
 
 def test_check_tau_verdict_is_numeric_only(monkeypatch):

@@ -187,16 +187,6 @@ def test_chi_branch_term_at_unit_mass():
     assert resid == pytest.approx(1j * PI, abs=1e-12)
 
 
-def test_chi_both_forms_exposed():
-    # even j: identical; odd j: differ by the overall sign
-    assert chi_closed(2, 2.0, 3.0, form="alternate") == pytest.approx(
-        chi_closed(2, 2.0, 3.0, form="integral"), rel=1e-14)
-    assert chi_closed(1, 2.0, 3.0, form="alternate") == pytest.approx(
-        -chi_closed(1, 2.0, 3.0, form="integral"), rel=1e-14)
-    with pytest.raises(ValueError):
-        chi_closed(1, 2.0, 3.0, form="bogus")
-
-
 def test_chi_quadratures_agree_random():
     for j, m2, d in _random_convergent_points(20, seed=102):
         x_val = oracle_chi_x(j, m2, d)
@@ -331,6 +321,15 @@ def test_series_run_internally_to_order_plus_two_at_most(monkeypatch):
         en.compute_quantity(name, p)
     en.order1_blocks_n2(p)
     assert max(orders) == MAX_ORDER + 2 < EXACT_ORDER
+
+
+def test_four_pi_cache_holds_every_order_the_library_asks_for():
+    # orders -1 (an order-0 entropy's eps^-1 tadpole) to MAX_ORDER + 1 (chi
+    # at MAX_ORDER) ask for the factor at 0..MAX_ORDER + 2; none is evicted
+    loops._four_pi_factor.cache_clear()
+    for order in range(-1, MAX_ORDER + 2):
+        delta_series_m2(0, 2.0, order)
+    assert loops._four_pi_factor.cache_info().currsize == MAX_ORDER + 3
 
 
 def test_no_library_call_reaches_a_params_form(monkeypatch):
