@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from ._lazy import LazyModule
-from .errors import LoopEntropyError, NonFiniteError
+from .errors import LoopEntropyError, NonFiniteError, ToleranceNotMetError
 from .params import (MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range,
                      check_mass_range)
 
@@ -97,7 +97,9 @@ class SweepConfig:
         """The m0 grid.  The linear grid is numpy's ``linspace`` arithmetic
         (``i * step + m0_min``, last point ``m0_max``), equal to it bit for
         bit without loading numpy; the log grid stays on ``np.geomspace``,
-        whose vectorized ``log10``/``power`` differ from libm in last bits."""
+        whose vectorized ``log10``/``power`` differ from libm in last bits.
+        Which of the two a host runs depends on its CPU (numpy takes AVX-512
+        code where it has it), so the log grid's last bits do too."""
         if self.log_grid:
             return np.geomspace(self.m0_min, self.m0_max, self.steps).tolist()
         step = (self.m0_max - self.m0_min) / (self.steps - 1)
@@ -204,6 +206,19 @@ def _parse_delta_cut(text: str):
         return ContourConfig(endpoint_cut=cut)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _at_cut(call, cfg):
+    """``call()``, where a contour quadrature that misses its tolerance at a
+    ``--delta-cut`` the user gave is refused as that flag's error."""
+    try:
+        return call()
+    except ToleranceNotMetError as exc:
+        if cfg is None:
+            raise
+        raise ValueError(f"argument --delta-cut: the contour quadrature misses its "
+                         f"tolerance at endpoint_cut {cfg.endpoint_cut!r} ({exc}); "
+                         f"use a larger cut") from None
 
 
 def _parse_seed(text: str) -> int:
@@ -402,8 +417,10 @@ def main(argv: list[str] | None = None) -> int:
                                         m_phys=args.m_phys)
             elif args.z is not None:
                 raise ValueError("--z needs --m-phys")
-            bd = en.compute_quantity(args.q, params, use_tau=not args.quad_ratio,
-                                     cfg=args.delta_cut, sd=sd)
+            bd = _at_cut(lambda: en.compute_quantity(args.q, params,
+                                                     use_tau=not args.quad_ratio,
+                                                     cfg=args.delta_cut, sd=sd),
+                         args.delta_cut)
             _print_json(bd.to_json_dict())
             return 0
 
@@ -414,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.json or args.delta_cut is not None:
                 payload = {"tau": value}
                 if args.delta_cut is not None:
-                    reg = ct.ratio_ab_regulated(args.delta_cut)
+                    reg = _at_cut(lambda: ct.ratio_ab_regulated(args.delta_cut),
+                                  args.delta_cut)
                     payload["regulated_ratio"] = {"re": reg.real, "im": reg.imag,
                                                   "endpoint_cut": args.delta_cut.endpoint_cut}
                 _print_json(payload)

@@ -44,6 +44,7 @@ from typing import Mapping
 from . import specialfns as sf
 from .errors import (
     LogCapError,
+    NonFiniteError,
     NonInvertibleLeadingTermError,
     TruncationUnderflowError,
 )
@@ -209,21 +210,7 @@ class EpsSeries:
         lead1, lead2 = self.lead(), o.lead()
         kmax = min(self.kmax + lead2, o.kmax + lead1, EXACT_ORDER)
         keep = kmax if cut is None else min(kmax, cut)
-        out: dict[tuple[int, int], complex] = {}
-        get = out.get
-        right = o.coeffs.items()
-        for (k1, l1), c1 in self.coeffs.items():
-            for (k2, l2), c2 in right:
-                k, l = k1 + k2, l1 + l2
-                if k > kmax:
-                    continue
-                if l > LOGCAP:  # checked through kmax, cut or not
-                    raise LogCapError(
-                        f"product creates log(eps)^{l} above the cap {LOGCAP}"
-                    )
-                if k <= keep:
-                    out[(k, l)] = get((k, l), 0.0) + c1 * c2
-        result = EpsSeries._trusted(out, keep)
+        result = EpsSeries._trusted(_product(self.coeffs, o.coeffs, kmax, keep), keep)
         if lead1 + lead2 < KMIN_CAP:
             _check_pole_depth(result.coeffs)  # a product that underflowed to 0 passes
         return result
@@ -351,8 +338,16 @@ class EpsSeries:
     # evaluation, comparison, serialization
     # ------------------------------------------------------------------
     def evaluate(self, eps: complex) -> complex:
-        """Numeric value at a concrete eps (series truncation applies)."""
-        log_eps = sf.principal_log(eps)
+        """Numeric value at a concrete eps (series truncation applies).
+
+        log(eps) is taken only when a term carries it (its zeroth power is
+        1 + 0j either way), so at eps = 0 only a pole or a log(eps) term is
+        refused.
+        """
+        if eps == 0 and any(k < 0 or l > 0 for k, l in self.coeffs):
+            raise NonFiniteError(
+                "a series with a pole or a log(eps) term has no value at eps = 0")
+        log_eps = sf.principal_log(eps) if any(l for _, l in self.coeffs) else 0j
         total = 0.0 + 0.0j
         for (k, l), c in sorted(self.coeffs.items()):
             total += c * eps ** k * log_eps ** l
@@ -387,10 +382,37 @@ class EpsSeries:
         }
 
 
+def _product(left: dict, right: dict, kmax: int, keep: int) -> dict:
+    """The coefficients of a product through eps**keep, summed in the order
+    of ``left``'s keys, each from ``0.0 + ...``; a zero sum stays in the
+    dict.  A log(eps) power above the cap raises through eps**kmax, cut or
+    not."""
+    out: dict[tuple[int, int], complex] = {}
+    get = out.get
+    right = right.items()
+    for (k1, l1), c1 in left.items():
+        for (k2, l2), c2 in right:
+            k, l = k1 + k2, l1 + l2
+            if k > kmax:
+                continue
+            if l > LOGCAP:
+                raise LogCapError(
+                    f"product creates log(eps)^{l} above the cap {LOGCAP}"
+                )
+            if k <= keep:
+                out[(k, l)] = get((k, l), 0.0) + c1 * c2
+    return out
+
+
 def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeries:
     """``acc + sum_{m>=1} weight(m) * u**m`` through eps**order, for lead(u) >= 1;
     ``weight=None`` adds each power unscaled.
 
+    Each power is the product ``term.__mul__(u, cut=order)`` on plain dicts,
+    with the same kmax, cut, log cap and zeros dropped.  The first power's
+    kmax is ``min(order + lead(u), u.kmax, EXACT_ORDER)``; after it, the lead
+    of each power is at least the last one's plus lead(u), so the kmax is
+    the last power's cut plus lead(u), capped at ``EXACT_ORDER``.
     Each power is added into one dict, with the bits of ``acc + term.scale(w)``
     taken power by power: a coefficient that the weight underflows to zero
     is not added, and a key whose sum cancels to zero is dropped at once, so
@@ -400,14 +422,21 @@ def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeri
     out = dict(acc.coeffs)
     get = out.get
     kmax = acc.kmax
-    term = EpsSeries.constant(1.0, order)
+    right = u.coeffs
+    lead_u = u.lead()
+    term = {(0, 0): 1.0 + 0.0j}  # EpsSeries.constant(1.0, order)
+    term_kmax = min(order + lead_u, u.kmax, EXACT_ORDER)
     for m in range(1, max(order, 0) + 1):
-        term = term.__mul__(u, cut=order)
-        if term.is_zero():
+        keep = min(term_kmax, order)
+        term = _product(term, right, term_kmax, keep)
+        if not all(term.values()):
+            term = {key: c for key, c in term.items() if c}
+        if not term:
             break
-        kmax = min(kmax, term.kmax)
+        kmax = min(kmax, keep)
+        term_kmax = min(keep + lead_u, EXACT_ORDER)
         w = None if weight is None else complex(weight(m))
-        for key, c in term.coeffs.items():
+        for key, c in term.items():
             if w is not None:
                 c = c * w
                 if not c:
@@ -454,10 +483,10 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
 
     The branch of log(base) follows the library policy.  Not memoized here:
     the bases a sweep passes are its masses and scales, new at each point.
-    A figure2 point builds its mass factor twice (``ext21`` and ``int21``
-    each), but a cache hit costs about 1.5 us against a 2.6 us build, so
-    caching by mass would save about 1 us of a 200 us point and hold one
-    entry per mass.  ``loops`` caches the one constant base, 4*pi, by order.
+    ``loops`` caches the one constant base, 4*pi, by order, and keeps the
+    last two tadpole mass factors (this series at m^2 times the 4*pi one),
+    so the two tadpoles of a figure2 point (``ext21`` and ``int21``) build
+    one product between them.
     """
     if base == 0:
         raise ValueError("power_series requires a nonzero base")

@@ -207,9 +207,21 @@ def _four_pi_factor(order: int) -> EpsSeries:
     Its base is a constant, so the cache is keyed by the order alone and
     holds the MAX_ORDER + 3 orders the library asks for, 0..MAX_ORDER + 2
     (order 0 when an order-0 entropy asks for its tadpole through eps^-1).
-    The mass factors are not cached; see ``epsseries.power_series``.
     """
     return power_series(4.0 * PI, -0.5, order)
+
+
+@functools.lru_cache(maxsize=2, typed=True)
+def _mass_factor(m2: float, order: int) -> EpsSeries:
+    """(m^2)**(eps/2) (4 pi)**(-eps/2) to the given order: the left operand
+    of every tadpole body, the same product that the body took in place.
+
+    Both tadpoles of a sweep point (``ext21`` at j = 1, ``int21`` at j = 0)
+    ask for the same key, and each new point brings a new mass, so two
+    entries are enough and the cache does not grow with a sweep; ``typed``
+    keeps an int mass apart from the equal float.
+    """
+    return power_series(m2, 0.5, order) * _four_pi_factor(order)
 
 
 def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
@@ -220,12 +232,8 @@ def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
         raise ValueError("m2 must be positive")
     pref = 1j * (-1.0) ** (j + 1) * m2 ** (1 - j) / ((4.0 * PI) ** 2 * math.gamma(j + 1))
     # one order past the cut covers the simple pole of Gamma(j - 1 - eps/2), j <= 1
-    body = (
-        power_series(m2, 0.5, order + 1)
-        * _four_pi_factor(order + 1)
-        * gamma_series(j - 1, -0.5, order + 1)
-    )
-    return body.scale(pref).truncate(order)
+    body = _mass_factor(m2, order + 1) * gamma_series(j - 1, -0.5, order + 1)
+    return body.truncate(order).scale(pref)
 
 
 def delta_series(j: int, params: SchemeParams) -> EpsSeries:
@@ -275,10 +283,14 @@ def chi_over_delta_series_m2(j: int, m2: float, order: int,
     if m2 <= 0:
         raise ValueError("m2 must be positive")
     log_term = math.log(m2) + (0.0 if real_branch else 1j * PI)
-    return (
-        EpsSeries.constant(sf.harmonic_int(j) + log_term, order)
-        - harmonic_series(j - 2, -0.5, order)
-    )
+    # the bits of EpsSeries.constant(...) - harmonic: a zero constant is
+    # dropped, and each coefficient is 0.0 + (-h) or constant + (-h)
+    const = complex(sf.harmonic_int(j) + log_term)
+    harmonic = harmonic_series(j - 2, -0.5, order)
+    out = {(0, 0): const} if const else {}
+    for key, c in harmonic.coeffs.items():
+        out[key] = out.get(key, 0.0) + (-c)
+    return EpsSeries._trusted(out, min(order, harmonic.kmax))
 
 
 def chi_over_delta_series(j: int, params: SchemeParams) -> EpsSeries:

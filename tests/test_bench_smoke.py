@@ -1,11 +1,13 @@
-"""Cycle 0 of the benchmark's end-to-end workloads, in-process.
+"""The first cycles of the benchmark's end-to-end workloads, in-process.
 
 ``bench/workloads.py`` defines the ``sweep`` and ``cli_cold`` workloads that
 the benchmark times.  Their cycle 0 is the default ``figure2`` grid, checked
 row by row against ``bench/golden/figure2.csv``, and one run of every
-subcommand, checked against the committed figures and golden hashes.  Here
-each op runs once and its own check must pass, so a change that breaks what
-the benchmark imports, calls or pins fails in the test suite.  ``cli_cold``
+subcommand, checked against the committed figures and golden hashes.  The
+sweep's cycles 1-3 are seeded grids at orders 2, 4 and 6, linear and
+geometric, checked by the identities and the log(m0) lines of their rows.
+Here each op runs once and its own check must pass, so a change that breaks
+what the benchmark imports, calls or pins fails in the test suite.  ``cli_cold``
 sends each command line through ``cli.main`` in this process instead of a
 fresh interpreter.  Nothing under ``bench/`` is written: its modules load
 without caching bytecode.
@@ -44,19 +46,25 @@ def _in_process(argv: list[str]) -> subprocess.CompletedProcess:
                                        err.getvalue().encode())
 
 
-def _run_cycle_0(workload) -> int:
-    ops = workload.cycle(0)
+def _run_cycles(workload, cycles=(0,)) -> int:
+    ops = [op for c in cycles for op in workload.cycle(c)]
     for op in ops:
         op.check(op.run())
     return len(ops)
 
 
 def test_sweep_cycle_0_passes_its_checks(workloads, tmp_path):
-    assert _run_cycle_0(workloads.Sweep(workloads.DEFAULT_SEED, tmp_path)) == 200
+    assert _run_cycles(workloads.Sweep(workloads.DEFAULT_SEED, tmp_path)) == 200
+
+
+def test_sweep_cycles_1_to_3_pass_their_checks(workloads, tmp_path):
+    sweep = workloads.Sweep(workloads.DEFAULT_SEED, tmp_path)
+    assert [sweep.grid(c)[-1] for c in (1, 2, 3)] == [2, 4, 6]  # the orders
+    assert _run_cycles(sweep, cycles=(1, 2, 3)) == 3 * workloads.GRID_STEPS == 120
 
 
 def test_cli_cold_cycle_0_passes_its_checks(workloads, tmp_path):
     workload = workloads.CliCold(workloads.DEFAULT_SEED, tmp_path)
     assert workload.golden  # the default seed's goldens are checked
     workload.launch = _in_process
-    assert _run_cycle_0(workload) == 8
+    assert _run_cycles(workload) == 8

@@ -315,6 +315,7 @@ CONFIGS = {
     "null_value.json": json.dumps({"m0": None}),
     "delta_cut.json": json.dumps({"delta_cut": 0.1}),
     "delta_cut_above_one.json": json.dumps({"delta_cut": 1.5}),
+    "delta_cut_too_small.json": json.dumps({"delta_cut": 1e-7}),
     "empty_svg.json": json.dumps({"svg": ""}),
     "negative_seed.json": json.dumps({"seed": -1}),
     "m0_only.json": json.dumps({"m0": 2.0}),
@@ -341,6 +342,11 @@ INVALID_INPUTS = {
     "lambda0_nan": ["entropy", "--q", "ext2_order1", "--lambda0", "nan"],
     "mu_nan": ["trace-check", "--mu", "nan"],
     "delta_cut_nan": ["tau", "--delta-cut", "nan"],
+    # cuts in (0, 1) at which the contour quadrature misses its tolerance
+    "delta_cut_too_small": ["tau", "--delta-cut", "1e-6"],
+    "quad_ratio_delta_cut_too_small": ["entropy", "--q", "total21", "--quad-ratio",
+                                       "--delta-cut", "1e-9"],
+    "config_delta_cut_too_small": ["--config", "{tmp}/delta_cut_too_small.json", "tau"],
     "nonfinite_result": ["entropy", "--q", "ext21", "--m0", "1e200"],
     "steps_above_cap": ["figure2", "--steps", "100000000"],
     "figure_order_above_cap": ["figure2", "--order", "40"],
@@ -436,6 +442,24 @@ def test_delta_cut_error_names_the_flag(argv, value, tmp_path, capsys):
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert capsys.readouterr() == (
         "", f"error: argument --delta-cut: endpoint_cut must lie in (0, 1), not {value}\n")
+
+
+@pytest.mark.parametrize("argv, cut", [
+    (["tau", "--delta-cut", "1e-6"], "1e-06"),
+    (["tau", "--delta-cut", "1e-12"], "1e-12"),
+    (["entropy", "--q", "total21", "--quad-ratio", "--delta-cut", "1e-9"], "1e-09"),
+])
+def test_delta_cut_too_small_for_the_quadrature_names_the_flag(argv, cut, capsys):
+    """A cut in (0, 1) at which the contour quadrature misses its tolerance
+    is refused in one line that names the flag and the cut; the estimate
+    itself comes from QUADPACK."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        rf"error: argument --delta-cut: the contour quadrature misses its tolerance "
+        rf"at endpoint_cut {cut} \(quadrature error estimate \S+ too large for value "
+        rf"\S+\); use a larger cut\n", err), err
 
 
 def test_check_seed_error_names_the_flag(capsys):

@@ -14,6 +14,15 @@ Entries marked ``versioned`` print numbers made by numpy or scipy routines
 scipy versions recorded in the file, and skip with that reason otherwise.
 A refusal prints no number, so it is never versioned.
 
+Some versioned entries also depend on the CPU.  numpy's float64 ``log10`` and
+``power`` (behind the ``--log-grid`` of ``np.geomspace``) and ``arctanh``
+(the weight of the contour quadratures behind ``--quad-ratio`` and
+``tau --delta-cut``) run SIMD (AVX-512) code on some hosts and libm on
+others, and the two differ in last bits, which these entries print.  So the
+file records a fingerprint of those functions on the host that wrote it, and
+these entries are compared only where it matches.  ``check`` prints its
+numbers to a few digits and is compared wherever the versions match.
+
 Regenerate only for a change that is meant to move output:
 
     PYTHONPATH=src python tests/test_cli_ledger.py
@@ -146,6 +155,13 @@ def versioned(argv: list[str]) -> bool:
             or (argv[:1] == ["tau"] and "--delta-cut" in argv))
 
 
+def cpu_dependent(argv: list[str]) -> bool:
+    """Whether a successful run prints numpy's float64 ``log10``/``power``
+    or ``arctanh`` results to the last bit."""
+    return ("--log-grid" in argv or "--quad-ratio" in argv
+            or (argv[:1] == ["tau"] and "--delta-cut" in argv))
+
+
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -164,30 +180,51 @@ def _versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _compare(want_versioned: bool) -> None:
-    entries = [e for e in json.loads(LEDGER.read_text())["entries"]
-               if e.get("versioned", False) == want_versioned]
+def _ufunc_fingerprint() -> str:
+    """sha256 of a fixed ``np.geomspace`` grid and of ``np.arctanh`` on a
+    fixed grid: it changes with the code those ufuncs run on this CPU."""
+    grid = np.geomspace(1e-30, 1e30, 1001)
+    weights = np.arctanh(np.linspace(0.0, 0.999, 1001))
+    return hashlib.sha256(grid.tobytes() + weights.tobytes()).hexdigest()
+
+
+def _compare(select) -> None:
+    entries = [e for e in json.loads(LEDGER.read_text())["entries"] if select(e)]
+    assert entries
     diffs = [(want["argv"], got) for want in entries if (got := run(want["argv"])) != want]
     assert not diffs, f"{len(diffs)} of {len(entries)} differ; first: {diffs[0]}"
+
+
+def _skip_unless_versions_match(ledger: dict) -> None:
+    if ledger["versions"] != _versions():
+        pytest.skip(f"ledger recorded under {ledger['versions']}, running {_versions()}")
 
 
 def test_cli_outputs_match_the_ledger():
     ledger = json.loads(LEDGER.read_text())
     assert ledger["seed"] == SEED
     assert [e["argv"] for e in ledger["entries"]] == commands()
-    _compare(want_versioned=False)
+    _compare(lambda e: not e.get("versioned", False))
 
 
 def test_numerics_outputs_match_the_ledger():
-    recorded = json.loads(LEDGER.read_text())["versions"]
-    if recorded != _versions():
-        pytest.skip(f"ledger recorded under {recorded}, running {_versions()}")
-    _compare(want_versioned=True)
+    _skip_unless_versions_match(json.loads(LEDGER.read_text()))
+    _compare(lambda e: e.get("versioned", False) and not cpu_dependent(e["argv"]))
+
+
+def test_cpu_dependent_outputs_match_the_ledger():
+    ledger = json.loads(LEDGER.read_text())
+    _skip_unless_versions_match(ledger)
+    if ledger["ufuncs"] != _ufunc_fingerprint():
+        pytest.skip(f"ledger recorded where numpy's ufuncs gave {ledger['ufuncs']}, "
+                    f"here {_ufunc_fingerprint()}")
+    _compare(lambda e: e.get("versioned", False) and cpu_dependent(e["argv"]))
 
 
 if __name__ == "__main__":
     LEDGER.parent.mkdir(exist_ok=True)
     # one entry a line, so a regenerated ledger diffs by command
     lines = ",\n".join(json.dumps(run(argv), separators=(",", ":")) for argv in commands())
-    LEDGER.write_text(f'{{"seed":{SEED},"versions":{json.dumps(_versions())},"entries":[\n'
+    LEDGER.write_text(f'{{"seed":{SEED},"versions":{json.dumps(_versions())},'
+                      f'"ufuncs":"{_ufunc_fingerprint()}","entries":[\n'
                       f"{lines}\n]}}\n")

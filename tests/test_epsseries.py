@@ -11,6 +11,7 @@ import pytest
 
 from loopentropy import entropy as en
 from loopentropy import epsseries
+from loopentropy import loops
 from loopentropy import specialfns as sf
 from loopentropy.epsseries import (
     EXPANSION_CACHE_SIZE,
@@ -22,10 +23,16 @@ from loopentropy.epsseries import (
 )
 from loopentropy.errors import (
     LogCapError,
+    NonFiniteError,
     NonInvertibleLeadingTermError,
     TruncationUnderflowError,
 )
-from loopentropy.loops import SchemeParams, chi_series_m2, delta_series_m2
+from loopentropy.loops import (
+    SchemeParams,
+    chi_over_delta_series_m2,
+    chi_series_m2,
+    delta_series_m2,
+)
 
 mpmath.mp.dps = 40
 
@@ -310,6 +317,30 @@ def test_evaluate_includes_log_channels():
     assert ser.evaluate(eps) == pytest.approx(1.0 / eps + 2.0 * math.log(eps))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.0, 0j])
+def test_evaluate_at_zero_needs_no_log(eps):
+    assert EpsSeries({(0, 0): 2.0, (1, 0): 3.0}, 4).evaluate(eps) == 2.0
+    assert EpsSeries.zero().evaluate(eps) == 0.0
+    for ser in (EpsSeries({(0, 1): 1.0, (0, 0): 2.0}, 2), EpsSeries.monomial(1.0, -1, kmax=2)):
+        with pytest.raises(NonFiniteError, match="no value at eps = 0"):
+            ser.evaluate(eps)
+
+
+def test_evaluate_without_logs_keeps_the_bits_of_the_log_loop():
+    """Without a log(eps) term the sum keeps the bits of the loop that
+    multiplies each term by log(eps)**0 = 1 + 0j, zero signs, infinite
+    parts and all."""
+    ser = EpsSeries({(0, 0): complex(-0.0, 1.0), (-1, 0): complex(2.0, -0.0),
+                     (1, 0): complex(1.0, math.inf), (2, 0): complex(-0.0, -3.0)}, kmax=3)
+    for eps in (1e-3, -0.25, complex(0.1, -0.2), 7.0):
+        log_eps = sf.principal_log(eps)
+        want = 0.0 + 0.0j
+        for (k, l), c in sorted(ser.coeffs.items()):
+            want += c * eps ** k * log_eps ** l
+        got = ser.evaluate(eps)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 # ----------------------------------------------------------------------
 # memoized expansions
 # ----------------------------------------------------------------------
@@ -317,7 +348,9 @@ MEMOIZED = (gamma_series, harmonic_series)
 
 
 def _clear_expansion_caches():
-    for fn in MEMOIZED:
+    """Empty every cache of the library: the memoized expansions and the
+    tadpole's 4*pi and mass factors."""
+    for fn in (*MEMOIZED, loops._four_pi_factor, loops._mass_factor):
         fn.cache_clear()
 
 
@@ -349,6 +382,54 @@ def test_loop_series_at_interleaved_masses_and_orders_equal_a_cold_call():
     _clear_expansion_caches()
     warm = [repr(f(j, m2, order).terms()) for f, j, m2, order in calls]
     assert warm == cold
+
+
+def _hex_terms(s: EpsSeries) -> list:
+    """Each coefficient's bits, in the series' key order."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in s.coeffs.items()]
+
+
+def test_the_shared_mass_factor_at_interleaved_masses_equals_a_cold_call():
+    """The two cached tadpole mass factors, asked for at interleaved masses
+    and orders (an int mass apart from the equal float), equal a cold build
+    of the same product, and the cache never holds more than two."""
+    rng = random.Random(5)
+    calls = [(m2, order) for m2 in (0.3, 1.0, 1, 7.5, 2.0 ** -40) for order in (0, 1, 5)] * 2
+    rng.shuffle(calls)
+    _clear_expansion_caches()
+    for m2, order in calls:
+        cold = power_series(m2, 0.5, order) * power_series(4.0 * math.pi, -0.5, order)
+        assert _hex_terms(loops._mass_factor(m2, order)) == _hex_terms(cold), (m2, order)
+        assert loops._mass_factor(m2, order).kmax == cold.kmax
+        assert loops._mass_factor.cache_info().currsize <= 2
+
+
+# chi/delta = H_j - H_{j-d/2} + log m^2 at m^2 = 1 through eps^2: at j = 0 the
+# real-branch constant H_0 + log 1 is exactly zero and is dropped, so every
+# coefficient starts from 0.0 + (-h); at j = 1 it is 1 and leads the key order
+CHI_OVER_DELTA_AT_UNIT_MASS = {
+    (0, True): [((0, 0), "-0x1.0000000000000p+0", "0x0.0p+0"),
+                ((1, 0), "0x1.528d3312983eap+0", "0x0.0p+0"),
+                ((2, 0), "0x1.9dd0027803108p-5", "0x0.0p+0"),
+                ((-1, 0), "-0x1.0000000000000p+1", "0x0.0p+0")],
+    (1, True): [((0, 0), "0x1.0000000000000p+0", "0x0.0p+0"),
+                ((1, 0), "0x1.a51a6625307d3p-1", "0x0.0p+0"),
+                ((2, 0), "0x1.33ba004f00621p-2", "0x0.0p+0"),
+                ((-1, 0), "-0x1.0000000000000p+1", "0x0.0p+0")],
+    (0, False): [((0, 0), "-0x1.0000000000000p+0", "0x1.921fb54442d18p+1"),
+                 ((1, 0), "0x1.528d3312983eap+0", "0x0.0p+0"),
+                 ((2, 0), "0x1.9dd0027803108p-5", "0x0.0p+0"),
+                 ((-1, 0), "-0x1.0000000000000p+1", "0x0.0p+0")],
+}
+
+
+@pytest.mark.parametrize("j, real_branch", sorted(CHI_OVER_DELTA_AT_UNIT_MASS))
+def test_chi_over_delta_at_unit_mass_bit_for_bit(j, real_branch):
+    _clear_expansion_caches()
+    for _ in range(2):  # cold, then with the harmonic expansion cached
+        ratio = chi_over_delta_series_m2(j, 1.0, 2, real_branch=real_branch)
+        assert ratio.kmax == 2
+        assert _hex_terms(ratio) == CHI_OVER_DELTA_AT_UNIT_MASS[j, real_branch]
 
 
 def test_quantities_leave_cached_expansions_unchanged():
@@ -388,52 +469,74 @@ def _figure2_point() -> list:
             en.s_int_21(p).finite, en.mutual_information_21(p).finite]
 
 
+def _at_fresh_and_repeated_mass(expected: list, counts: dict) -> dict:
+    """``counts`` after one default figure2 point with warm expansion caches,
+    as every point after a sweep's first sees them: first at a fresh mass,
+    as at each new point of a sweep, where the tadpole mass factor is built
+    once and shared by both tadpoles, then at the same mass again, where it
+    is cached."""
+    out = {}
+    loops._mass_factor.cache_clear()
+    for mass in ("fresh", "repeated"):
+        counts.update(dict.fromkeys(counts, 0))
+        assert _figure2_point() == expected
+        out[mass] = dict(counts)
+    return out
+
+
 def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
-    """The validating constructions of one default figure2 point (the four
-    quantities ``cli.figure2_rows`` reads, at m0 = 1) with warm expansion
-    caches, as every point after a sweep's first sees them.  The kernel's
-    own results skip validation, so the count is pinned: an operation
-    routed back through ``EpsSeries(...)`` raises it."""
+    """The validating constructions of one default figure2 point.  The
+    kernel's own results skip validation, so the count is pinned: an
+    operation routed back through ``EpsSeries(...)`` raises it.  The six
+    left are the log(c) and log(eps) constants of each of its two logs and
+    the closed-form series of ``total21`` and ``mutual21``."""
     expected = _figure2_point()
-    calls = 0
+    counts = {"validated": 0}
     cleaned = epsseries._cleaned
 
     def counted(coeffs, kmax):
-        nonlocal calls
-        calls += 1
+        counts["validated"] += 1
         return cleaned(coeffs, kmax)
 
     monkeypatch.setattr(epsseries, "_cleaned", counted)
-    assert _figure2_point() == expected
-    assert calls == 10
+    assert _at_fresh_and_repeated_mass(expected, counts) == {
+        "fresh": {"validated": 6}, "repeated": {"validated": 6}}
 
 
 def test_a_figure2_point_makes_only_the_products_it_keeps(monkeypatch):
-    """The series products of one default figure2 point with warm expansion
-    caches.  Each of its two reduced series makes two for the tadpole body
-    and one per kept power, eps^1..eps^4, in the power sum of its log.
-    Each operand is asked for only through the order its result keeps, so
-    a padding that creeps back raises the count."""
+    """The series products of one default figure2 point, counted where every
+    product is made (``_product``, behind ``__mul__`` and the power sums).
+    Each of its two reduced series makes one for the tadpole body and one
+    per kept power, eps^1..eps^4, in the power sum of its log; a fresh mass
+    adds the one mass-factor product that both tadpoles share.  Each operand
+    is asked for only through the order its result keeps, so a padding that
+    creeps back raises the count."""
     expected = _figure2_point()
-    calls = 0
-    mul = EpsSeries.__mul__
+    counts = {"product": 0, "mul": 0}
+    product, mul = epsseries._product, EpsSeries.__mul__
 
-    def counted(self, other, **kwargs):
-        nonlocal calls
-        calls += 1
+    def counted_product(*args):
+        counts["product"] += 1
+        return product(*args)
+
+    def counted_mul(self, other, **kwargs):
+        counts["mul"] += 1
         return mul(self, other, **kwargs)
 
-    monkeypatch.setattr(EpsSeries, "__mul__", counted)
-    assert _figure2_point() == expected
-    assert calls == 12
+    monkeypatch.setattr(epsseries, "_product", counted_product)
+    monkeypatch.setattr(EpsSeries, "__mul__", counted_mul)
+    assert _at_fresh_and_repeated_mass(expected, counts) == {
+        "fresh": {"product": 11, "mul": 3}, "repeated": {"product": 10, "mul": 2}}
 
 
 def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
-    """The sums and the kernel series of one default figure2 point with warm
-    caches.  The power sum behind each of its two logs adds every power into
-    one result, and the constant 4*pi factor of each tadpole body comes from
-    a cache, so a power sum that goes back to a sum and a scaled copy per
-    power raises both counts."""
+    """The sums and the kernel series of one default figure2 point.  The
+    power sum behind each of its two logs adds every power into one dict,
+    the chi/delta ratio adds its constant in one pass, and the 4*pi and mass
+    factors of the tadpole bodies come from caches (a fresh mass builds its
+    power series and the shared product), so a power sum that goes back to
+    a series per power, or a ratio built as a difference, raises both
+    counts."""
     expected = _figure2_point()
     counts = {"add": 0, "built": 0}
     add = EpsSeries.__add__
@@ -449,8 +552,8 @@ def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
 
     monkeypatch.setattr(EpsSeries, "__add__", counted_add)
     monkeypatch.setattr(EpsSeries, "_trusted", classmethod(counted_trusted))
-    assert _figure2_point() == expected
-    assert counts == {"add": 6, "built": 34}
+    assert _at_fresh_and_repeated_mass(expected, counts) == {
+        "fresh": {"add": 4, "built": 22}, "repeated": {"add": 4, "built": 20}}
 
 
 # ----------------------------------------------------------------------
