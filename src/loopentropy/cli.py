@@ -30,8 +30,10 @@ nothing on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -138,20 +140,53 @@ def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     return rows
 
 
+@contextlib.contextmanager
+def _all_or_none(*outputs: tuple[str, str | None]):
+    """Run the body that writes a figure's files, given as (flag, path)
+    pairs, so that it writes all of them or none.
+
+    Each path is first opened for appending, which creates a missing file
+    but changes no existing one, so a path that cannot be written is
+    refused as its flag's error before any file is written.  If that or
+    the body fails, each file made here is removed again.
+    """
+    made = []
+    try:
+        for flag, path in outputs:
+            if not path:
+                continue
+            existed = os.path.lexists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ValueError(f"argument {flag}: cannot write {path!r}: "
+                                 f"{exc.strerror or exc}") from None
+            if not existed:
+                made.append(path)
+        yield
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _write_figure(cfg: SweepConfig, what: str, header: list[str], rows: list[list[float]],
                   labels: list[str], title: str, ylabel: str) -> str:
     """The CSV text of a figure, with the grid in its ``#`` comment; also
-    writes the SVG chart of columns 1.. (one curve per label) if asked."""
+    writes the SVG chart of columns 1.. (one curve per label) if asked.
+    The CSV and SVG files are written all or none."""
     comment = (f"{what}; m0 grid [{fmt(cfg.m0_min)}, {fmt(cfg.m0_max)}] x {cfg.steps} "
                f"({'log' if cfg.log_grid else 'linear'}), TV={fmt(cfg.tv)}, "
                f"lambda0={fmt(cfg.lambda0)}")
-    text = _write_csv(cfg.out, comment, header, rows)
-    if cfg.svg:
-        from .svg import render_line_chart
+    with _all_or_none(("--out", cfg.out), ("--svg", cfg.svg)):
+        text = _write_csv(cfg.out, comment, header, rows)
+        if cfg.svg:
+            from .svg import render_line_chart
 
-        curves = [(label, [r[i] for r in rows]) for i, label in enumerate(labels, 1)]
-        render_line_chart(cfg.svg, [r[0] for r in rows], curves, title=title,
-                          xlabel="m0", ylabel=ylabel)
+            curves = [(label, [r[i] for r in rows]) for i, label in enumerate(labels, 1)]
+            render_line_chart(cfg.svg, [r[0] for r in rows], curves, title=title,
+                              xlabel="m0", ylabel=ylabel)
     return text
 
 
@@ -338,9 +373,10 @@ def _apply_config(parser: argparse.ArgumentParser, path: str, command: str) -> N
 
     Each value is checked as if it had been given as a flag: a switch takes
     true or false, and anything else goes, as text, through the option's
-    own conversion.  A list joins with commas (a ``mu`` list).  A key that
-    is not an option of ``command`` is an error, even when another
-    subcommand reads it.
+    own conversion.  A list joins with commas, and is taken only by an
+    option that reads a comma list (figure3's ``mu``).  A key that is not an
+    option of ``command`` is an error, even when another subcommand reads
+    it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -363,6 +399,8 @@ def _apply_config(parser: argparse.ArgumentParser, path: str, command: str) -> N
                 parser.error(f"config key {key!r} must be true or false, not {value!r}")
             sp.set_defaults(**{dest: value})
             continue
+        if isinstance(value, list) and action.type is not _parse_mu_list:
+            parser.error(f"config key {key!r} takes one value, not the list {value!r}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):
             parser.error(f"config key {key!r} must be a number, a string or a list, "
                          f"not {value!r}")

@@ -15,22 +15,33 @@ The sign convention is eps = d - 4 (dimension above four is positive eps).
 Logarithms of negative reals take the +i*pi branch, matching the
 m^2 -> m^2 - i0 propagator prescription.
 
+Key layout: the kernel keys each coefficient by one int,
+
+    s = (k - KMIN_CAP) * KEY_WIDTH + l,        KEY_WIDTH = 2 * LOGCAP + 1,
+
+so keys sort as their (k, l) pairs do, eps**k starts at ``kernel_key(k)``
+and a key below 0 is a power below the pole depth.  A product's key is
+``s1 + s2 - kernel_key(0)``: its log power l1 + l2 is at most 2 * LOGCAP,
+below the width, so it never carries into k.  The public ``coeffs`` is the
+(k, l)-keyed view of these keys, decoded in the series' own key order.
+
 Invariant: every stored coefficient is a nonzero Python ``complex`` whose
-key lies within the caps and at or below ``kmax``.  The public constructor
-``EpsSeries(coeffs, kmax)`` validates its input to establish it; the kernel's
-own operations keep it and build their results through the trusted
-``EpsSeries._trusted``, which only drops zeros and powers above ``kmax``.
-Two properties of the results are part of the contract, because they fix
-the bits of every later sum: the dict keeps the order in which a result's
-keys were first produced (a product accumulates in the order of its left
-operand's keys), and a sum or product starts each coefficient it creates
-from ``0.0 + ...``, which turns a ``-0.0`` part of the first term into
-``+0.0``, so the signs of zero parts stay what they have always been.
-The power sum behind ``inverse``, ``log`` and ``exp`` (``_power_sum``)
-accumulates every power in place in one dict, and keeps both properties: a
-coefficient it creates starts from ``0.0 + ...`` at the end of the key
-order, as in a sum per power, and one whose sum cancels to zero is dropped
-at once, so a later power restarts it there.
+key lies in ``0 <= s < kernel_key(kmax + 1)`` with ``s % KEY_WIDTH <= LOGCAP``
+(within the caps and at or below ``kmax``).  The public constructor
+``EpsSeries(coeffs, kmax)`` validates its (k, l)-keyed input to establish it;
+the kernel's own operations keep it and build their results through the
+trusted ``EpsSeries._trusted``, which only drops zeros and keys past
+``kernel_key(kmax + 1)``.  Two properties of the results are part of the
+contract, because they fix the bits of every later sum: the dict keeps the
+order in which a result's keys were first produced (a product accumulates
+in the order of its left operand's keys), and a sum or product starts each
+coefficient it creates from ``0.0 + ...``, which turns a ``-0.0`` part of
+the first term into ``+0.0``, so the signs of zero parts stay what they have
+always been.  The power sum behind ``inverse``, ``log`` and ``exp``
+(``_power_sum``) accumulates every power in place in one dict, and keeps
+both properties: a coefficient it creates starts from ``0.0 + ...`` at the
+end of the key order, as in a sum per power, and one whose sum cancels to
+zero is dropped at once, so a later power restarts it there.
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import specialfns as sf
@@ -51,6 +63,7 @@ from .errors import (
 
 KMIN_CAP = -4
 LOGCAP = 2
+KEY_WIDTH = 2 * LOGCAP + 1
 
 # kmax assigned to series that are exact (constants, monomials); large enough
 # that mixed arithmetic is always limited by the genuinely truncated operand.
@@ -61,6 +74,25 @@ EXACT_ORDER = 64
 # (j - 2, -0.5, order + k), for j <= 4 at every order up to the cap, fit, and
 # no caller can grow it further
 EXPANSION_CACHE_SIZE = 256
+
+
+def kernel_key(k: int, l: int = 0) -> int:
+    """The kernel's key of the eps**k log(eps)**l coefficient."""
+    return (k - KMIN_CAP) * KEY_WIDTH + l
+
+
+def split_key(s: int) -> tuple[int, int]:
+    """The (k, l) of a kernel key; the inverse of :func:`kernel_key`."""
+    k, l = divmod(s, KEY_WIDTH)
+    return k + KMIN_CAP, l
+
+
+_ORIGIN = kernel_key(0)  # eps**0, the key of a constant
+
+# the power sums' weights of u**m at m = 1..EXACT_ORDER, past which no power
+# of a u with lead(u) >= 1 is kept: log1p(u) and exp(u) - 1
+_LOG_WEIGHTS = tuple(complex((-1.0) ** (m + 1) / m) for m in range(1, EXACT_ORDER + 1))
+_EXP_WEIGHTS = tuple(complex(1.0 / math.factorial(m)) for m in range(1, EXACT_ORDER + 1))
 
 
 def _cleaned(coeffs: Mapping[tuple[int, int], complex], kmax: int) -> dict:
@@ -75,7 +107,7 @@ def _cleaned(coeffs: Mapping[tuple[int, int], complex], kmax: int) -> dict:
             raise _pole_depth_error(k)
         if k > kmax:
             continue  # beyond the stated truncation: unknown, not stored
-        out[(k, l)] = c
+        out[kernel_key(operator.index(k), operator.index(l))] = c
     return out
 
 
@@ -87,36 +119,58 @@ def _pole_depth_error(k: int) -> TruncationUnderflowError:
 
 def _check_pole_depth(coeffs: dict) -> None:
     """Raise for the first key, in insertion order, below the pole depth."""
-    for k, _ in coeffs:
-        if k < KMIN_CAP:
-            raise _pole_depth_error(k)
+    for s in coeffs:
+        if s < 0:
+            raise _pole_depth_error(split_key(s)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class EpsSeries:
-    """Immutable truncated Laurent series with log(eps) channels."""
+    """Immutable truncated Laurent series with log(eps) channels.
 
-    coeffs: dict = field(default_factory=dict)
-    kmax: int = EXACT_ORDER
+    ``_coeffs`` holds the coefficients by kernel key; ``coeffs`` is their
+    (k, l)-keyed view.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _cleaned(self.coeffs, self.kmax))
+    _coeffs: dict
+    kmax: int
+
+    def __init__(self, coeffs: Mapping[tuple[int, int], complex] | None = None,
+                 kmax: int = EXACT_ORDER):
+        self.__dict__["kmax"] = kmax
+        self.__post_init__({} if coeffs is None else coeffs)
+
+    def __post_init__(self, coeffs: Mapping[tuple[int, int], complex]):
+        """Validate (k, l)-keyed ``coeffs`` into kernel keys: the step that
+        every public construction runs and the kernel's own results skip."""
+        self.__dict__["_coeffs"] = _cleaned(coeffs, self.kmax)
 
     @classmethod
     def _trusted(cls, coeffs: dict, kmax: int) -> "EpsSeries":
-        """A series from coefficients that already keep the invariant but for
-        zeros and powers above ``kmax``, which are dropped; the key order is
-        kept and ``__post_init__`` is skipped.  A dict with nothing to drop
-        is kept, not copied, so the caller must not change it afterwards."""
-        for key, c in coeffs.items():
-            if not c or key[0] > kmax:
-                coeffs = {key: c for key, c in coeffs.items() if c and key[0] <= kmax}
+        """A series from kernel-keyed coefficients that already keep the
+        invariant but for zeros and powers above ``kmax``, which are dropped;
+        the key order is kept and ``__post_init__`` is skipped.  A dict with
+        nothing to drop is kept, not copied, so the caller must not change it
+        afterwards."""
+        stop = (kmax + 1 - KMIN_CAP) * KEY_WIDTH  # kernel_key(kmax + 1)
+        for s, c in coeffs.items():
+            if not c or s >= stop:
+                coeffs = {s: c for s, c in coeffs.items() if c and s < stop}
                 break
         out = object.__new__(cls)
-        fields = out.__dict__  # the frozen fields, set as __post_init__ would
-        fields["coeffs"] = coeffs
+        fields = out.__dict__  # set as the constructor would
+        fields["_coeffs"] = coeffs
         fields["kmax"] = kmax
         return out
+
+    def __repr__(self) -> str:
+        return f"EpsSeries(coeffs={self.coeffs!r}, kmax={self.kmax!r})"
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients keyed by (k, l), in the series' own key order
+        (a new dict on each call)."""
+        return {split_key(s): c for s, c in self._coeffs.items()}
 
     # ------------------------------------------------------------------
     # constructors
@@ -142,26 +196,28 @@ class EpsSeries:
     # basic queries
     # ------------------------------------------------------------------
     def coefficient(self, k: int, l: int = 0) -> complex:
-        return self.coeffs.get((k, l), 0.0 + 0.0j)
+        if not 0 <= l <= LOGCAP:  # no key holds it, and kernel_key would alias
+            return 0.0 + 0.0j
+        return self._coeffs.get(kernel_key(k, l), 0.0 + 0.0j)
 
     def lead(self) -> int:
         """Leading (lowest) power; kmax + 1 for the zero series."""
-        if not self.coeffs:
+        if not self._coeffs:
             return self.kmax + 1
-        return min(self.coeffs)[0]
+        return min(self._coeffs) // KEY_WIDTH + KMIN_CAP
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
 
     def terms(self) -> list[tuple[int, int, complex]]:
-        return [(k, l, c) for (k, l), c in sorted(self.coeffs.items())]
+        return [(*split_key(s), c) for s, c in sorted(self._coeffs.items())]
 
     def finite_part(self) -> complex:
         """The eps^0, log^0 coefficient."""
-        return self.coefficient(0, 0)
+        return self._coeffs.get(_ORIGIN, 0.0 + 0.0j)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return max((abs(c) for c in self._coeffs.values()), default=0.0)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -178,15 +234,16 @@ class EpsSeries:
         if o is NotImplemented:
             return NotImplemented
         kmax = min(self.kmax, o.kmax)
-        out = dict(self.coeffs)
-        for key, c in o.coeffs.items():
-            out[key] = out.get(key, 0.0) + c
+        out = dict(self._coeffs)
+        get = out.get
+        for s, c in o._coeffs.items():
+            out[s] = get(s, 0.0) + c
         return EpsSeries._trusted(out, kmax)
 
     __radd__ = __add__
 
     def __neg__(self) -> "EpsSeries":
-        return EpsSeries._trusted({key: -c for key, c in self.coeffs.items()}, self.kmax)
+        return EpsSeries._trusted({s: -c for s, c in self._coeffs.items()}, self.kmax)
 
     def __sub__(self, other) -> "EpsSeries":
         o = self._coerce(other)
@@ -210,21 +267,21 @@ class EpsSeries:
         lead1, lead2 = self.lead(), o.lead()
         kmax = min(self.kmax + lead2, o.kmax + lead1, EXACT_ORDER)
         keep = kmax if cut is None else min(kmax, cut)
-        result = EpsSeries._trusted(_product(self.coeffs, o.coeffs, kmax, keep), keep)
+        result = EpsSeries._trusted(_product(self._coeffs, o._coeffs, kmax, keep), keep)
         if lead1 + lead2 < KMIN_CAP:
-            _check_pole_depth(result.coeffs)  # a product that underflowed to 0 passes
+            _check_pole_depth(result._coeffs)  # a product that underflowed to 0 passes
         return result
 
     __rmul__ = __mul__
 
     def scale(self, c: complex) -> "EpsSeries":
         c = complex(c)  # a numpy scalar would make numpy coefficients
-        return EpsSeries._trusted({key: v * c for key, v in self.coeffs.items()},
-                                  self.kmax)
+        return EpsSeries._trusted({s: v * c for s, v in self._coeffs.items()}, self.kmax)
 
     def shift(self, k0: int) -> "EpsSeries":
         """Multiply by eps**k0 exactly."""
-        coeffs = {(k + k0, l): c for (k, l), c in self.coeffs.items()}
+        step = k0 * KEY_WIDTH
+        coeffs = {s + step: c for s, c in self._coeffs.items()}
         if k0 < 0:
             _check_pole_depth(coeffs)
         return EpsSeries._trusted(coeffs, min(self.kmax + k0, EXACT_ORDER))
@@ -232,7 +289,7 @@ class EpsSeries:
     def truncate(self, kmax: int) -> "EpsSeries":
         if kmax >= self.kmax:
             return self
-        return EpsSeries._trusted(self.coeffs, kmax)
+        return EpsSeries._trusted(self._coeffs, kmax)
 
     def __pow__(self, n: int) -> "EpsSeries":
         if not isinstance(n, int):
@@ -259,27 +316,26 @@ class EpsSeries:
         Raises NonInvertibleLeadingTermError when the series is zero or its
         leading power carries log(eps) factors.
         """
-        if self.is_zero():
+        coeffs = self._coeffs
+        if not coeffs:
             raise NonInvertibleLeadingTermError("zero series is not invertible")
-        L = self.lead()
-        c = self.coefficient(L, 0)
-        if c == 0 or any(l > 0 and k == L for (k, l) in self.coeffs):
+        first = min(coeffs)
+        if first % KEY_WIDTH or any(first + l in coeffs for l in range(1, LOGCAP + 1)):
             raise NonInvertibleLeadingTermError(
                 "leading power carries a log(eps) factor"
             )
-        u_coeffs = {}
-        for (k, l), v in self.coeffs.items():
-            if (k, l) == (L, 0):
-                continue
-            u_coeffs[(k - L, l)] = v / c
-        u = EpsSeries._trusted(u_coeffs, self.kmax - L)
+        c = coeffs[first]
+        L = first // KEY_WIDTH + KMIN_CAP
+        step = L * KEY_WIDTH
+        u = EpsSeries._trusted({s - step: v / c for s, v in coeffs.items() if s != first},
+                               self.kmax - L)
         return c, L, u
 
     def inverse(self) -> "EpsSeries":
         c, L, u = self._leading_unit()
         rel_order = self.kmax - L  # u is known through eps^rel_order
         # 1/(1 + u) = sum_m (-u)^m
-        geom = _power_sum(EpsSeries.constant(1.0, rel_order), -u, rel_order)
+        geom = _power_sum(EpsSeries._trusted({_ORIGIN: 1.0 + 0.0j}, rel_order), -u, rel_order)
         return geom.scale(1.0 / c).shift(-L)
 
     def __truediv__(self, other) -> "EpsSeries":
@@ -305,10 +361,11 @@ class EpsSeries:
         """
         c, L, u = self._leading_unit()
         rel_order = self.kmax - L
-        acc = EpsSeries.constant(sf.principal_log(c), rel_order)
-        if L != 0:
-            acc = acc + EpsSeries.log_eps(float(L), rel_order)
-        return _power_sum(acc, u, rel_order, lambda m: (-1.0) ** (m + 1) / m)
+        # the bits of constant(log(c)) + log_eps(L): a zero constant is
+        # dropped, and 0.0 + complex(L) is complex(L)
+        acc = EpsSeries._trusted({_ORIGIN: sf.principal_log(c), _ORIGIN + 1: complex(L)},
+                                 rel_order)
+        return _power_sum(acc, u, rel_order, _LOG_WEIGHTS)
 
     def exp(self) -> "EpsSeries":
         """exp of the series; inverse of :meth:`log` on its image.
@@ -327,11 +384,11 @@ class EpsSeries:
             raise NonInvertibleLeadingTermError(
                 "exp of a non-integer multiple of log(eps) is not representable"
             )
-        c00 = self.coefficient(0, 0)
-        rest = EpsSeries._trusted({key: v for key, v in self.coeffs.items()
-                                   if key not in ((0, 0), (0, 1))}, self.kmax)
-        acc = _power_sum(EpsSeries.constant(1.0, self.kmax), rest, self.kmax,
-                         lambda m: 1.0 / math.factorial(m))
+        c00 = self.finite_part()
+        rest = EpsSeries._trusted({s: v for s, v in self._coeffs.items()
+                                   if s not in (_ORIGIN, _ORIGIN + 1)}, self.kmax)
+        acc = _power_sum(EpsSeries._trusted({_ORIGIN: 1.0 + 0.0j}, self.kmax), rest,
+                         self.kmax, _EXP_WEIGHTS)
         return acc.scale(cmath.exp(c00)).shift(L)
 
     # ------------------------------------------------------------------
@@ -344,12 +401,13 @@ class EpsSeries:
         1 + 0j either way), so at eps = 0 only a pole or a log(eps) term is
         refused.
         """
-        if eps == 0 and any(k < 0 or l > 0 for k, l in self.coeffs):
+        terms = self.terms()
+        if eps == 0 and any(k < 0 or l > 0 for k, l, _ in terms):
             raise NonFiniteError(
                 "a series with a pole or a log(eps) term has no value at eps = 0")
-        log_eps = sf.principal_log(eps) if any(l for _, l in self.coeffs) else 0j
+        log_eps = sf.principal_log(eps) if any(l for _, l, _ in terms) else 0j
         total = 0.0 + 0.0j
-        for (k, l), c in sorted(self.coeffs.items()):
+        for k, l, c in terms:
             total += c * eps ** k * log_eps ** l
         return total
 
@@ -358,12 +416,12 @@ class EpsSeries:
         cap = min(self.kmax, other.kmax)
         if through_k is not None:
             cap = min(cap, through_k)
-        keys = set(self.coeffs) | set(other.coeffs)
+        mine, theirs = self._coeffs, other._coeffs
+        stop = kernel_key(cap + 1)
         diff = 0.0
-        for k, l in keys:
-            if k > cap:
-                continue
-            diff = max(diff, abs(self.coefficient(k, l) - other.coefficient(k, l)))
+        for s in set(mine) | set(theirs):
+            if s < stop:
+                diff = max(diff, abs(mine.get(s, 0.0 + 0.0j) - theirs.get(s, 0.0 + 0.0j)))
         return diff
 
     def real_part(self) -> "EpsSeries":
@@ -374,78 +432,93 @@ class EpsSeries:
 
     def to_json_dict(self) -> dict:
         return {
-            "terms": [
-                {"k": k, "l": l, "re": c.real, "im": c.imag}
-                for (k, l), c in sorted(self.coeffs.items())
-            ],
+            "terms": [{"k": k, "l": l, "re": c.real, "im": c.imag}
+                      for k, l, c in self.terms()],
             "kmax": self.kmax,
         }
 
 
+# the keys of every log-free power that a series of exact or lower order holds
+_LOG_FREE_KEYS = frozenset(range(0, kernel_key(EXACT_ORDER + 1), KEY_WIDTH))
+
+
+def _carries_log(coeffs: dict) -> bool:
+    """Whether a key carries log(eps); a power past ``EXACT_ORDER`` is
+    counted as one too, which only costs the exact check."""
+    return not _LOG_FREE_KEYS.issuperset(coeffs)
+
+
 def _product(left: dict, right: dict, kmax: int, keep: int) -> dict:
-    """The coefficients of a product through eps**keep, summed in the order
-    of ``left``'s keys, each from ``0.0 + ...``; a zero sum stays in the
-    dict.  A log(eps) power above the cap raises through eps**kmax, cut or
-    not."""
-    out: dict[tuple[int, int], complex] = {}
+    """The kernel-keyed coefficients of a product through eps**keep, summed
+    in the order of ``left``'s keys, each from ``0.0 + ...``; a zero sum
+    stays in the dict.  A log(eps) power above the cap raises through
+    eps**kmax, cut or not; only operands that both carry log(eps) can make
+    one, so only they are checked."""
+    if _carries_log(right) and _carries_log(left):
+        stop = kernel_key(kmax + 1)
+        for s1 in left:
+            for s2 in right:
+                s = s1 + s2 - _ORIGIN
+                if s < stop and s % KEY_WIDTH > LOGCAP:
+                    raise LogCapError(
+                        f"product creates log(eps)^{s % KEY_WIDTH} above the cap {LOGCAP}"
+                    )
+    cut = kernel_key(keep + 1)
+    out: dict[int, complex] = {}
     get = out.get
     right = right.items()
-    for (k1, l1), c1 in left.items():
-        for (k2, l2), c2 in right:
-            k, l = k1 + k2, l1 + l2
-            if k > kmax:
-                continue
-            if l > LOGCAP:
-                raise LogCapError(
-                    f"product creates log(eps)^{l} above the cap {LOGCAP}"
-                )
-            if k <= keep:
-                out[(k, l)] = get((k, l), 0.0) + c1 * c2
+    for s1, c1 in left.items():
+        s1 -= _ORIGIN
+        for s2, c2 in right:
+            s = s1 + s2
+            if s < cut:
+                out[s] = get(s, 0.0) + c1 * c2
     return out
 
 
-def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weight=None) -> EpsSeries:
-    """``acc + sum_{m>=1} weight(m) * u**m`` through eps**order, for lead(u) >= 1;
-    ``weight=None`` adds each power unscaled.
+def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weights=None) -> EpsSeries:
+    """``acc + sum_{m>=1} weights[m - 1] * u**m`` through eps**order, for
+    lead(u) >= 1; ``weights=None`` adds each power unscaled.
 
     Each power is the product ``term.__mul__(u, cut=order)`` on plain dicts,
     with the same kmax, cut, log cap and zeros dropped.  The first power's
     kmax is ``min(order + lead(u), u.kmax, EXACT_ORDER)``; after it, the lead
     of each power is at least the last one's plus lead(u), so the kmax is
-    the last power's cut plus lead(u), capped at ``EXACT_ORDER``.
+    the last power's cut plus lead(u), capped at ``EXACT_ORDER`` (so no
+    power past u**EXACT_ORDER is kept, and ``weights`` needs no more).
     Each power is added into one dict, with the bits of ``acc + term.scale(w)``
     taken power by power: a coefficient that the weight underflows to zero
     is not added, and a key whose sum cancels to zero is dropped at once, so
     a later power restarts it from ``0.0 +`` at the end of the key order.
     The result keeps the lowest ``kmax`` of ``acc`` and the powers.
     """
-    out = dict(acc.coeffs)
+    out = dict(acc._coeffs)
     get = out.get
     kmax = acc.kmax
-    right = u.coeffs
+    right = u._coeffs
     lead_u = u.lead()
-    term = {(0, 0): 1.0 + 0.0j}  # EpsSeries.constant(1.0, order)
+    term = {_ORIGIN: 1.0 + 0.0j}  # EpsSeries.constant(1.0, order)
     term_kmax = min(order + lead_u, u.kmax, EXACT_ORDER)
     for m in range(1, max(order, 0) + 1):
         keep = min(term_kmax, order)
         term = _product(term, right, term_kmax, keep)
         if not all(term.values()):
-            term = {key: c for key, c in term.items() if c}
+            term = {s: c for s, c in term.items() if c}
         if not term:
             break
         kmax = min(kmax, keep)
         term_kmax = min(keep + lead_u, EXACT_ORDER)
-        w = None if weight is None else complex(weight(m))
-        for key, c in term.items():
+        w = None if weights is None else weights[m - 1]
+        for s, c in term.items():
             if w is not None:
                 c = c * w
                 if not c:
                     continue
-            total = get(key, 0.0) + c
+            total = get(s, 0.0) + c
             if total:
-                out[key] = total
+                out[s] = total
             else:  # only a stored coefficient can cancel to zero
-                del out[key]
+                del out[s]
     return EpsSeries._trusted(out, kmax)
 
 
@@ -493,8 +566,8 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
     a = complex(exponent_slope) * sf.principal_log(base)
     coeffs = {}
     term = 1.0 + 0.0j
-    for k in range(order + 1):
-        coeffs[(k, 0)] = term
+    for k, s in enumerate(range(_ORIGIN, kernel_key(order + 1), KEY_WIDTH)):
+        coeffs[s] = term  # the eps**k key
         term = term * a / (k + 1)
     return EpsSeries._trusted(coeffs, order)  # Python complex terms, l = 0
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import specialfns as sf
 from ._lazy import LazyModule
-from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
+from .epsseries import EpsSeries, gamma_series, harmonic_series, kernel_key, power_series
 from .errors import NonConvergentError, PoleError, ToleranceNotMetError
 # the scheme and its input ranges live in ``params``, re-exported here
 from .params import (  # noqa: F401
@@ -287,9 +287,9 @@ def chi_over_delta_series_m2(j: int, m2: float, order: int,
     # dropped, and each coefficient is 0.0 + (-h) or constant + (-h)
     const = complex(sf.harmonic_int(j) + log_term)
     harmonic = harmonic_series(j - 2, -0.5, order)
-    out = {(0, 0): const} if const else {}
-    for key, c in harmonic.coeffs.items():
-        out[key] = out.get(key, 0.0) + (-c)
+    out = {kernel_key(0): const} if const else {}
+    for s, c in harmonic._coeffs.items():
+        out[s] = out.get(s, 0.0) + (-c)
     return EpsSeries._trusted(out, min(order, harmonic.kmax))
 
 

@@ -320,6 +320,8 @@ CONFIGS = {
     "negative_seed.json": json.dumps({"seed": -1}),
     "m0_only.json": json.dumps({"m0": 2.0}),
     "other_commands_keys.json": json.dumps({"mu": [1, 2], "q": "int21", "seed": 3}),
+    "list_for_scalar.json": json.dumps({"q": ["ext21"]}),
+    "list_for_scalar_mu.json": json.dumps({"mu": [1.0]}),
 }
 
 INVALID_INPUTS = {
@@ -394,6 +396,10 @@ INVALID_INPUTS = {
     # keys that only other subcommands read
     "config_key_of_another_command": ["--config", "{tmp}/other_commands_keys.json",
                                       "figure2", "--steps", "3"],
+    # a list only for an option that reads a comma list (figure3's --mu)
+    "config_list_for_scalar": ["--config", "{tmp}/list_for_scalar.json", "entropy"],
+    "config_list_for_scalar_mu": ["--config", "{tmp}/list_for_scalar_mu.json",
+                                  "trace-check"],
 }
 
 
@@ -406,6 +412,54 @@ def test_invalid_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, command, message", [
+    ("list_for_scalar.json", "entropy", "config key 'q' takes one value, not the list ['ext21']"),
+    ("list_for_scalar_mu.json", "trace-check",
+     "config key 'mu' takes one value, not the list [1.0]"),
+])
+def test_a_config_list_for_a_scalar_option_names_the_key(config, command, message, tmp_path,
+                                                         capsys):
+    (tmp_path / config).write_text(CONFIGS[config])
+    assert main(["--config", str(tmp_path / config), command]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figure2", "--out", "ok.csv", "--svg", "missing/x.svg"], "--svg"),
+    (["figure3", "--out", "ok.csv", "--svg", "missing/x.svg"], "--svg"),
+    (["figure2", "--svg", "ok.svg", "--out", "missing/x.csv"], "--out"),
+    (["figure2", "--out", "/"], "--out"),
+    (["figure3", "--out", "ok.csv", "--svg", "."], "--svg"),
+])
+def test_a_figure_that_cannot_write_a_file_writes_none(argv, flag, tmp_path, capsys,
+                                                       monkeypatch):
+    """A figure writes all of its files or none, and the error names the
+    flag of the path it cannot write; a file that was there is unchanged."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--steps", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: argument {flag}: cannot write ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    (tmp_path / "ok.csv").write_text("kept")
+    assert main(argv + ["--steps", "3"]) == 2
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
+    assert (tmp_path / "ok.csv").read_text() == "kept"
+
+
+def test_a_figure_writes_the_same_files_over_existing_ones(tmp_path, capsys):
+    paths = [tmp_path / name for name in ("a.csv", "a.svg")]
+    argv = ["figure2", "--steps", "5", "--out", str(paths[0]), "--svg", str(paths[1])]
+    assert main(argv) == 0
+    first = [p.read_bytes() for p in paths]
+    for p in paths:
+        p.write_text("x" * 10_000)  # longer than either file
+    assert main(argv) == 0
+    assert [p.read_bytes() for p in paths] == first
+    assert capsys.readouterr().out == ""
 
 
 def test_mass_out_of_range_names_the_bound(capsys):

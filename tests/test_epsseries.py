@@ -487,9 +487,9 @@ def _at_fresh_and_repeated_mass(expected: list, counts: dict) -> dict:
 def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
     """The validating constructions of one default figure2 point.  The
     kernel's own results skip validation, so the count is pinned: an
-    operation routed back through ``EpsSeries(...)`` raises it.  The six
-    left are the log(c) and log(eps) constants of each of its two logs and
-    the closed-form series of ``total21`` and ``mutual21``."""
+    operation routed back through ``EpsSeries(...)`` raises it.  The two
+    left are the closed-form series of ``total21`` and ``mutual21``; each
+    log builds its log(c) and log(eps) constants unvalidated."""
     expected = _figure2_point()
     counts = {"validated": 0}
     cleaned = epsseries._cleaned
@@ -500,7 +500,7 @@ def test_a_figure2_point_validates_only_what_enters_the_kernel(monkeypatch):
 
     monkeypatch.setattr(epsseries, "_cleaned", counted)
     assert _at_fresh_and_repeated_mass(expected, counts) == {
-        "fresh": {"validated": 6}, "repeated": {"validated": 6}}
+        "fresh": {"validated": 2}, "repeated": {"validated": 2}}
 
 
 def test_a_figure2_point_makes_only_the_products_it_keeps(monkeypatch):
@@ -532,11 +532,13 @@ def test_a_figure2_point_makes_only_the_products_it_keeps(monkeypatch):
 def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
     """The sums and the kernel series of one default figure2 point.  The
     power sum behind each of its two logs adds every power into one dict,
+    each log starts it from its log(c) and log(eps) constants in one series,
     the chi/delta ratio adds its constant in one pass, and the 4*pi and mass
     factors of the tadpole bodies come from caches (a fresh mass builds its
-    power series and the shared product), so a power sum that goes back to
-    a series per power, or a ratio built as a difference, raises both
-    counts."""
+    power series and the shared product).  The two sums left add each
+    log to its chi/delta ratio.  A power sum that goes back to a series per
+    power, a log that adds its constants, or a ratio built as a difference
+    raises the counts."""
     expected = _figure2_point()
     counts = {"add": 0, "built": 0}
     add = EpsSeries.__add__
@@ -553,7 +555,7 @@ def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
     monkeypatch.setattr(EpsSeries, "__add__", counted_add)
     monkeypatch.setattr(EpsSeries, "_trusted", classmethod(counted_trusted))
     assert _at_fresh_and_repeated_mass(expected, counts) == {
-        "fresh": {"add": 4, "built": 22}, "repeated": {"add": 4, "built": 20}}
+        "fresh": {"add": 2, "built": 22}, "repeated": {"add": 2, "built": 20}}
 
 
 # ----------------------------------------------------------------------
@@ -562,10 +564,11 @@ def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
 @pytest.mark.parametrize("call, error", [
     (lambda: EpsSeries({(-5, 0): 1}), TruncationUnderflowError),
     (lambda: EpsSeries({(0, 3): 1}), LogCapError),
+    (lambda: EpsSeries({(0.5, 0): 1}), TypeError),  # a power is an integer
     (lambda: power_series(0, 1.0, 4), ValueError),
     (lambda: gamma_series(0.5, 1.0, -1), ValueError),
     (lambda: digamma_series(0.5, 1.0, -1), ValueError),
-], ids=["pole_below_depth", "log_above_cap", "power_series_zero_base",
+], ids=["pole_below_depth", "log_above_cap", "fractional_power", "power_series_zero_base",
         "gamma_series_negative_order", "digamma_series_negative_order"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):

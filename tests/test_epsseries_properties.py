@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopentropy import epsseries
-from loopentropy.epsseries import EXACT_ORDER, KMIN_CAP, LOGCAP, EpsSeries, power_series
+from loopentropy.epsseries import (EXACT_ORDER, KEY_WIDTH, KMIN_CAP, LOGCAP, EpsSeries,
+                                   kernel_key, power_series, split_key)
 from loopentropy.errors import LogCapError, LoopEntropyError, TruncationUnderflowError
 
 # deterministic examples and no example database, so every run is the same
@@ -214,14 +215,14 @@ def test_pole_depth_and_log_cap_refusals(build, error):
 # ----------------------------------------------------------------------
 # the power sum behind log, inverse, exp and division, bit for bit
 # ----------------------------------------------------------------------
-def _reference_power_sum(acc, u, order, weight=None):
+def _reference_power_sum(acc, u, order, weights=None):
     """The power sum as one series sum per power: ``acc + term.scale(w)``."""
     term = EpsSeries.constant(1.0, order)
     for m in range(1, max(order, 0) + 1):
         term = term.__mul__(u, cut=order)
         if term.is_zero():
             break
-        acc = acc + (term if weight is None else term.scale(weight(m)))
+        acc = acc + (term if weights is None else term.scale(weights[m - 1]))
     return acc
 
 
@@ -296,8 +297,17 @@ def test_exp_sums_its_powers_bit_for_bit(x):
     _matches_reference(x.exp)
 
 
-POWER_WEIGHTS = {"none": None, "log": lambda m: (-1.0) ** (m + 1) / m,
-                 "exp": lambda m: 1.0 / math.factorial(m)}
+POWER_WEIGHTS = {"none": None, "log": epsseries._LOG_WEIGHTS, "exp": epsseries._EXP_WEIGHTS}
+
+
+def test_the_power_sum_weights_are_the_series_of_log1p_and_exp():
+    # each weight has the bits of complex(w) for the float w the formula gives
+    for weights, w in ((epsseries._LOG_WEIGHTS, lambda m: (-1.0) ** (m + 1) / m),
+                       (epsseries._EXP_WEIGHTS, lambda m: 1.0 / math.factorial(m))):
+        assert len(weights) == EXACT_ORDER
+        for m, got in enumerate(weights, start=1):
+            assert type(got) is complex
+            assert (got.real.hex(), got.imag.hex()) == (w(m).hex(), "0x0.0p+0"), m
 
 
 @settings(KERNEL, max_examples=300)
@@ -311,3 +321,124 @@ def test_the_power_sum_adds_each_power_as_one_series_sum_would(acc, u, order, we
     w = POWER_WEIGHTS[weight]
     assert _outcome(lambda: epsseries._power_sum(acc, u, order, w)) == \
         _outcome(lambda: _reference_power_sum(acc, u, order, w))
+
+
+# ----------------------------------------------------------------------
+# the integer key layout, and the product over it against the tuple keys
+# ----------------------------------------------------------------------
+def test_the_key_layout_round_trips_sorts_and_adds_over_the_whole_range():
+    pairs = [(k, l) for k in range(KMIN_CAP, EXACT_ORDER + 1) for l in range(LOGCAP + 1)]
+    keys = [kernel_key(k, l) for k, l in pairs]
+    assert [split_key(s) for s in keys] == pairs
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert min(keys) == 0 and all(s % KEY_WIDTH == l for s, (_, l) in zip(keys, pairs))
+    # a product's key: log powers up to 2 * LOGCAP never carry into k, and
+    # a power below the pole depth is a negative key
+    origin = kernel_key(0)
+    for s1, (k1, l1) in zip(keys, pairs):
+        for s2, (k2, l2) in zip(keys, pairs):
+            s = s1 + s2 - origin
+            assert split_key(s) == (k1 + k2, l1 + l2)
+            assert (s < 0) == (k1 + k2 < KMIN_CAP)
+    # the public view decodes the keys in the series' own order
+    coeffs = {(3, 2): 1j, (-4, 0): 2.0, (EXACT_ORDER, 1): 3.0, (0, 0): -1.0}
+    assert list(EpsSeries(coeffs).coeffs.items()) == [(k, complex(c)) for k, c in coeffs.items()]
+
+
+def _tuple_product(left: dict, right: dict, kmax: int, keep: int) -> dict:
+    """The product loop over (k, l) keys, as the kernel had it before its
+    integer keys."""
+    out: dict[tuple[int, int], complex] = {}
+    get = out.get
+    right = right.items()
+    for (k1, l1), c1 in left.items():
+        for (k2, l2), c2 in right:
+            k, l = k1 + k2, l1 + l2
+            if k > kmax:
+                continue
+            if l > LOGCAP:
+                raise LogCapError(
+                    f"product creates log(eps)^{l} above the cap {LOGCAP}"
+                )
+            if k <= keep:
+                out[(k, l)] = get((k, l), 0.0) + c1 * c2
+    return out
+
+
+def _tuple_mul(a: EpsSeries, b: EpsSeries, cut):
+    """``a.__mul__(b, cut=cut)`` over (k, l) keys, as before the integer keys."""
+    lead1, lead2 = a.lead(), b.lead()
+    kmax = min(a.kmax + lead2, b.kmax + lead1, EXACT_ORDER)
+    keep = kmax if cut is None else min(kmax, cut)
+    coeffs = {key: c for key, c in _tuple_product(a.coeffs, b.coeffs, kmax, keep).items()
+              if c and key[0] <= keep}
+    if lead1 + lead2 < KMIN_CAP:
+        for k, _ in coeffs:
+            if k < KMIN_CAP:
+                raise TruncationUnderflowError(
+                    f"power eps^{k} below the supported pole depth eps^{KMIN_CAP}")
+    return keep, [(key, c.real.hex(), c.imag.hex()) for key, c in coeffs.items()]
+
+
+def _refusal(build):
+    try:
+        return build()
+    except LoopEntropyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# 1e-200 squared underflows to zero, so a product below the pole depth made
+# only of such pairs has nothing to refuse
+TINY = st.sampled_from([1e-200, -1e-200]).map(complex)
+
+
+@st.composite
+def key_edge_series(draw):
+    """A series with keys at the layout's edges: eps^-4 poles, log powers
+    0..2, powers up to an exact order, and any key order."""
+    top = draw(st.sampled_from([2, 6, EXACT_ORDER]))
+    kmax = draw(st.one_of(st.integers(KMIN_CAP, top), st.just(EXACT_ORDER)))
+    ks = st.one_of(st.integers(KMIN_CAP, min(kmax, KMIN_CAP + 3)),
+                   st.integers(KMIN_CAP, kmax),
+                   st.integers(max(KMIN_CAP, kmax - 2), kmax))
+    keys = draw(st.lists(st.tuples(ks, st.integers(0, LOGCAP)), min_size=1, max_size=6,
+                         unique=True))
+    coeff = st.one_of(EDGE_COEFF.filter(bool), TINY)
+    return EpsSeries({key: draw(coeff) for key in keys}, kmax)
+
+
+@settings(KERNEL, max_examples=200)
+@given(a=key_edge_series(), b=key_edge_series(),
+       kmax=st.one_of(st.integers(-8, 12), st.integers(-10, EXACT_ORDER + 2)),
+       drop=st.integers(0, 4))
+# log(eps)^2 times log(eps)^2 at eps^0: refused at or below kmax, cut or not
+@example(a=EpsSeries({(0, 2): 1.0}), b=EpsSeries({(0, 2): 1.0}), kmax=0, drop=3)
+@example(a=EpsSeries({(0, 2): 1.0}), b=EpsSeries({(1, 1): 1.0}), kmax=0, drop=0)
+# eps^-4 times eps^-4, below the pole depth
+@example(a=EpsSeries({(-4, 0): 1.0, (0, 1): 2.0}), b=EpsSeries({(-4, 2): 1.0}), kmax=2,
+         drop=0)
+def test_the_product_matches_the_tuple_keyed_product_bit_for_bit(a, b, kmax, drop):
+    keep = kmax - drop
+
+    def product():
+        out = epsseries._product(a._coeffs, b._coeffs, kmax, keep)
+        return [(split_key(s), c.real.hex(), c.imag.hex()) for s, c in out.items()]
+
+    def reference():
+        out = _tuple_product(a.coeffs, b.coeffs, kmax, keep)
+        return [(key, c.real.hex(), c.imag.hex()) for key, c in out.items()]
+
+    assert _refusal(product) == _refusal(reference)
+
+
+@settings(KERNEL, max_examples=200)
+@given(a=key_edge_series(), b=key_edge_series(),
+       cut=st.one_of(st.none(), st.integers(KMIN_CAP, EXACT_ORDER)))
+@example(a=EpsSeries({(-3, 0): 1.0}), b=EpsSeries({(-2, 0): 1.0}), cut=None)
+@example(a=EpsSeries({(-3, 0): 1e-200}), b=EpsSeries({(-2, 0): 1e-200}), cut=None)
+def test_series_products_match_the_tuple_keyed_product_bit_for_bit(a, b, cut):
+    def product():
+        r = a.__mul__(b, cut=cut)
+        return r.kmax, [(key, c.real.hex(), c.imag.hex()) for key, c in r.coeffs.items()]
+
+    assert _refusal(product) == _refusal(lambda: _tuple_mul(a, b, cut))
