@@ -188,10 +188,6 @@ class EpsSeries:
     def zero(cls, kmax: int = EXACT_ORDER) -> "EpsSeries":
         return cls({}, kmax)
 
-    @classmethod
-    def log_eps(cls, c: complex = 1.0, kmax: int = EXACT_ORDER) -> "EpsSeries":
-        return cls({(0, 1): complex(c)}, kmax)
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
@@ -205,9 +201,6 @@ class EpsSeries:
         if not self._coeffs:
             return self.kmax + 1
         return min(self._coeffs) // KEY_WIDTH + KMIN_CAP
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def terms(self) -> list[tuple[int, int, complex]]:
         return [(*split_key(s), c) for s, c in sorted(self._coeffs.items())]
@@ -252,22 +245,25 @@ class EpsSeries:
         return self + (-o)
 
     def __rsub__(self, other) -> "EpsSeries":
-        return (-self) + other
+        """``other - self`` for a number: in one pass, the bits, key order and
+        kmax of ``EpsSeries.constant(other) - self``."""
+        if not isinstance(other, (int, float, complex)):
+            return NotImplemented
+        c = complex(other)
+        out = {_ORIGIN: c} if c else {}
+        get = out.get
+        for s, v in self._coeffs.items():
+            out[s] = get(s, 0.0) + (-v)
+        return EpsSeries._trusted(out, min(self.kmax, EXACT_ORDER))
 
-    def __mul__(self, other, *, cut: int | None = None) -> "EpsSeries":
-        """The product, known through the weaker operand's order.
-
-        ``cut`` truncates it further without building the powers above the
-        cut; for a cut at or above ``KMIN_CAP`` the result, and any error,
-        are those of ``(self * other).truncate(cut)``.
-        """
+    def __mul__(self, other) -> "EpsSeries":
+        """The product, known through the weaker operand's order."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         lead1, lead2 = self.lead(), o.lead()
         kmax = min(self.kmax + lead2, o.kmax + lead1, EXACT_ORDER)
-        keep = kmax if cut is None else min(kmax, cut)
-        result = EpsSeries._trusted(_product(self._coeffs, o._coeffs, kmax, keep), keep)
+        result = EpsSeries._trusted(_product(self._coeffs, o._coeffs, kmax, kmax), kmax)
         if lead1 + lead2 < KMIN_CAP:
             _check_pole_depth(result._coeffs)  # a product that underflowed to 0 passes
         return result
@@ -361,7 +357,7 @@ class EpsSeries:
         """
         c, L, u = self._leading_unit()
         rel_order = self.kmax - L
-        # the bits of constant(log(c)) + log_eps(L): a zero constant is
+        # the bits of constant(log(c)) + monomial(L, 0, 1): a zero constant is
         # dropped, and 0.0 + complex(L) is complex(L)
         acc = EpsSeries._trusted({_ORIGIN: sf.principal_log(c), _ORIGIN + 1: complex(L)},
                                  rel_order)
@@ -427,9 +423,6 @@ class EpsSeries:
     def real_part(self) -> "EpsSeries":
         return EpsSeries({key: c.real for key, c in self.coeffs.items()}, self.kmax)
 
-    def imag_part(self) -> "EpsSeries":
-        return EpsSeries({key: c.imag for key, c in self.coeffs.items()}, self.kmax)
-
     def to_json_dict(self) -> dict:
         return {
             "terms": [{"k": k, "l": l, "re": c.real, "im": c.imag}
@@ -480,9 +473,10 @@ def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weights=None) -> EpsSer
     """``acc + sum_{m>=1} weights[m - 1] * u**m`` through eps**order, for
     lead(u) >= 1; ``weights=None`` adds each power unscaled.
 
-    Each power is the product ``term.__mul__(u, cut=order)`` on plain dicts,
-    with the same kmax, cut, log cap and zeros dropped.  The first power's
-    kmax is ``min(order + lead(u), u.kmax, EXACT_ORDER)``; after it, the lead
+    Each power is the product ``(term * u).truncate(order)`` on plain dicts,
+    built only through the cut, with the same kmax, log cap and zeros
+    dropped.  The first power's kmax is
+    ``min(order + lead(u), u.kmax, EXACT_ORDER)``; after it, the lead
     of each power is at least the last one's plus lead(u), so the kmax is
     the last power's cut plus lead(u), capped at ``EXACT_ORDER`` (so no
     power past u**EXACT_ORDER is kept, and ``weights`` needs no more).

@@ -28,12 +28,9 @@ from typing import Callable
 
 from . import specialfns as sf
 from ._lazy import LazyModule
-from .epsseries import EpsSeries, gamma_series, harmonic_series, kernel_key, power_series
+from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
 from .errors import NonConvergentError, PoleError, ToleranceNotMetError
-# the scheme and its input ranges live in ``params``, re-exported here
-from .params import (  # noqa: F401
-    COUPLING_MAX, COUPLING_MIN, MASS_MAX, MASS_MIN, MAX_ORDER, TV_MAX, TV_MIN, WEIGHT_MAX,
-    Z_MIN, SchemeParams, check_coupling_and_tv, check_int_range, check_mass_range)
+from .params import MAX_ORDER, SchemeParams
 
 np = LazyModule("numpy")
 integrate = LazyModule("loopentropy._quadpack")
@@ -283,14 +280,7 @@ def chi_over_delta_series_m2(j: int, m2: float, order: int,
     if m2 <= 0:
         raise ValueError("m2 must be positive")
     log_term = math.log(m2) + (0.0 if real_branch else 1j * PI)
-    # the bits of EpsSeries.constant(...) - harmonic: a zero constant is
-    # dropped, and each coefficient is 0.0 + (-h) or constant + (-h)
-    const = complex(sf.harmonic_int(j) + log_term)
-    harmonic = harmonic_series(j - 2, -0.5, order)
-    out = {kernel_key(0): const} if const else {}
-    for s, c in harmonic._coeffs.items():
-        out[s] = out.get(s, 0.0) + (-c)
-    return EpsSeries._trusted(out, min(order, harmonic.kmax))
+    return complex(sf.harmonic_int(j) + log_term) - harmonic_series(j - 2, -0.5, order)
 
 
 def chi_over_delta_series(j: int, params: SchemeParams) -> EpsSeries:

@@ -3,8 +3,9 @@
 ``SchemeParams`` (bare mass, scale, coupling, volume, series order), the
 bounds that keep every quantity finite, and the range checks that name the
 offending input.  The module needs nothing from the series stack, so the
-CLI can parse and check its input without loading it; ``loops``
-re-exports every name here.
+CLI can parse and check its input without loading it.  ``loops`` uses
+``SchemeParams`` and ``MAX_ORDER``, so they can be imported from it too;
+every other name is imported from here.
 """
 
 from __future__ import annotations

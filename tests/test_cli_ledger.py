@@ -6,8 +6,12 @@ the exit code, the sha256 of stdout and, for a refusal (exit 2), the one
 documented ranges and their corners (all 12 quantities, zero and negative
 couplings, orders 0, 1, 4, 9 and 32), ``tau`` and ``trace-check``,
 non-default and log grids of both figures, both figures at orders 0 and 32,
-``figure3 --convention closed_form``, the exit-2 refusals and ``check``
-(its ``runtime=`` fields stripped).  Commands run in-process.
+``figure3 --convention closed_form``, the exit-2 refusals, ``--config``
+files (one good file and one for each refusal of a config file) and
+``check`` (its ``runtime=`` fields stripped).  Commands run in-process.
+The config files are committed under ``tests/data/config``; an argv names
+that directory ``{data}``, which stands in its ``error:`` lines too, so no
+entry depends on where the repository lives.
 
 Entries marked ``versioned`` print numbers made by numpy or scipy routines
 (quadrature, ``np.geomspace``); they are compared only under the numpy and
@@ -42,7 +46,8 @@ import scipy
 
 from loopentropy.cli import main
 
-LEDGER = Path(__file__).resolve().parent / "data" / "cli_ledger.json"
+DATA = Path(__file__).resolve().parent / "data"
+LEDGER = DATA / "cli_ledger.json"
 SEED = 20153
 N_SCHEMES = 30
 ORDERS = (0, 1, 4, 9, 32)
@@ -83,6 +88,17 @@ REFUSALS = (
     ["figure3", "--mu", "1,nan"], ["figure3", "--mu", "1,,2"], ["figure3", "--mu", "1,"],
     ["figure3", "--mu", "1,1e-100"], ["figure3", "--convention", "sideways"],
     ["check", "--seed", "-1"], ["nope"], [],
+)
+
+# a good file (a flag overrides it), then one file for each refusal of
+# ``cli._apply_config``
+CONFIG_RUNS = (
+    ["--config", "{data}/config/good.json", "figure3", "--steps", "4"],
+    ["--config", "{data}/config/unknown_key.json", "entropy", "--q", "int21"],
+    ["--config", "{data}/config/foreign_key.json", "figure2", "--steps", "3"],
+    ["--config", "{data}/config/switch_not_bool.json", "figure2", "--steps", "3"],
+    ["--config", "{data}/config/not_object.json", "tau"],
+    ["--config", "{data}/config/bad_json.json", "tau"],
 )
 
 
@@ -145,6 +161,7 @@ def commands() -> list[list[str]]:
             ["figure3", "--steps", "6", "--m0-min", "0.5", "--m0-max", "12", "--tv", "5",
              "--order", "32"]]
     out += [list(argv) for argv in REFUSALS]
+    out += [list(argv) for argv in CONFIG_RUNS]
     out += [["check"], ["check", "--seed", "1"]]
     return out
 
@@ -165,12 +182,12 @@ def cpu_dependent(argv: list[str]) -> bool:
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        code = main([arg.replace("{data}", str(DATA)) for arg in argv])
     text = re.sub(r"runtime=\S+", "runtime=", out.getvalue())
     entry = {"argv": argv, "exit": code,
              "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}
     if code == 2:
-        entry["stderr"] = err.getvalue().rstrip("\n")
+        entry["stderr"] = err.getvalue().rstrip("\n").replace(str(DATA), "{data}")
     elif versioned(argv):
         entry["versioned"] = True
     return entry
@@ -197,7 +214,13 @@ def _compare(select) -> None:
 
 def _skip_unless_versions_match(ledger: dict) -> None:
     if ledger["versions"] != _versions():
-        pytest.skip(f"ledger recorded under {ledger['versions']}, running {_versions()}")
+        pytest.skip(f"recorded under {ledger['versions']}, running {_versions()}")
+
+
+def _skip_unless_ufuncs_match(ledger: dict) -> None:
+    if ledger["ufuncs"] != _ufunc_fingerprint():
+        pytest.skip(f"recorded where numpy's ufuncs gave {ledger['ufuncs']}, "
+                    f"here {_ufunc_fingerprint()}")
 
 
 def test_cli_outputs_match_the_ledger():
@@ -215,9 +238,7 @@ def test_numerics_outputs_match_the_ledger():
 def test_cpu_dependent_outputs_match_the_ledger():
     ledger = json.loads(LEDGER.read_text())
     _skip_unless_versions_match(ledger)
-    if ledger["ufuncs"] != _ufunc_fingerprint():
-        pytest.skip(f"ledger recorded where numpy's ufuncs gave {ledger['ufuncs']}, "
-                    f"here {_ufunc_fingerprint()}")
+    _skip_unless_ufuncs_match(ledger)
     _compare(lambda e: e.get("versioned", False) and cpu_dependent(e["argv"]))
 
 

@@ -14,8 +14,8 @@ from loopentropy import contour as ct
 from loopentropy import entropy as en
 from loopentropy.epsseries import EpsSeries
 from loopentropy.errors import UnknownQuantityError
-from loopentropy.loops import (MASS_MAX, MASS_MIN, TV_MAX, TV_MIN, WEIGHT_MAX, Z_MIN,
-                               SchemeParams)
+from loopentropy.params import (MASS_MAX, MASS_MIN, TV_MAX, TV_MIN, WEIGHT_MAX, Z_MIN,
+                                SchemeParams)
 
 PI = math.pi
 GAMMA = 0.57721566490153286061
@@ -56,7 +56,7 @@ def test_ext2_order1_quoted_coefficients():
 
 def test_ext2_order1_vanishes_without_coupling():
     bd = en.s_ext_2_order1(params(lam=0.0))
-    assert bd.series.is_zero()
+    assert bd.series.terms() == []
 
 
 def test_ext2_order1_scale_dependence():
@@ -215,10 +215,9 @@ def test_generic_assembly_reproduces_two_point_total():
     assembled = en.s_ext_2_total(p, mode="assembled").series
     assert generic.real_part().max_coeff_diff(assembled.real_part(), through_k=0) <= 1e-10
     # the only imaginary residue is the constant branch term +i pi/2
-    imag = generic.imag_part()
-    assert imag.coefficient(0, 0) == pytest.approx(PI / 2, abs=1e-10)
-    assert imag.coefficient(-1, 0) == pytest.approx(0.0, abs=1e-12)
-    assert imag.coefficient(0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert generic.coefficient(0, 0).imag == pytest.approx(PI / 2, abs=1e-10)
+    assert generic.coefficient(-1, 0).imag == pytest.approx(0.0, abs=1e-12)
+    assert generic.coefficient(0, 1).imag == pytest.approx(0.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

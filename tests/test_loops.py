@@ -15,11 +15,7 @@ from loopentropy import checks, epsseries, loops, traces
 from loopentropy.epsseries import EXACT_ORDER
 from loopentropy.errors import NonConvergentError, PoleError, ToleranceNotMetError
 from loopentropy.loops import (
-    COUPLING_MAX,
-    COUPLING_MIN,
     MAX_ORDER,
-    TV_MAX,
-    TV_MIN,
     LoopValue,
     SchemeParams,
     _quad,
@@ -38,6 +34,7 @@ from loopentropy.loops import (
     oracle_chi_x,
     oracle_delta_radial,
 )
+from loopentropy.params import COUPLING_MAX, COUPLING_MIN, TV_MAX, TV_MIN
 
 PI = math.pi
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from loopentropy import entropy as en
 from loopentropy.epsseries import EpsSeries, power_series
-from loopentropy.loops import (COUPLING_MAX, COUPLING_MIN, MASS_MAX, MASS_MIN, MAX_ORDER,
-                               TV_MAX, TV_MIN, SchemeParams)
+from loopentropy.params import (COUPLING_MAX, COUPLING_MIN, MASS_MAX, MASS_MIN, MAX_ORDER,
+                                TV_MAX, TV_MIN, SchemeParams)
 
 PI = math.pi
 TOL = 1e-12  # of the largest coefficient compared
