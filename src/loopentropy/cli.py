@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -267,9 +268,10 @@ def _parse_seed(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line on stderr (exit 2), and
+    """Reports a usage error as one ``error:`` line on stderr (exit 2),
     reads a negative number in exponent notation (``-1e-3``) as a value,
-    where argparse alone would take it for an option.
+    where argparse alone would take it for an option, and refuses a value of
+    ``--`` (``--m0=--``), which argparse alone drops, leaving an empty list.
 
     A subcommand's parser is made with ``add_arguments``, the function that
     adds its options, and calls it when it is first parsed: a process
@@ -288,6 +290,11 @@ class _Parser(argparse.ArgumentParser):
             add_arguments, self._add_arguments = self._add_arguments, None
             add_arguments(self)
         return super().parse_known_args(args, namespace)
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
@@ -416,7 +423,17 @@ def _scheme(args: argparse.Namespace) -> SchemeParams:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run ``argv``, or if None the process's own command line, which the
+    process then ends with: its heap is frozen, so the shutdown collector
+    skips it and the OS reclaims it; atexit hooks and flushes still run."""
+    if argv is not None:
+        return _run(list(argv))
+    code = _run(sys.argv[1:])
+    gc.freeze()
+    return code
+
+
+def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -362,6 +362,9 @@ INVALID_INPUTS = {
     "empty_svg": ["figure2", "--steps", "3", "--svg", ""],
     "config_empty_svg": ["--config", "{tmp}/empty_svg.json", "figure3", "--steps", "3"],
     "bad_float": ["entropy", "--q", "int21", "--m0", "abc"],
+    # "--" as an option's value, which argparse alone drops, leaving a list
+    "double_dash_value": ["figure2", "--m0-min=--"],
+    "double_dash_config": ["--config=--", "tau"],
     # flags that the chosen quantity would not read
     "quad_ratio_not_total21": ["entropy", "--q", "mutual21", "--quad-ratio"],
     "delta_cut_without_quad_ratio": ["entropy", "--q", "total21", "--delta-cut", "0.1"],

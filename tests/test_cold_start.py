@@ -8,8 +8,14 @@ command ``fractions`` or ``numpy.ma``.  The package resolves its public
 names on first lookup (PEP 562), so ``import loopentropy`` loads no
 submodule.  The import checks run in a fresh interpreter, since the rest of
 the suite leaves every module loaded.
+
+A process that runs its own command line (``main()``, as the console script
+does) freezes its heap once its output is written, so that CPython does not
+free it object by object at shutdown; an in-process ``main(argv)`` freezes
+nothing.  Both give the same output.
 """
 
+import gc
 import importlib
 import json
 import os
@@ -20,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import loopentropy
+from loopentropy.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -58,11 +65,11 @@ COMMANDS = [
 ]
 
 
-def _run(code, args=()):
-    env = dict(os.environ)
+def _run(code, args=(), cwd=None, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=env, cwd=cwd, timeout=300)
 
 
 @pytest.mark.parametrize("argv, code, modules", COMMANDS,
@@ -101,3 +108,63 @@ def test_loops_reexports_the_scheme():
 
     assert loops.SchemeParams is params.SchemeParams is loopentropy.SchemeParams
     assert loops.MAX_ORDER is params.MAX_ORDER
+
+
+# the benchmark's cli_cold child, behind an atexit hook, registered first and
+# so run last, that records whether the heap was frozen at exit
+FROZEN_AT_EXIT = r'''
+import atexit, gc, os
+
+def report():
+    with open(os.environ["FROZEN_OUT"], "w", encoding="utf-8") as fh:
+        fh.write(str(gc.get_freeze_count() > 0))
+
+atexit.register(report)
+import sys; from loopentropy.cli import main; sys.exit(main())
+'''
+
+# (argv, exit code); the figure writes its files into the working directory
+EXITS = [
+    (["tau", "--json"], 0),
+    (["entropy", "--q", "ext21"], 0),
+    (["figure2", "--steps", "3", "--out", "f2.csv", "--svg", "f2.svg"], 0),
+    (["entropy", "--q", "no_such_quantity"], 2),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("argv", [["tau"], ["entropy", "--q", "ext21"],
+                                  ["entropy", "--q", "no_such_quantity"]],
+                         ids=" ".join)
+def test_an_in_process_main_freezes_nothing(argv, capsys):
+    # the suite calls main thousands of times: a freeze would pin the
+    # cyclic garbage of each call
+    frozen = gc.get_freeze_count()
+    main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("argv, code", EXITS, ids=[" ".join(e[0]) for e in EXITS])
+def test_the_process_command_line_freezes_its_heap_and_prints_the_same(
+        argv, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the --help text wraps at the width
+    (tmp_path / "process").mkdir()
+    (tmp_path / "in_process").mkdir()
+    proc = _run(FROZEN_AT_EXIT, argv, cwd=tmp_path / "process",
+                FROZEN_OUT=str(tmp_path / "frozen.txt"))
+    assert (tmp_path / "frozen.txt").read_text() == "True"
+
+    monkeypatch.chdir(tmp_path / "in_process")
+    assert main(argv) == proc.returncode == code
+    out, err = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (out, err)
+    files = _files(tmp_path / "process")
+    assert files == _files(tmp_path / "in_process")
+    assert len(files) == argv.count("--out") + argv.count("--svg")
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
