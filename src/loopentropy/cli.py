@@ -109,20 +109,15 @@ class SweepConfig:
         return [i * step + self.m0_min for i in range(self.steps - 1)] + [self.m0_max]
 
 
-def _write_csv(path: str | None, comment: str, header: list[str],
-               rows: list[list[float]]) -> str:
-    """The CSV text, also written to ``path`` if given; like the strict JSON,
-    a CSV never holds ``nan`` or ``inf`` (NonFiniteError instead)."""
+def _write_csv(comment: str, header: list[str], rows: list[list[float]]) -> str:
+    """The CSV text; like the strict JSON, a CSV never holds ``nan`` or
+    ``inf`` (NonFiniteError instead)."""
     for row in rows:
         if not all(math.isfinite(v) for v in row):
             raise NonFiniteError(f"non-finite value in the row at m0 = {fmt(row[0])}")
     lines = [f"# {comment}", ",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
@@ -141,21 +136,19 @@ def figure2_rows(cfg: SweepConfig) -> list[list[float]]:
     return rows
 
 
-@contextlib.contextmanager
-def _all_or_none(*outputs: tuple[str, str | None]):
-    """Run the body that writes a figure's files, given as (flag, path)
-    pairs, so that it writes all of them or none.
+def _write_files(*outputs: tuple[str, str | None, str | None]) -> None:
+    """Write the text of each (flag, path, text) whose path is given, as
+    UTF-8 with LF endings, all or none.
 
     Each path is first opened for appending, which creates a missing file
     but changes no existing one, so a path that cannot be written is
-    refused as its flag's error before any file is written.  If that or
-    the body fails, each file made here is removed again.
+    refused as its flag's error before any file is written.  If that or a
+    write fails, each file made here is removed again.
     """
+    outputs = [output for output in outputs if output[1]]
     made = []
     try:
-        for flag, path in outputs:
-            if not path:
-                continue
+        for flag, path, _ in outputs:
             existed = os.path.lexists(path)
             try:
                 open(path, "a").close()
@@ -164,7 +157,9 @@ def _all_or_none(*outputs: tuple[str, str | None]):
                                  f"{exc.strerror or exc}") from None
             if not existed:
                 made.append(path)
-        yield
+        for _, path, text in outputs:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except BaseException:
         for path in made:
             with contextlib.suppress(OSError):
@@ -174,20 +169,20 @@ def _all_or_none(*outputs: tuple[str, str | None]):
 
 def _write_figure(cfg: SweepConfig, what: str, header: list[str], rows: list[list[float]],
                   labels: list[str], title: str, ylabel: str) -> str:
-    """The CSV text of a figure, with the grid in its ``#`` comment; also
-    writes the SVG chart of columns 1.. (one curve per label) if asked.
-    The CSV and SVG files are written all or none."""
+    """The CSV text of a figure, with the grid in its ``#`` comment; writes
+    it to ``--out`` and the SVG chart of columns 1.. (one curve per label)
+    to ``--svg``, each if given."""
     comment = (f"{what}; m0 grid [{fmt(cfg.m0_min)}, {fmt(cfg.m0_max)}] x {cfg.steps} "
                f"({'log' if cfg.log_grid else 'linear'}), TV={fmt(cfg.tv)}, "
                f"lambda0={fmt(cfg.lambda0)}")
-    with _all_or_none(("--out", cfg.out), ("--svg", cfg.svg)):
-        text = _write_csv(cfg.out, comment, header, rows)
-        if cfg.svg:
-            from .svg import render_line_chart
+    text = _write_csv(comment, header, rows)
+    chart = None
+    if cfg.svg:
+        from .svg import render_line_chart
 
-            curves = [(label, [r[i] for r in rows]) for i, label in enumerate(labels, 1)]
-            render_line_chart(cfg.svg, [r[0] for r in rows], curves, title=title,
-                              xlabel="m0", ylabel=ylabel)
+        curves = [(label, [r[i] for r in rows]) for i, label in enumerate(labels, 1)]
+        chart = render_line_chart([r[0] for r in rows], curves, title, "m0", ylabel)
+    _write_files(("--out", cfg.out, text), ("--svg", cfg.svg, chart))
     return text
 
 
@@ -499,19 +494,10 @@ def _run(argv: list[str]) -> int:
             from .traces import ratio_checks
 
             report = ratio_checks(_scheme(args))
-            tadpole, full = report["tadpole_pair"], report["fully_contracted"]
-            _print_json({
-                "lambda0": report["lambda0"],
-                "tadpole_pair": {
-                    "normalized": tadpole["normalized"].to_json_dict(),
-                    "note": tadpole["normalization_note"],
-                },
-                "fully_contracted": {
-                    "normalized": full["normalized"].to_json_dict(),
-                    "normalization_constant": full["normalization_constant"].to_json_dict(),
-                    "note": full["normalization_note"],
-                },
-            })
+            _print_json({name: part if name == "lambda0" else
+                         {key: value if key == "note" else value.to_json_dict()
+                          for key, value in part.items() if key != "ratio"}
+                         for name, part in report.items()})
             return 0
 
         if args.command == "check":

@@ -51,14 +51,15 @@ _POLE_TOL = 1e-12
 
 
 def _ensure_finite(value: complex, what: str) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise NonFiniteError(f"{what} produced a non-finite value: {value}")
+    if not cmath.isfinite(value):
+        raise NonFiniteError(f"{what} is not finite: {value}")
     return value
 
 
 def is_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
-    """True when z sits (numerically) on a pole of Gamma."""
-    zr = complex(z)
+    """True when z sits (numerically) on a pole of Gamma.  A non-finite z is
+    refused (NonFiniteError): no function here has a value there."""
+    zr = _ensure_finite(complex(z), "the argument")
     n = round(zr.real)
     return n <= 0 and abs(zr.real - n) <= tol and abs(zr.imag) <= tol
 
@@ -137,7 +138,7 @@ def hurwitz_zeta_int(s: int, z: complex) -> complex:
     """
     if s < 2:
         raise ValueError("hurwitz_zeta_int requires integer s >= 2")
-    z = complex(z)
+    z = _ensure_finite(complex(z), "the argument")
     if z.real <= 0 and abs(z.imag) < 1e-300 and abs(z.real - round(z.real)) < 1e-300:
         raise PoleError(f"hurwitz_zeta({s}, {z}) hits a pole of the sum")
     n_shift = max(0, int(math.ceil(18 - z.real)))

@@ -1,4 +1,4 @@
-"""Minimal SVG line-chart writer: axes, tick labels, polylines, legend.
+"""Minimal SVG line-chart renderer: axes, tick labels, polylines, legend.
 
 No plotting dependency; output is deterministic (fixed float formatting,
 fixed element order) so figures diff cleanly between runs.
@@ -46,9 +46,22 @@ def _tick_label(t: float) -> str:
     return format(t, ".4g")
 
 
-def render_line_chart(path: str, x: list[float], curves: list[tuple[str, list[float]]],
-                      title: str, xlabel: str, ylabel: str) -> None:
-    """Write a line chart of the given curves to an SVG file."""
+def _line(x1, y1, x2, y2, stroke: str = "#000000", width: str = "1") -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = "middle",
+          transform: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{body}</text>')
+
+
+def render_line_chart(x: list[float], curves: list[tuple[str, list[float]]],
+                      title: str, xlabel: str, ylabel: str) -> str:
+    """The SVG text of a line chart of the given curves."""
     xs = list(x)
     all_y = [v for _, ys in curves for v in ys if math.isfinite(v)]
     if not xs or not all_y:
@@ -70,46 +83,27 @@ def render_line_chart(path: str, x: list[float], curves: list[tuple[str, list[fl
     def py(v: float) -> float:
         return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
+    bottom = MARGIN_T + plot_h
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        _text(WIDTH // 2, 22, 15, title),
         # frame
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
     for t in _ticks(x_lo, x_hi):
-        X = px(t)
-        parts.append(
-            f'<line x1="{_fmt(X)}" y1="{MARGIN_T + plot_h}" x2="{_fmt(X)}" '
-            f'y2="{MARGIN_T + plot_h + 5}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(X)}" y="{MARGIN_T + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-        )
+        X = _fmt(px(t))
+        parts += [_line(X, bottom, X, bottom + 5), _text(X, bottom + 18, 11, _tick_label(t))]
     for t in _ticks(y_lo, y_hi):
         Y = py(t)
-        parts.append(
-            f'<line x1="{MARGIN_L - 5}" y1="{_fmt(Y)}" x2="{MARGIN_L}" '
-            f'y2="{_fmt(Y)}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{_fmt(Y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-        )
+        parts += [_line(MARGIN_L - 5, _fmt(Y), MARGIN_L, _fmt(Y)),
+                  _text(MARGIN_L - 8, _fmt(Y + 4), 11, _tick_label(t), anchor="end")]
     yc = MARGIN_T + plot_h // 2
-    parts.append(
-        f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 14}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{yc}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 18 {yc})">{ylabel}</text>'
-    )
+    parts += [_text(MARGIN_L + plot_w // 2, HEIGHT - 14, 13, xlabel),
+              _text(18, yc, 13, ylabel, transform=f"rotate(-90 18 {yc})")]
     for i, (label, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(
@@ -121,14 +115,7 @@ def render_line_chart(path: str, x: list[float], curves: list[tuple[str, list[fl
         )
         ly = MARGIN_T + 16 + 18 * i
         lx = MARGIN_L + plot_w + 10
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.6"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 27}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
+        parts += [_line(lx, ly - 4, lx + 22, ly - 4, color, "1.6"),
+                  _text(lx + 27, ly, 12, label, anchor=None)]
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

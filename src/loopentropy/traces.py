@@ -130,16 +130,14 @@ def ratio_checks(params: SchemeParams) -> dict:
         "tadpole_pair": {
             "ratio": ratio_a,
             "normalized": ratio_a / d0.scale(-1j * lam),
-            "normalization_note": "exact; shared propagator-squared integral cancels",
+            "note": "exact; shared propagator-squared integral cancels",
         },
         "fully_contracted": {
             "ratio": ratio_b,
             "normalization_constant": d0_sq,
             "normalized": ratio_b / EpsSeries.constant(-1j * lam) / d0_sq,
-            "normalization_note": (
-                "quotient retains delta0^2; recorded as the '~' normalization "
-                "constant, not asserted to be 1"
-            ),
+            "note": ("quotient retains delta0^2; recorded as the '~' normalization "
+                     "constant, not asserted to be 1"),
         },
         "lambda0": lam,
     }

@@ -1,6 +1,8 @@
 """Command-line layer: deterministic CSV output, figure properties, JSON
 breakdowns, config precedence, exit codes, and the check suite."""
 
+import builtins
+import errno
 import json
 import math
 import re
@@ -451,6 +453,41 @@ def test_a_figure_that_cannot_write_a_file_writes_none(argv, flag, tmp_path, cap
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
     assert (tmp_path / "ok.csv").read_text() == "kept"
+
+
+def test_the_renderers_return_text_and_open_no_file(monkeypatch):
+    from loopentropy import cli as cli_mod
+    from loopentropy import svg
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("a renderer opened a file")
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", no_open)
+        csv = cli_mod._write_csv("grid", ["m0", "y"], [[1.0, 0.5], [2.0, -0.25]])
+        chart = svg.render_line_chart([1.0, 2.0], [("y", [0.5, -0.25])], "t", "m0", "y")
+    assert csv == "# grid\nm0,y\n1,0.5\n2,-0.25\n"
+    assert chart.startswith("<?xml") and chart.endswith("</svg>\n")
+    assert chart.count("<polyline") == 1
+
+
+@pytest.mark.parametrize("failing", ["f.csv", "f.svg"])
+def test_a_figure_whose_write_fails_after_the_probes_writes_none(failing, tmp_path, capsys,
+                                                                 monkeypatch):
+    """Both paths can be opened, but writing one of them fails: the error is
+    one line, and each file this run made is removed again."""
+    monkeypatch.chdir(tmp_path)
+    real_open = builtins.open
+
+    def full_disk(path, mode="r", *args, **kwargs):
+        if path == failing and mode == "w":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", full_disk)
+    assert main(["figure2", "--steps", "3", "--out", "f.csv", "--svg", "f.svg"]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_figure_writes_the_same_files_over_existing_ones(tmp_path, capsys):

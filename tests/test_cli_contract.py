@@ -21,6 +21,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -175,4 +176,11 @@ def _contract_holds(argv, config):
 # the one grid at the cap: a drawn --steps is far below it or above it
 @example((["figure3", "--steps", str(MAX_STEPS)], None))
 def test_every_command_line_exits_0_with_finite_output_or_2_with_one_error_line(case):
+    _contract_holds(*case)
+
+
+@pytest.mark.slow
+@settings(derandomize=True, database=None, deadline=None, max_examples=10_000)
+@given(command_lines())
+def test_the_contract_holds_on_a_wider_run(case):
     _contract_holds(*case)

@@ -158,9 +158,19 @@ def test_principal_log_branch():
     (lambda: sf.polygamma(0, 1), ValueError),
     (lambda: sf.polygamma(1, -2), PoleError),
     (lambda: sf.principal_log(0), NonFiniteError),
+    (lambda: sf.gamma(math.inf), NonFiniteError),
+    (lambda: sf.loggamma(math.inf), NonFiniteError),
+    (lambda: sf.polygamma(1, -math.inf), NonFiniteError),
+    (lambda: sf.hurwitz_zeta_int(2, math.inf), NonFiniteError),
+    (lambda: loops.chi_closed(0, 1.0, math.inf), NonFiniteError),
+    (lambda: sf.gamma(math.nan), NonFiniteError),
+    (lambda: loops.delta_closed(0, 1.0, math.nan), NonFiniteError),
+    (lambda: epsseries.gamma_series(math.nan, -0.5, 2), NonFiniteError),
 ], ids=["gamma_overflow", "loggamma_pole", "digamma_pole", "harmonic_int_negative",
         "hurwitz_s_below_2", "hurwitz_pole", "polygamma_order_0", "polygamma_pole",
-        "log_zero"])
+        "log_zero", "gamma_inf", "loggamma_inf", "polygamma_minus_inf", "hurwitz_inf",
+        "chi_closed_inf_dimension", "gamma_nan", "delta_closed_nan_dimension",
+        "gamma_series_nan"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()
