@@ -20,9 +20,10 @@ _SUBMODULE = {
                      "vacuum_finite_coefficient"), "entropy"),
     **dict.fromkeys(("EpsSeries", "digamma_series", "gamma_series", "harmonic_series",
                      "power_series"), "epsseries"),
-    **dict.fromkeys(("LogCapError", "LoopEntropyError", "NonConvergentError", "NonFiniteError",
-                     "NonInvertibleLeadingTermError", "PoleError", "ToleranceNotMetError",
-                     "TruncationUnderflowError", "UnknownQuantityError"), "errors"),
+    **dict.fromkeys(("InputError", "LogCapError", "LoopEntropyError", "NonConvergentError",
+                     "NonFiniteError", "NonInvertibleLeadingTermError", "PoleError",
+                     "ToleranceNotMetError", "TruncationUnderflowError", "UnknownQuantityError"),
+                    "errors"),
     **dict.fromkeys(("LoopValue", "chi_closed", "chi_over_delta_series", "chi_series",
                      "delta_closed", "delta_series", "delta_stripped_series", "eta",
                      "eta_closed_d4", "oracle_chi_radial", "oracle_chi_x",

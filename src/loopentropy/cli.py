@@ -40,9 +40,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from ._lazy import LazyModule
-from .errors import LoopEntropyError, NonFiniteError, ToleranceNotMetError
-from .params import (MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range,
-                     check_mass_range)
+from .errors import InputError, LoopEntropyError, NonFiniteError, ToleranceNotMetError
+from .params import MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range, check_range
 
 np = LazyModule("numpy")
 
@@ -88,13 +87,13 @@ class SweepConfig:
         check_coupling_and_tv(self.lambda0, self.tv)
         for name, value in (("m0-min", self.m0_min), ("m0-max", self.m0_max),
                             *(("mu", mu) for mu in self.mu)):
-            check_mass_range(name, value)
+            check_range(name, value)
         if not self.m0_min < self.m0_max:
-            raise ValueError("m0-min must be below m0-max")
+            raise InputError("m0-min must be below m0-max")
         if not self.mu:
-            raise ValueError("mu list must be nonempty")
+            raise InputError("mu list must be nonempty")
         if "" in (self.out, self.svg):
-            raise ValueError(f"{'out' if self.out == '' else 'svg'} must be a nonempty path")
+            raise InputError(f"{'out' if self.out == '' else 'svg'} must be a nonempty path")
 
     def grid(self) -> list[float]:
         """The m0 grid.  The linear grid is numpy's ``linspace`` arithmetic
@@ -152,9 +151,9 @@ def _write_files(*outputs: tuple[str, str | None, str | None]) -> None:
             existed = os.path.lexists(path)
             try:
                 open(path, "a").close()
-            except OSError as exc:
-                raise ValueError(f"argument {flag}: cannot write {path!r}: "
-                                 f"{exc.strerror or exc}") from None
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+                raise InputError(f"argument {flag}: cannot write {path!r}: "
+                                 f"{getattr(exc, 'strerror', None) or exc}") from None
             if not existed:
                 made.append(path)
         for _, path, text in outputs:
@@ -235,7 +234,7 @@ def _parse_delta_cut(text: str):
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     try:
         return ContourConfig(endpoint_cut=cut)
-    except ValueError as exc:
+    except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -247,7 +246,7 @@ def _at_cut(call, cfg):
     except ToleranceNotMetError as exc:
         if cfg is None:
             raise
-        raise ValueError(f"argument --delta-cut: the contour quadrature misses its "
+        raise InputError(f"argument --delta-cut: the contour quadrature misses its "
                          f"tolerance at endpoint_cut {cfg.endpoint_cut!r} ({exc}); "
                          f"use a larger cut") from None
 
@@ -455,18 +454,18 @@ def _run(argv: list[str]) -> int:
 
             params = replace(_scheme(args), order=0)  # --order is only checked
             if args.delta_cut is not None and not args.quad_ratio:
-                raise ValueError("--delta-cut needs --quad-ratio")
+                raise InputError("--delta-cut needs --quad-ratio")
             reads = en.QUANTITIES[args.q].reads if args.q in en.QUANTITIES else ()
             for flag, given, needs in (("--quad-ratio", args.quad_ratio, "contour"),
                                        ("--m-phys", args.m_phys is not None, "spectrum")):
                 if given and needs not in reads:
-                    raise ValueError(f"{flag} applies only to --q {_readers(needs)}")
+                    raise InputError(f"{flag} applies only to --q {_readers(needs)}")
             sd = None
             if args.m_phys is not None:
                 sd = en.SpectralDensity(Z=en.SpectralDensity.Z if args.z is None else args.z,
                                         m_phys=args.m_phys)
             elif args.z is not None:
-                raise ValueError("--z needs --m-phys")
+                raise InputError("--z needs --m-phys")
             bd = _at_cut(lambda: en.compute_quantity(args.q, params,
                                                      use_tau=not args.quad_ratio,
                                                      cfg=args.delta_cut, sd=sd),
@@ -510,7 +509,7 @@ def _run(argv: list[str]) -> int:
             print("all checks passed" if code == 0 else "CHECK FAILURES PRESENT")
             return code
 
-    except (LoopEntropyError, ValueError, OSError) as exc:
+    except (LoopEntropyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

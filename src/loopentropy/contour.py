@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 from . import specialfns as sf
 from ._lazy import LazyModule
+from .errors import InputError
+from .params import check_positive
 
 np = LazyModule("numpy")
 
@@ -43,7 +45,7 @@ class ContourConfig:
 
     def __post_init__(self):
         if not 0.0 < self.endpoint_cut < 1.0:
-            raise ValueError(f"endpoint_cut must lie in (0, 1), not {self.endpoint_cut!r}")
+            raise InputError(f"endpoint_cut must lie in (0, 1), not {self.endpoint_cut!r}")
 
 
 def _weight(t: float) -> float:
@@ -91,7 +93,6 @@ def ratio_AB(m0: float, cfg: ContourConfig | None = None) -> complex:
     a/b is the closed-form tau without ``cfg`` (default), else the regulated
     quadrature ratio at ``cfg.endpoint_cut``, which the caller should report.
     """
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
+    check_positive("m0", m0)
     head = complex(tau()) if cfg is None else ratio_ab_regulated(cfg)
     return head + 2.0 * math.log(m0)

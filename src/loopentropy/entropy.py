@@ -23,7 +23,7 @@ from . import contour as ct
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
-from .errors import UnknownQuantityError
+from .errors import InputError, UnknownQuantityError
 from .loops import (
     chi_over_delta_series_m2,
     chi_series_m2,
@@ -33,7 +33,7 @@ from .loops import (
     eta_closed_d4,
     _quad,
 )
-from .params import WEIGHT_MAX, Z_MIN, SchemeParams, check_mass_range
+from .params import MASS_MAX, MASS_MIN, WEIGHT_MAX, Z_MIN, SchemeParams, check_range
 
 np = LazyModule("numpy")
 
@@ -109,14 +109,11 @@ class SpectralDensity:
     multiparticle: tuple = ()
 
     def __post_init__(self):
-        if not Z_MIN <= self.Z <= 1.0:
-            raise ValueError(f"Z must lie in [{Z_MIN:g}, 1], not {self.Z!r}")
-        check_mass_range("m_phys", self.m_phys)
+        check_range("Z", self.Z, Z_MIN, 1.0)
+        check_range("m_phys", self.m_phys)
         for m2, w in self.multiparticle:
-            check_mass_range("multiparticle M2", m2, power=2)
-            if not 0.0 <= w <= WEIGHT_MAX:
-                raise ValueError(f"multiparticle weights must lie in [0, {WEIGHT_MAX:g}], "
-                                 f"not {w!r}")
+            check_range("multiparticle M2", m2, MASS_MIN ** 2, MASS_MAX ** 2)
+            check_range("multiparticle weights", w, 0.0, WEIGHT_MAX)
 
     def channels(self) -> list[tuple[float, float]]:
         """(coefficient, M2) pairs entering the spectral sums."""
@@ -228,7 +225,7 @@ def s_ext_2_total(params: SchemeParams, mode: str = "closed") -> EntropyBreakdow
         series = s_ext_2_order0(params).series + s_ext_2_order1(params).series
         return EntropyBreakdown("ext2_total", series, params)
     if mode != "closed":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     lam = params.lambda0
     m0, mu, tv = params.m0, params.mu, params.tv
     series = EpsSeries(
@@ -323,7 +320,7 @@ def renyi_trace_n(n: int, params: SchemeParams,
     value is regulated at hi = 1 - endpoint_cut.
     """
     if n < 2:
-        raise ValueError("replica power n must be >= 2")
+        raise InputError("replica power n must be >= 2")
     hi = 1.0 if n >= 3 else 1.0 - cfg.endpoint_cut
     val = _quad(lambda t: t ** (3 - n) * (1.0 - t * t) ** (n - 3)
                 * np.arctanh(t) ** n, 0.0, hi)
@@ -343,7 +340,7 @@ def renyi_trace_radial(n: int, params: SchemeParams,
     can stop on too few points there and report a false convergence.
     """
     if n < 2:
-        raise ValueError("replica power n must be >= 2")
+        raise InputError("replica power n must be >= 2")
     m2 = params.m2
     hi = 1.0
     if n == 2:
@@ -440,7 +437,7 @@ def vacuum_finite_coefficient(m0: float, mu: float, lambda0: float = 1.0,
     if convention == "figure":
         return 1.0 + (lambda0 * tv / 4.0) * (vac_a + vac_b * m0 ** 4 - masslog) \
             / (1536.0 * PI ** 4)
-    raise ValueError(f"unknown convention {convention!r}")
+    raise InputError(f"unknown convention {convention!r}")
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +531,7 @@ def compute_quantity(name: str, params: SchemeParams, *,
     if quantity is None:
         raise UnknownQuantityError(f"unknown quantity {name!r}; known: {sorted(QUANTITIES)}")
     if use_tau and cfg is not None:
-        raise ValueError("a contour cfg selects the regulated ratio; pass use_tau=False "
+        raise InputError("a contour cfg selects the regulated ratio; pass use_tau=False "
                          "with it")
     cfg = None if use_tau else cfg or ct.ContourConfig()
     extra = {"cfg": cfg} if "contour" in quantity.reads else {}

@@ -55,11 +55,13 @@ from typing import Mapping
 
 from . import specialfns as sf
 from .errors import (
+    InputError,
     LogCapError,
     NonFiniteError,
     NonInvertibleLeadingTermError,
     TruncationUnderflowError,
 )
+from .params import check_int_range
 
 KMIN_CAP = -4
 LOGCAP = 2
@@ -556,7 +558,7 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
     one product between them.
     """
     if base == 0:
-        raise ValueError("power_series requires a nonzero base")
+        raise InputError("power_series requires a nonzero base")
     a = complex(exponent_slope) * sf.principal_log(base)
     coeffs = {}
     term = 1.0 + 0.0j
@@ -585,8 +587,7 @@ def gamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
     At a nonpositive integer c0 = -n the result starts with a simple pole
     whose residue is (-1)**n / (n! * slope).
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_int_range("order", order, 0, sf.MAX_POLYGAMMA_ORDER)
     c0 = complex(c0)
     s = complex(slope)
     if sf.is_nonpositive_integer(c0):
@@ -614,8 +615,7 @@ def digamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
     Handles nonpositive-integer c0, where the expansion carries a simple
     pole -1/(slope*eps) plus a regular tail.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_int_range("order", order, 0, sf.MAX_POLYGAMMA_ORDER)
     c0 = complex(c0)
     s = complex(slope)
     if sf.is_nonpositive_integer(c0):

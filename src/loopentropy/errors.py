@@ -5,6 +5,13 @@ class LoopEntropyError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(LoopEntropyError, ValueError):
+    """An input lies outside the range a function accepts.
+
+    It is a ``ValueError`` too, so ``except ValueError`` still catches it.
+    """
+
+
 class PoleError(LoopEntropyError):
     """A special function was evaluated at one of its poles.
 

@@ -29,8 +29,8 @@ from typing import Callable
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
-from .errors import NonConvergentError, PoleError, ToleranceNotMetError
-from .params import MAX_ORDER, SchemeParams
+from .errors import InputError, NonConvergentError, PoleError, ToleranceNotMetError
+from .params import MAX_ORDER, SchemeParams, check_positive
 
 np = LazyModule("numpy")
 integrate = LazyModule("loopentropy._quadpack")
@@ -57,9 +57,9 @@ class LoopValue:
 
     def __post_init__(self):
         if self.exact_d is None and self.series is None:
-            raise ValueError("LoopValue needs at least one representation")
+            raise InputError("LoopValue needs at least one representation")
         if self.exact_d is not None and self.series is not None and self.d is None:
-            raise ValueError("both representations present: record d")
+            raise InputError("both representations present: record d")
 
     def consistent(self) -> bool:
         """Series-vs-exact agreement within the documented truncation error.
@@ -117,9 +117,8 @@ def delta_closed(j: int, m2: float, d: float) -> complex:
     delta_series at d near 4 instead).
     """
     if j < 0:
-        raise ValueError("j must be nonnegative")
-    if m2 <= 0:
-        raise ValueError("m2 must be positive")
+        raise InputError("j must be nonnegative")
+    check_positive("m2", m2)
     arg = j + 1 - d / 2.0
     if sf.is_nonpositive_integer(arg, tol=1e-9):
         raise PoleError(
@@ -154,8 +153,7 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     threshold r2 < -4 m^2 the m^2 - i0 prescription selects the branch
     with a positive absorptive (real) part.
     """
-    if m2 <= 0:
-        raise ValueError("m2 must be positive")
+    check_positive("m2", m2)
     if r2 == 0.0:
         return -1j / (32.0 * PI ** 2 * m2)
     shifted = r2 + 4.0 * m2
@@ -181,8 +179,7 @@ def eta(r2: float, m2: float, d: float = 4.0) -> complex:
 
     The base stays positive on [0, 1] for r2 > -4 m^2, so the integral is real.
     """
-    if m2 <= 0:
-        raise ValueError("m2 must be positive")
+    check_positive("m2", m2)
     if r2 <= -4.0 * m2:
         raise NonConvergentError(
             "parameter integrand crosses its zero for r2 <= -4 m^2; use the "
@@ -224,9 +221,8 @@ def _mass_factor(m2: float, order: int) -> EpsSeries:
 def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     """Tadpole-power integral at squared mass m2 as a series in eps = d - 4."""
     if j < 0:
-        raise ValueError("j must be nonnegative")
-    if m2 <= 0:
-        raise ValueError("m2 must be positive")
+        raise InputError("j must be nonnegative")
+    check_positive("m2", m2)
     pref = 1j * (-1.0) ** (j + 1) * m2 ** (1 - j) / ((4.0 * PI) ** 2 * math.gamma(j + 1))
     # one order past the cut covers the simple pole of Gamma(j - 1 - eps/2), j <= 1
     body = _mass_factor(m2, order + 1) * gamma_series(j - 1, -0.5, order + 1)
@@ -277,8 +273,7 @@ def chi_over_delta_series_m2(j: int, m2: float, order: int,
     With ``real_branch=True`` the +i*pi of log(-m^2) is dropped (the branch
     choice that the printed entropy expansions absorb into their real parts).
     """
-    if m2 <= 0:
-        raise ValueError("m2 must be positive")
+    check_positive("m2", m2)
     log_term = math.log(m2) + (0.0 if real_branch else 1j * PI)
     return complex(sf.harmonic_int(j) + log_term) - harmonic_series(j - 2, -0.5, order)
 

@@ -10,8 +10,11 @@ every other name is imported from here.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+
+from .errors import InputError
 
 # series run internally to order + 2 at most, which must stay below EXACT_ORDER (64)
 MAX_ORDER = 32
@@ -38,29 +41,33 @@ WEIGHT_MAX = 1e30
 
 
 def check_int_range(name: str, value, lo: int, hi: int) -> None:
-    """Raise ValueError unless ``value`` is an integer in [lo, hi]."""
+    """Raise InputError unless ``value`` is an integer in [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+        raise InputError(f"{name} must be an integer, not {value!r}")
     if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], not {value}")
+        raise InputError(f"{name} must lie in [{lo}, {hi}], not {value}")
 
 
-def check_mass_range(name: str, value: float, power: int = 1) -> None:
-    """Raise ValueError unless ``value`` lies in [MASS_MIN, MASS_MAX]**power
-    (``power=2`` for a squared mass)."""
-    lo, hi = MASS_MIN ** power, MASS_MAX ** power
+def check_range(name: str, value: float, lo: float = MASS_MIN, hi: float = MASS_MAX) -> None:
+    """Raise InputError unless ``value`` lies in [lo, hi], by default the
+    mass range (a NaN lies in no range)."""
     if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], not {value!r}")
+        raise InputError(f"{name} must lie in [{lo:g}, {hi:g}], not {value!r}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise InputError unless ``value`` is a positive finite number."""
+    if not 0.0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, not {value!r}")
 
 
 def check_coupling_and_tv(lambda0: float, tv: float) -> None:
-    """Raise ValueError unless ``lambda0`` is 0 or its magnitude lies in
+    """Raise InputError unless ``lambda0`` is 0 or its magnitude lies in
     [COUPLING_MIN, COUPLING_MAX], and ``tv`` lies in [TV_MIN, TV_MAX]."""
     if lambda0 != 0 and not COUPLING_MIN <= abs(lambda0) <= COUPLING_MAX:
-        raise ValueError(f"lambda0 must be 0 or have a magnitude in "
+        raise InputError(f"lambda0 must be 0 or have a magnitude in "
                          f"[{COUPLING_MIN:g}, {COUPLING_MAX:g}], not {lambda0!r}")
-    if not TV_MIN <= tv <= TV_MAX:
-        raise ValueError(f"tv must lie in [{TV_MIN:g}, {TV_MAX:g}], not {tv!r}")
+    check_range("tv", tv, TV_MIN, TV_MAX)
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,8 @@ class SchemeParams:
 
     def __post_init__(self):
         check_coupling_and_tv(self.lambda0, self.tv)
-        check_mass_range("m0", self.m0)
-        check_mass_range("mu", self.mu)
+        check_range("m0", self.m0)
+        check_range("mu", self.mu)
         check_int_range("order", self.order, 0, MAX_ORDER)
 
     @classmethod

@@ -21,7 +21,8 @@ import cmath
 import math
 
 from ._lazy import LazyModule
-from .errors import NonFiniteError, PoleError
+from .errors import InputError, NonFiniteError, PoleError
+from .params import check_int_range
 
 _sp = LazyModule("loopentropy._special")
 
@@ -48,6 +49,9 @@ ZETA = {
 }
 
 _POLE_TOL = 1e-12
+
+# the largest n of polygamma(n, z): 170! is the largest factorial a float holds
+MAX_POLYGAMMA_ORDER = 170
 
 
 def _ensure_finite(value: complex, what: str) -> complex:
@@ -137,10 +141,10 @@ def hurwitz_zeta_int(s: int, z: complex) -> complex:
     arguments the series expansions need.
     """
     if s < 2:
-        raise ValueError("hurwitz_zeta_int requires integer s >= 2")
+        raise InputError("hurwitz_zeta_int requires integer s >= 2")
     z = _ensure_finite(complex(z), "the argument")
-    if z.real <= 0 and abs(z.imag) < 1e-300 and abs(z.real - round(z.real)) < 1e-300:
-        raise PoleError(f"hurwitz_zeta({s}, {z}) hits a pole of the sum")
+    if z.real <= 0:
+        raise InputError(f"hurwitz_zeta_int requires Re z > 0, not {z}")
     n_shift = max(0, int(math.ceil(18 - z.real)))
     acc = 0.0 + 0.0j
     for k in range(n_shift):
@@ -162,23 +166,32 @@ def hurwitz_zeta_int(s: int, z: complex) -> complex:
 
 
 def polygamma(n: int, z: complex) -> complex:
-    """n-th derivative of digamma for complex z (n >= 1).
+    """n-th derivative of digamma for complex z, 1 <= n <= MAX_POLYGAMMA_ORDER.
 
-    Uses psi^(n)(z) = (-1)^(n+1) n! zeta(n+1, z), with the reflection-free
-    upward recurrence to move Re z into the convergent half plane.
+    Uses psi^(n)(z) = (-1)^(n+1) n! zeta(n+1, z).  For Re z < 1/2, the
+    reflection psi^(n)(1 - z) + (-1)^(n+1) psi^(n)(z) = (-1)^n pi d^n/dz^n cot(pi z),
+    taken at z and at r = z - round(Re z), where cot(pi z) is the same, gives
+    zeta(n+1, z) = r^-(n+1) + zeta(n+1, r+1) + (-1)^n [zeta(n+1, 1-z) - zeta(n+1, 1-r)],
+    each zeta at Re >= 1/2, in a number of steps that does not grow with |z|.
+    A value beyond the float range is refused (NonFiniteError).
     """
-    if n < 1:
-        raise ValueError("polygamma requires n >= 1; use digamma for n = 0")
+    check_int_range("polygamma order n", n, 1, MAX_POLYGAMMA_ORDER)
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError(f"polygamma({n}, {z}) is a pole")
-    shift = 0.0 + 0.0j
-    sign = (-1.0) ** (n + 1) * math.factorial(n)
-    while z.real <= 0.5:
-        # psi^(n)(z) = psi^(n)(z+1) + (-1)^n n! z^(-n-1)
-        shift += sign * z ** (-(n + 1))
-        z = z + 1
-    return shift + sign * hurwitz_zeta_int(n + 1, z)
+    s = n + 1
+    try:
+        if z.real < 0.5:
+            r = complex(z.real - round(z.real), z.imag)
+            zeta = (r ** -s + hurwitz_zeta_int(s, r + 1)
+                    + (-1.0) ** n * (hurwitz_zeta_int(s, 1.0 - z) - hurwitz_zeta_int(s, 1.0 - r)))
+        else:
+            zeta = hurwitz_zeta_int(s, z)
+        # 0j + keeps the sign of a zero part as the values were pinned with
+        value = 0j + (-1.0) ** (n + 1) * math.factorial(n) * zeta
+    except (OverflowError, ZeroDivisionError):  # raised by complex ** beyond the float range
+        value = math.inf
+    return _ensure_finite(value, f"polygamma({n}, {z})")
 
 
 def principal_log(z: complex) -> complex:

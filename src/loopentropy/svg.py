@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import InputError
+
 WIDTH = 760
 HEIGHT = 460
 MARGIN_L = 72
@@ -65,7 +67,7 @@ def render_line_chart(x: list[float], curves: list[tuple[str, list[float]]],
     xs = list(x)
     all_y = [v for _, ys in curves for v in ys if math.isfinite(v)]
     if not xs or not all_y:
-        raise ValueError("nothing to plot")
+        raise InputError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)
     if y_hi == y_lo:

@@ -23,7 +23,7 @@ import cmath
 from dataclasses import dataclass
 
 from .epsseries import EpsSeries
-from .errors import LoopEntropyError
+from .errors import InputError
 from .loops import SchemeParams, delta_series_m2
 
 
@@ -42,10 +42,10 @@ class TraceSet:
 
     def __post_init__(self):
         if self.r < 4 or self.r % 2:
-            raise ValueError("r must be an even integer >= 4")
+            raise InputError("r must be an even integer >= 4")
         expected = {self.r - 2 * j for j in range(self.r // 2)}
         if set(self.traces) != expected:
-            raise ValueError(
+            raise InputError(
                 f"traces must have keys exactly {sorted(expected)}, "
                 f"got {sorted(self.traces)}"
             )
@@ -54,7 +54,7 @@ class TraceSet:
 def vacuum_trace_phi4(ts: TraceSet) -> EpsSeries:
     """First-order vacuum trace from the quartic-state traces."""
     if ts.r != 4:
-        raise LoopEntropyError(f"vacuum_trace_phi4 needs r = 4, got r = {ts.r}")
+        raise InputError(f"vacuum_trace_phi4 needs r = 4, got r = {ts.r}")
     bracket = ts.traces[4] + ts.delta0 * ts.traces[2] - ts.delta0 * ts.delta0
     return EpsSeries.constant(1.0) + bracket.scale(-1j * ts.lambda0)
 
@@ -86,7 +86,7 @@ def tr_rho4_inferred(Z: float, m_phys: float, e0_2t: float,
             + delta0(m0^2) [delta0(m0^2) - 2TV Z delta0(m_phys^2)]
     """
     if params.lambda0 == 0.0:
-        raise LoopEntropyError("tr_rho4_inferred requires a nonzero coupling")
+        raise InputError("tr_rho4_inferred requires a nonzero coupling")
     vac = overlap_sq * cmath.exp(-1j * e0_2t)
     d0_bare = delta_series_m2(0, params.m2, params.order)
     d0_phys = delta_series_m2(0, m_phys * m_phys, params.order)
@@ -113,7 +113,7 @@ def ratio_checks(params: SchemeParams) -> dict:
     """
     lam = params.lambda0
     if lam == 0.0:
-        raise LoopEntropyError("ratio_checks requires a nonzero coupling lambda0")
+        raise InputError("ratio_checks requires a nonzero coupling lambda0")
     d0 = delta_series_m2(0, params.m2, params.order)
     d1 = delta_series_m2(1, params.m2, params.order)
     d0_sq = d0 * d0

@@ -219,6 +219,32 @@ def test_usage_error_exit_code():
     assert main(["figure2", "--steps", "1"]) == 2
 
 
+def test_a_bare_value_error_is_a_bug_and_not_reported_as_invalid_input(monkeypatch, capsys):
+    # the CLI catches the library's errors and OSError, so a ValueError that
+    # is no InputError comes out as a traceback
+    from loopentropy import contour
+
+    def broken():
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(contour, "tau", broken)
+    with pytest.raises(ValueError, match="an internal bug"):
+        main(["tau"])
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_a_nul_in_an_output_path_names_the_flag(tmp_path, capsys):
+    # a command line cannot hold a NUL, a config file can; open() refuses it
+    # with a ValueError
+    config = tmp_path / "nul.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "f\0.csv")}))
+    assert main(["--config", str(config), "figure2", "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --out: cannot write ")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg_path = tmp_path / "conf.json"
     cfg_path.write_text(json.dumps({"m0": 2.0, "tv": 4.0}))

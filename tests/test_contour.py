@@ -14,6 +14,7 @@ from loopentropy.contour import (
     ratio_ab_regulated,
     tau,
 )
+from loopentropy.errors import InputError
 
 PI = math.pi
 
@@ -125,7 +126,8 @@ def test_ratio_AB_never_asserted_equal_to_tau():
 @pytest.mark.parametrize("call, error", [
     (lambda: ratio_AB(0.0), ValueError),
     (lambda: ratio_AB(-1.0), ValueError),
-], ids=["ratio_AB_zero_m0", "ratio_AB_negative_m0"])
+    (lambda: ratio_AB(math.nan), InputError),  # NaN before it was refused
+], ids=["ratio_AB_zero_m0", "ratio_AB_negative_m0", "ratio_AB_nan_m0"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from loopentropy import entropy as en
 from loopentropy import checks, epsseries, loops, traces
 from loopentropy.epsseries import EXACT_ORDER
-from loopentropy.errors import NonConvergentError, PoleError, ToleranceNotMetError
+from loopentropy.errors import InputError, NonConvergentError, PoleError, ToleranceNotMetError
 from loopentropy.loops import (
     MAX_ORDER,
     LoopValue,
@@ -434,6 +434,11 @@ def test_eta_beyond_threshold_branch():
     (lambda: delta_series_m2(0, -1.0, 4), ValueError),
     (lambda: chi_over_delta_series_m2(0, 0.0, 4), ValueError),
     (lambda: eta(1.0, -1.0), ValueError),
+    # a non-finite mass gave NaN before it was refused
+    (lambda: delta_closed(0, math.inf, 4.5), InputError),
+    (lambda: delta_series_m2(0, math.nan, 2), InputError),
+    (lambda: eta_closed_d4(1.0, math.nan), InputError),
+    (lambda: chi_over_delta_series_m2(0, math.inf, 2), InputError),
     # d just above 0: subdivision reaches x == 1.0, where (1 - x)^(d/2 - 1) divides by zero
     (lambda: oracle_chi_x(0, 0.05050689758849527, 2.7202514838453595e-06),
      ToleranceNotMetError),
@@ -442,6 +447,8 @@ def test_eta_beyond_threshold_branch():
 ], ids=["quad_non_finite", "quad_tolerance", "eta_closed_threshold",
         "delta_closed_negative_j", "delta_closed_zero_m2", "delta_series_negative_j",
         "delta_series_negative_m2", "chi_over_delta_zero_m2", "eta_negative_m2",
+        "delta_closed_inf_m2", "delta_series_nan_m2", "eta_closed_nan_m2",
+        "chi_over_delta_inf_m2",
         "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):

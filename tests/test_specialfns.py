@@ -2,9 +2,11 @@
 oracle (mpmath), recurrence properties, pole behavior, and the same bits as
 ``scipy.special`` from the ufuncs that ``loopentropy._special`` loads alone."""
 
+import cmath
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ import scipy.special as sp_special
 
 from loopentropy import _special, checks, epsseries, loops
 from loopentropy import specialfns as sf
-from loopentropy.errors import NonFiniteError, PoleError
+from loopentropy.errors import InputError, LoopEntropyError, NonFiniteError, PoleError
 
 mpmath.mp.dps = 30
 
@@ -153,9 +155,9 @@ def test_principal_log_branch():
     (lambda: sf.loggamma(-1), PoleError),
     (lambda: sf.digamma(0), PoleError),
     (lambda: sf.harmonic_int(-1), PoleError),
-    (lambda: sf.hurwitz_zeta_int(1, 1), ValueError),
-    (lambda: sf.hurwitz_zeta_int(2, 0), PoleError),
-    (lambda: sf.polygamma(0, 1), ValueError),
+    (lambda: sf.hurwitz_zeta_int(1, 1), InputError),
+    (lambda: sf.hurwitz_zeta_int(2, 0), InputError),
+    (lambda: sf.polygamma(0, 1), InputError),
     (lambda: sf.polygamma(1, -2), PoleError),
     (lambda: sf.principal_log(0), NonFiniteError),
     (lambda: sf.gamma(math.inf), NonFiniteError),
@@ -166,14 +168,56 @@ def test_principal_log_branch():
     (lambda: sf.gamma(math.nan), NonFiniteError),
     (lambda: loops.delta_closed(0, 1.0, math.nan), NonFiniteError),
     (lambda: epsseries.gamma_series(math.nan, -0.5, 2), NonFiniteError),
+    # 171! does not fit in a float
+    (lambda: sf.polygamma(171, 1.0), InputError),
+    (lambda: epsseries.digamma_series(0.5, 1.0, 171), InputError),
+    (lambda: epsseries.gamma_series(1.0, -0.5, 200), InputError),
+    # next to a pole, z**-(n+1) overflows: complex ** raised OverflowError or
+    # ZeroDivisionError
+    (lambda: sf.polygamma(170, 2e-12), NonFiniteError),
+    (lambda: sf.polygamma(50, complex(2e-12, 1e-13)), NonFiniteError),
 ], ids=["gamma_overflow", "loggamma_pole", "digamma_pole", "harmonic_int_negative",
         "hurwitz_s_below_2", "hurwitz_pole", "polygamma_order_0", "polygamma_pole",
         "log_zero", "gamma_inf", "loggamma_inf", "polygamma_minus_inf", "hurwitz_inf",
         "chi_closed_inf_dimension", "gamma_nan", "delta_closed_nan_dimension",
-        "gamma_series_nan"])
+        "gamma_series_nan", "polygamma_order_171", "digamma_series_order_171",
+        "gamma_series_order_200", "polygamma_overflow", "polygamma_underflow_to_zero"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _within(seconds, call):
+    """``call()``, interrupted by this process's own interval timer after
+    ``seconds``, so that a loop that never ends fails the test."""
+    def alarm(signum, frame):
+        raise _Timeout(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: [sf.polygamma(1, complex(-1e17, 0.3))],
+    lambda: [c for _, _, c in epsseries.gamma_series(complex(-1e17, 0.3), 1.0, 3).terms()],
+], ids=["polygamma", "gamma_series"])
+def test_a_large_negative_argument_ends_within_200_ms(call):
+    # an upward recurrence from Re z = -1e17 never ends: z + 1 == z there
+    sf.gamma(1.5)  # scipy's ufuncs load before the clock starts
+    try:
+        values = _within(0.2, call)
+    except LoopEntropyError:
+        return
+    assert all(cmath.isfinite(v) for v in values)
 
 
 # ----------------------------------------------------------------------
