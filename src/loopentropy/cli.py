@@ -23,8 +23,8 @@ a CSV row.  An optional JSON config file supplies defaults; explicit flags
 override it.  Its keys are option names (``m0``, ``delta_cut`` or
 ``delta-cut``, ...), and its values are checked as if given on the command
 line.  Exit codes: 0 success, 1 check failure, 2 invalid input (usage,
-config or parameter error), which prints one ``error:`` line on stderr and
-nothing on stdout.
+config or parameter error, each an ``InputError``), which prints one
+``error:`` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 from ._lazy import LazyModule
 from .errors import InputError, LoopEntropyError, NonFiniteError, ToleranceNotMetError
-from .params import MAX_ORDER, SchemeParams, check_coupling_and_tv, check_int_range, check_range
+from .params import SchemeParams, check_int_range, check_range
 
 np = LazyModule("numpy")
 
@@ -54,8 +54,11 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+def _json_text(payload: dict) -> str:
+    try:  # strict: a NaN or an infinity is refused, never printed
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteError("non-finite value in the output") from None
 
 
 @dataclass
@@ -83,8 +86,7 @@ class SweepConfig:
 
     def __post_init__(self):
         check_int_range("steps", self.steps, 2, MAX_STEPS)
-        check_int_range("order", self.order, 0, MAX_ORDER)
-        check_coupling_and_tv(self.lambda0, self.tv)
+        SchemeParams(lambda0=self.lambda0, tv=self.tv, order=self.order)  # their ranges
         for name, value in (("m0-min", self.m0_min), ("m0-max", self.m0_max),
                             *(("mu", mu) for mu in self.mu)):
             check_range(name, value)
@@ -229,13 +231,11 @@ def _parse_delta_cut(text: str):
     from .contour import ContourConfig
 
     try:
-        cut = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    try:
-        return ContourConfig(endpoint_cut=cut)
+        return ContourConfig(endpoint_cut=float(text))
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # from float()
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _at_cut(call, cfg):
@@ -262,9 +262,10 @@ def _parse_seed(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line on stderr (exit 2),
-    reads a negative number in exponent notation (``-1e-3``) as a value,
-    where argparse alone would take it for an option, and refuses a value of
+    """Raises a usage error as an ``InputError``, which the CLI prints as
+    one ``error:`` line (exit 2) like any other invalid input; reads a
+    negative number in exponent notation (``-1e-3``) as a value, where
+    argparse alone would take it for an option; and refuses a value of
     ``--`` (``--m0=--``), which argparse alone drops, leaving an empty list.
 
     A subcommand's parser is made with ``add_arguments``, the function that
@@ -291,7 +292,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        raise InputError(message)
 
 
 def _add_scheme(p, names=tuple(f.name for f in fields(SchemeParams))):
@@ -380,35 +381,38 @@ def _apply_config(parser: argparse.ArgumentParser, path: str, command: str) -> N
     it.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        fh = open(path, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise InputError(f"cannot read config file {path!r}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
+    with fh:
+        try:
             cfg = json.load(fh)
-    except OSError as exc:
-        parser.error(f"cannot read config file {path!r}: {exc.strerror}")
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
-        parser.error(f"config file {path!r} is not valid JSON: {exc}")
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise InputError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        parser.error(f"config file {path!r} must hold a JSON object")
+        raise InputError(f"config file {path!r} must hold a JSON object")
     sp = parser._command_parsers[command]
     actions = {action.dest: action for action in sp._actions if action.dest != "help"}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         action = actions.get(dest)
         if action is None:
-            parser.error(f"config key {key!r} is not an option of {command}")
+            raise InputError(f"config key {key!r} is not an option of {command}")
         if action.nargs == 0:  # a switch
             if not isinstance(value, bool):
-                parser.error(f"config key {key!r} must be true or false, not {value!r}")
+                raise InputError(f"config key {key!r} must be true or false, not {value!r}")
             sp.set_defaults(**{dest: value})
             continue
         if isinstance(value, list) and action.type is not _parse_mu_list:
-            parser.error(f"config key {key!r} takes one value, not the list {value!r}")
+            raise InputError(f"config key {key!r} takes one value, not the list {value!r}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):
-            parser.error(f"config key {key!r} must be a number, a string or a list, "
-                         f"not {value!r}")
+            raise InputError(f"config key {key!r} must be a number, a string or a list, "
+                             f"not {value!r}")
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         if action.choices is not None and text not in action.choices:
-            parser.error(f"config key {key!r} must be one of {list(action.choices)}, "
-                         f"not {value!r}")
+            raise InputError(f"config key {key!r} must be one of {list(action.choices)}, "
+                             f"not {value!r}")
         sp.set_defaults(**{dest: text})
 
 
@@ -435,12 +439,8 @@ def _run(argv: list[str]) -> int:
             _apply_config(parser, args.config, args.command)
             args = parser.parse_args(argv)
         if args.command == "entropy" and args.q is None:  # --config may give it
-            parser._command_parsers["entropy"].error(
-                "the following arguments are required: --q")
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+            raise InputError("the following arguments are required: --q")
 
-    try:
         if args.command in ("figure2", "figure3"):
             cfg = SweepConfig(**{name: value for name, value in vars(args).items()
                                  if name not in ("command", "config")})
@@ -470,49 +470,45 @@ def _run(argv: list[str]) -> int:
                                                      use_tau=not args.quad_ratio,
                                                      cfg=args.delta_cut, sd=sd),
                          args.delta_cut)
-            _print_json(bd.to_json_dict())
+            print(_json_text(bd.to_json_dict()))
             return 0
 
         if args.command == "tau":
             from . import contour as ct
 
             value = ct.tau()
-            if args.json or args.delta_cut is not None:
-                payload = {"tau": value}
-                if args.delta_cut is not None:
-                    reg = _at_cut(lambda: ct.ratio_ab_regulated(args.delta_cut),
-                                  args.delta_cut)
-                    payload["regulated_ratio"] = {"re": reg.real, "im": reg.imag,
-                                                  "endpoint_cut": args.delta_cut.endpoint_cut}
-                _print_json(payload)
-            else:
-                print(fmt(value))
+            payload = {"tau": value}
+            if args.delta_cut is not None:
+                reg = _at_cut(lambda: ct.ratio_ab_regulated(args.delta_cut), args.delta_cut)
+                payload["regulated_ratio"] = {"re": reg.real, "im": reg.imag,
+                                              "endpoint_cut": args.delta_cut.endpoint_cut}
+            text = _json_text(payload)  # plain tau goes through its finite check too
+            print(text if args.json or args.delta_cut is not None else fmt(value))
             return 0
 
         if args.command == "trace-check":
             from .traces import ratio_checks
 
             report = ratio_checks(_scheme(args))
-            _print_json({name: part if name == "lambda0" else
-                         {key: value if key == "note" else value.to_json_dict()
-                          for key, value in part.items() if key != "ratio"}
-                         for name, part in report.items()})
+            print(_json_text({name: part if name == "lambda0" else
+                              {key: value if key == "note" else value.to_json_dict()
+                               for key, value in part.items() if key != "ratio"}
+                              for name, part in report.items()}))
             return 0
 
-        if args.command == "check":
-            from . import checks as checks_mod
+        from . import checks as checks_mod  # the one command left: check
 
-            results = checks_mod.run_all(seed=args.seed)
-            for r in results:
-                print(f"[{r.status}] {r.name}: {r.detail}")
-            code = checks_mod.exit_code(results)
-            print("all checks passed" if code == 0 else "CHECK FAILURES PRESENT")
-            return code
-
+        results = checks_mod.run_all(seed=args.seed)
+        for r in results:
+            print(f"[{r.status}] {r.name}: {r.detail}")
+        code = checks_mod.exit_code(results)
+        print("all checks passed" if code == 0 else "CHECK FAILURES PRESENT")
+        return code
+    except SystemExit as exc:  # --help: argparse's every other exit goes through error()
+        return exc.code
     except (LoopEntropyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from . import contour as ct
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
-from .errors import InputError, UnknownQuantityError
+from .errors import InputError, NonFiniteError, UnknownQuantityError
 from .loops import (
     chi_over_delta_series_m2,
     chi_series_m2,
@@ -317,16 +317,22 @@ def renyi_trace_n(n: int, params: SchemeParams,
             * int_0^hi t^(3-n) (1-t^2)^(n-3) atanh(t)^n dt
 
     Finite for n >= 3 (hi = 1); for n = 2 the endpoint diverges and the
-    value is regulated at hi = 1 - endpoint_cut.
+    value is regulated at hi = 1 - endpoint_cut.  A value past the float
+    range (a large n, or a small m0) is refused (NonFiniteError).
     """
     if n < 2:
         raise InputError("replica power n must be >= 2")
     hi = 1.0 if n >= 3 else 1.0 - cfg.endpoint_cut
-    val = _quad(lambda t: t ** (3 - n) * (1.0 - t * t) ** (n - 3)
-                * np.arctanh(t) ** n, 0.0, hi)
-    pref = (-1j) ** n * 2.0 * params.m0 ** (4 - 2 * n) \
-        / (PI ** 2 * (32.0 * PI ** 2) ** n)
-    return pref * val
+    try:
+        val = _quad(lambda t: t ** (3 - n) * (1.0 - t * t) ** (n - 3)
+                    * np.arctanh(t) ** n, 0.0, hi)
+        value = (-1j) ** n * 2.0 * params.m0 ** (4 - 2 * n) \
+            / (PI ** 2 * (32.0 * PI ** 2) ** n) * val
+    except OverflowError:  # a float power past the float range
+        value = math.inf
+    if not math.isfinite(abs(value)):
+        raise NonFiniteError(f"renyi_trace_n({n}) overflows the float range at m0 = {params.m0!r}")
+    return value
 
 
 def renyi_trace_radial(n: int, params: SchemeParams,

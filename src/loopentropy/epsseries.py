@@ -555,7 +555,8 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
     ``loops`` caches the one constant base, 4*pi, by order, and keeps the
     last two tadpole mass factors (this series at m^2 times the 4*pi one),
     so the two tadpoles of a figure2 point (``ext21`` and ``int21``) build
-    one product between them.
+    one product between them.  A coefficient past the float range is
+    refused (NonFiniteError).
     """
     if base == 0:
         raise InputError("power_series requires a nonzero base")
@@ -565,6 +566,8 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
     for k, s in enumerate(range(_ORIGIN, kernel_key(order + 1), KEY_WIDTH)):
         coeffs[s] = term  # the eps**k key
         term = term * a / (k + 1)
+    if not all(map(cmath.isfinite, coeffs.values())):
+        raise NonFiniteError(f"power_series({base!r}, {exponent_slope!r}, {order}) overflows")
     return EpsSeries._trusted(coeffs, order)  # Python complex terms, l = 0
 
 

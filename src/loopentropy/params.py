@@ -61,15 +61,6 @@ def check_positive(name: str, value: float) -> None:
         raise InputError(f"{name} must be positive and finite, not {value!r}")
 
 
-def check_coupling_and_tv(lambda0: float, tv: float) -> None:
-    """Raise InputError unless ``lambda0`` is 0 or its magnitude lies in
-    [COUPLING_MIN, COUPLING_MAX], and ``tv`` lies in [TV_MIN, TV_MAX]."""
-    if lambda0 != 0 and not COUPLING_MIN <= abs(lambda0) <= COUPLING_MAX:
-        raise InputError(f"lambda0 must be 0 or have a magnitude in "
-                         f"[{COUPLING_MIN:g}, {COUPLING_MAX:g}], not {lambda0!r}")
-    check_range("tv", tv, TV_MIN, TV_MAX)
-
-
 @dataclass(frozen=True)
 class SchemeParams:
     """Evaluation context: bare mass, scale, coupling, volume TV, series order.
@@ -86,7 +77,10 @@ class SchemeParams:
     order: int = 4
 
     def __post_init__(self):
-        check_coupling_and_tv(self.lambda0, self.tv)
+        if self.lambda0 != 0 and not COUPLING_MIN <= abs(self.lambda0) <= COUPLING_MAX:
+            raise InputError(f"lambda0 must be 0 or have a magnitude in "
+                             f"[{COUPLING_MIN:g}, {COUPLING_MAX:g}], not {self.lambda0!r}")
+        check_range("tv", self.tv, TV_MIN, TV_MAX)
         check_range("m0", self.m0)
         check_range("mu", self.mu)
         check_int_range("order", self.order, 0, MAX_ORDER)

@@ -3,6 +3,7 @@ breakdowns, config precedence, exit codes, and the check suite."""
 
 import builtins
 import errno
+import hashlib
 import json
 import math
 import re
@@ -15,6 +16,11 @@ import pytest
 
 from loopentropy import checks as checks_mod
 from loopentropy.cli import SweepConfig, build_parser, cmd_figure2, cmd_figure3, fmt, main
+from test_cli_ledger import CONFIG_RUNS, DATA, LEDGER, REFUSALS, run
+
+# each refusal of the CLI ledger by name, and the ledger's entries by argv
+NAMED_REFUSALS = {**REFUSALS, **CONFIG_RUNS}
+LEDGER_ENTRIES = {tuple(e["argv"]): e for e in json.loads(LEDGER.read_text())["entries"]}
 
 
 def _parse_csv(text):
@@ -333,116 +339,59 @@ def test_fmt_is_lossless():
 # ----------------------------------------------------------------------
 # input contract: exit 2, one error line, nothing on stdout
 # ----------------------------------------------------------------------
-CONFIGS = {
-    "bad_json.json": "{bad",
-    "not_object.json": "[1, 2]",
-    "float_steps.json": json.dumps({"steps": 2.5}),
-    "unknown_key.json": json.dumps({"m0": 2.0, "no_such_option": 1}),
-    "switch_not_bool.json": json.dumps({"log_grid": 1}),
-    "bad_choice.json": json.dumps({"convention": "sideways"}),
-    "null_value.json": json.dumps({"m0": None}),
-    "delta_cut.json": json.dumps({"delta_cut": 0.1}),
-    "delta_cut_above_one.json": json.dumps({"delta_cut": 1.5}),
-    "delta_cut_too_small.json": json.dumps({"delta_cut": 1e-7}),
-    "empty_svg.json": json.dumps({"svg": ""}),
-    "negative_seed.json": json.dumps({"seed": -1}),
-    "m0_only.json": json.dumps({"m0": 2.0}),
-    "other_commands_keys.json": json.dumps({"mu": [1, 2], "q": "int21", "seed": 3}),
-    "list_for_scalar.json": json.dumps({"q": ["ext21"]}),
-    "list_for_scalar_mu.json": json.dumps({"mu": [1.0]}),
-}
-
-INVALID_INPUTS = {
-    "missing_config": ["--config", "{tmp}/missing.json", "tau"],
-    "unreadable_config": ["--config", "{tmp}", "tau"],
-    "bad_json": ["--config", "{tmp}/bad_json.json", "tau"],
-    "not_object": ["--config", "{tmp}/not_object.json", "tau"],
-    "float_steps": ["--config", "{tmp}/float_steps.json", "figure2"],
-    "unknown_key": ["--config", "{tmp}/unknown_key.json", "entropy", "--q", "int21"],
-    "switch_not_bool": ["--config", "{tmp}/switch_not_bool.json", "figure2"],
-    "bad_choice": ["--config", "{tmp}/bad_choice.json", "figure3"],
-    "null_value": ["--config", "{tmp}/null_value.json", "entropy", "--q", "int21"],
-    "z_without_m_phys": ["entropy", "--q", "nonpert", "--z", "0.5"],
-    "missing_q": ["entropy"],
-    "missing_q_in_config_too": ["--config", "{tmp}/m0_only.json", "entropy"],
-    "order_above_cap": ["entropy", "--q", "int21", "--order", "33"],
-    "negative_order": ["trace-check", "--order", "-1"],
-    "m0_inf": ["entropy", "--q", "ext21", "--m0", "inf"],
-    "tv_inf": ["entropy", "--q", "total21", "--tv", "inf"],
-    "lambda0_nan": ["entropy", "--q", "ext2_order1", "--lambda0", "nan"],
-    "mu_nan": ["trace-check", "--mu", "nan"],
-    "delta_cut_nan": ["tau", "--delta-cut", "nan"],
-    # cuts in (0, 1) at which the contour quadrature misses its tolerance
-    "delta_cut_too_small": ["tau", "--delta-cut", "1e-6"],
-    "quad_ratio_delta_cut_too_small": ["entropy", "--q", "total21", "--quad-ratio",
-                                       "--delta-cut", "1e-9"],
-    "config_delta_cut_too_small": ["--config", "{tmp}/delta_cut_too_small.json", "tau"],
-    "nonfinite_result": ["entropy", "--q", "ext21", "--m0", "1e200"],
-    "steps_above_cap": ["figure2", "--steps", "100000000"],
-    "figure_order_above_cap": ["figure2", "--order", "40"],
-    "grid_inf": ["figure2", "--m0-max", "inf"],
-    "figure_mu_nan": ["figure3", "--mu", "1,nan"],
-    "figure_mu_empty_entry": ["figure3", "--mu", "1,,2"],
-    "figure_mu_trailing_comma": ["figure3", "--mu", "1,"],
-    "figure2_mu": ["figure2", "--mu", "2"],
-    # an output path is nonempty
-    "empty_out": ["figure2", "--steps", "3", "--out", ""],
-    "empty_svg": ["figure2", "--steps", "3", "--svg", ""],
-    "config_empty_svg": ["--config", "{tmp}/empty_svg.json", "figure3", "--steps", "3"],
-    "bad_float": ["entropy", "--q", "int21", "--m0", "abc"],
-    # "--" as an option's value, which argparse alone drops, leaving a list
-    "double_dash_value": ["figure2", "--m0-min=--"],
-    "double_dash_config": ["--config=--", "tau"],
-    # flags that the chosen quantity would not read
-    "quad_ratio_not_total21": ["entropy", "--q", "mutual21", "--quad-ratio"],
-    "delta_cut_without_quad_ratio": ["entropy", "--q", "total21", "--delta-cut", "0.1"],
-    "config_delta_cut_without_quad_ratio": ["--config", "{tmp}/delta_cut.json",
-                                            "entropy", "--q", "total21"],
-    "m_phys_not_nonpert": ["entropy", "--q", "int21", "--m-phys", "2"],
-    "trace_check_delta_cut": ["trace-check", "--delta-cut", "0.1"],
-    # masses and scales outside [MASS_MIN, MASS_MAX]
-    "m0_overflows": ["entropy", "--q", "mutual21", "--m0", "1e100"],
-    "m0_underflows": ["entropy", "--q", "vacuum21", "--m0", "1e-200"],
-    "mu_underflows": ["entropy", "--q", "ext2_total", "--mu", "1e-100"],
-    "m_phys_overflows": ["entropy", "--q", "nonpert", "--m-phys", "1e200"],
-    # a field strength below Z_MIN
-    "z_underflows": ["entropy", "--q", "nonpert", "--m-phys", "1", "--z", "1e-308"],
-    "z_underflows_small_m_phys": ["entropy", "--q", "nonpert", "--m-phys", "1e-30",
-                                  "--z", "1e-300"],
-    "figure2_grid_overflows": ["figure2", "--m0-max", "1e100"],
-    "figure3_grid_overflows": ["figure3", "--m0-max", "1e100"],
-    "figure3_mu_underflows": ["figure3", "--mu", "1,1e-100"],
-    # couplings and volumes outside their ranges
-    "lambda0_overflows": ["trace-check", "--lambda0", "1e300"],
-    "lambda0_underflows": ["trace-check", "--lambda0", "1e-100"],
-    "tv_overflows": ["entropy", "--q", "mutual21", "--m0", "1e30", "--tv", "1e300"],
-    "figure3_lambda0_tv_overflow": ["figure3", "--lambda0", "1e300", "--tv", "1e300",
-                                    "--steps", "3"],
-    "tv_doubles_to_inf": ["entropy", "--q", "int21", "--tv", "1e308"],
-    "lambda0_minus_inf": ["entropy", "--q", "ext2_order1", "--lambda0", "-inf"],
-    "negative_seed": ["check", "--seed=-1"],
-    "negative_seed_separate": ["check", "--seed", "-1"],
-    "float_seed": ["check", "--seed", "1.5"],
-    "config_negative_seed": ["--config", "{tmp}/negative_seed.json", "check"],
-    # keys that only other subcommands read
-    "config_key_of_another_command": ["--config", "{tmp}/other_commands_keys.json",
-                                      "figure2", "--steps", "3"],
-    # a list only for an option that reads a comma list (figure3's --mu)
-    "config_list_for_scalar": ["--config", "{tmp}/list_for_scalar.json", "entropy"],
-    "config_list_for_scalar_mu": ["--config", "{tmp}/list_for_scalar_mu.json",
-                                  "trace-check"],
+# cuts in (0, 1) at which the contour quadrature misses its tolerance, with
+# the cut as the error line prints it; the line also holds QUADPACK's error
+# estimate, so the ledger cannot pin it and it is matched by pattern
+QUADRATURE_REFUSALS = {
+    "delta_cut_too_small": (["tau", "--delta-cut", "1e-6"], "1e-06"),
+    "quad_ratio_delta_cut_too_small": (["entropy", "--q", "total21", "--quad-ratio",
+                                        "--delta-cut", "1e-9"], "1e-09"),
+    "config_delta_cut_too_small": (["--config", "{data}/config/delta_cut_too_small.json",
+                                    "tau"], "1e-07"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
-def test_invalid_input_exits_2_with_one_error_line(case, tmp_path, capsys):
-    for name, text in CONFIGS.items():
-        (tmp_path / name).write_text(text)
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in INVALID_INPUTS[case]]
+def _assert_cut_too_small(argv, cut, capsys):
+    assert main([a.replace("{data}", str(DATA)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        rf"error: argument --delta-cut: the contour quadrature misses its tolerance "
+        rf"at endpoint_cut {cut} \(quadrature error estimate \S+ too large for value "
+        rf"\S+\); use a larger cut\n", err), err
+
+
+@pytest.mark.parametrize("case", sorted({**NAMED_REFUSALS, **QUADRATURE_REFUSALS}))
+def test_invalid_input_exits_2_with_one_error_line(case, capsys):
+    """Each refusal on its own: exit 2, nothing on stdout, and one ``error:``
+    line, the one the CLI ledger pins or, for a cut too small for the
+    quadrature, one of the pattern above."""
+    if case in QUADRATURE_REFUSALS:
+        _assert_cut_too_small(*QUADRATURE_REFUSALS[case], capsys)
+        return
+    argv = NAMED_REFUSALS[case]
+    want = LEDGER_ENTRIES[tuple(argv)]
+    assert want["exit"] == 2 and want["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
+    assert want["stderr"].startswith("error: ") and "\n" not in want["stderr"]
+    assert run(argv) == want
+
+
+def test_a_nul_in_the_config_path_is_refused_as_unreadable(capsys):
+    # a command line cannot hold a NUL, so the ledger cannot pin this case
+    assert main(["--config", "a\0b", "tau"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot read config file 'a\\x00b': embedded null byte\n")
+
+
+@pytest.mark.parametrize("argv", [["tau"], ["tau", "--json"]])
+def test_a_non_finite_tau_is_refused(argv, monkeypatch, capsys):
+    from loopentropy import contour
+
+    monkeypatch.setattr(contour, "tau", lambda: math.nan)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("config, command, message", [
@@ -450,10 +399,8 @@ def test_invalid_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     ("list_for_scalar_mu.json", "trace-check",
      "config key 'mu' takes one value, not the list [1.0]"),
 ])
-def test_a_config_list_for_a_scalar_option_names_the_key(config, command, message, tmp_path,
-                                                         capsys):
-    (tmp_path / config).write_text(CONFIGS[config])
-    assert main(["--config", str(tmp_path / config), command]) == 2
+def test_a_config_list_for_a_scalar_option_names_the_key(config, command, message, capsys):
+    assert main(["--config", str(DATA / "config" / config), command]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -555,11 +502,10 @@ def test_coupling_and_tv_errors_name_the_flag(argv, message, capsys):
 @pytest.mark.parametrize("argv, value", [
     (["tau", "--delta-cut", "1.5"], "1.5"),
     (["entropy", "--q", "total21", "--quad-ratio", "--delta-cut", "nan"], "nan"),
-    (["--config", "{tmp}/delta_cut_above_one.json", "tau"], "1.5"),
+    (["--config", "{data}/config/delta_cut_above_one.json", "tau"], "1.5"),
 ])
-def test_delta_cut_error_names_the_flag(argv, value, tmp_path, capsys):
-    (tmp_path / "delta_cut_above_one.json").write_text(CONFIGS["delta_cut_above_one.json"])
-    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+def test_delta_cut_error_names_the_flag(argv, value, capsys):
+    assert main([a.replace("{data}", str(DATA)) for a in argv]) == 2
     assert capsys.readouterr() == (
         "", f"error: argument --delta-cut: endpoint_cut must lie in (0, 1), not {value}\n")
 
@@ -573,13 +519,7 @@ def test_delta_cut_too_small_for_the_quadrature_names_the_flag(argv, cut, capsys
     """A cut in (0, 1) at which the contour quadrature misses its tolerance
     is refused in one line that names the flag and the cut; the estimate
     itself comes from QUADPACK."""
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert re.fullmatch(
-        rf"error: argument --delta-cut: the contour quadrature misses its tolerance "
-        rf"at endpoint_cut {cut} \(quadrature error estimate \S+ too large for value "
-        rf"\S+\); use a larger cut\n", err), err
+    _assert_cut_too_small(argv, cut, capsys)
 
 
 def test_check_seed_error_names_the_flag(capsys):

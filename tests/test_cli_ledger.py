@@ -7,8 +7,11 @@ documented ranges and their corners (all 12 quantities, zero and negative
 couplings, orders 0, 1, 4, 9 and 32), ``tau`` and ``trace-check``,
 non-default and log grids of both figures, both figures at orders 0 and 32,
 ``figure3 --convention closed_form``, the exit-2 refusals, ``--config``
-files (one good file and one for each refusal of a config file) and
-``check`` (its ``runtime=`` fields stripped).  Commands run in-process.
+files (one good file, one for each refusal of a config file and config
+values that an option's own check refuses) and ``check`` (its ``runtime=``
+fields stripped).  Commands run in-process.  Each refusal has a name, and
+``tests/test_cli.py`` checks each one on its own: the ledger is the one
+table that pins the CLI's ``error:`` lines.
 The config files are committed under ``tests/data/config``; an argv names
 that directory ``{data}``, which stands in its ``error:`` lines too, so no
 entry depends on where the repository lives.
@@ -56,50 +59,115 @@ QUANTITIES = ("ext2_order0", "ext2_order1", "ext2_total", "ext21", "int21", "tot
 CORNERS = ((1e-30, 1e-30, 1e-30, 1e-30), (1e30, 1e30, 1e30, 1e30),
            (1e-30, 1e30, -1e30, 1e30), (1e30, 1e-30, 0.0, 1e-30))
 
-REFUSALS = (
-    ["entropy"], ["entropy", "--q", "nope"], ["entropy", "--q", "nope", "--quad-ratio"],
-    ["entropy", "--q", "nope", "--m-phys", "2"], ["entropy", "--q", "nope", "--z", "0.5"],
-    ["entropy", "--q", "nope", "--m0", "inf"],
-    ["entropy", "--q", "nope", "--delta-cut", "0.1"],
-    ["entropy", "--q", "nope", "--quad-ratio", "--m-phys", "2"],
-    ["entropy", "--q", "mutual21", "--quad-ratio"],
-    ["entropy", "--q", "int21", "--quad-ratio", "--m-phys", "2"],
-    ["entropy", "--q", "total21", "--delta-cut", "0.1"],
-    ["entropy", "--q", "total21", "--m-phys", "2"],
-    ["entropy", "--q", "int21", "--m-phys", "2"], ["entropy", "--q", "nonpert", "--z", "0.5"],
-    ["entropy", "--q", "nonpert", "--quad-ratio"],
-    ["entropy", "--q", "int21", "--order", "33"], ["entropy", "--q", "ext21", "--m0", "inf"],
-    ["entropy", "--q", "total21", "--tv", "inf"],
-    ["entropy", "--q", "ext2_order1", "--lambda0", "nan"],
-    ["entropy", "--q", "ext21", "--m0", "1e200"], ["entropy", "--q", "int21", "--m0", "abc"],
-    ["entropy", "--q", "mutual21", "--m0", "1e100"],
-    ["entropy", "--q", "vacuum21", "--m0", "1e-200"],
-    ["entropy", "--q", "ext2_total", "--mu", "1e-100"],
-    ["entropy", "--q", "nonpert", "--m-phys", "1e200"],
-    ["entropy", "--q", "nonpert", "--m-phys", "1", "--z", "1e-308"],
-    ["entropy", "--q", "total21", "--quad-ratio", "--delta-cut", "1.5"],
-    ["entropy", "--q", "ext21", "--lambda0", "1e31"], ["entropy", "--q", "int21", "--tv", "0"],
-    ["trace-check", "--order", "-1"], ["trace-check", "--mu", "nan"],
-    ["trace-check", "--delta-cut", "0.1"], ["trace-check", "--lambda0", "0"],
-    ["trace-check", "--lambda0", "1e300"], ["tau", "--delta-cut", "nan"],
-    ["tau", "--delta-cut", "0"], ["figure2", "--steps", "100000000"],
-    ["figure2", "--order", "40"], ["figure2", "--m0-max", "inf"], ["figure2", "--mu", "2"],
-    ["figure2", "--m0-min", "5", "--m0-max", "2"], ["figure2", "--m0-max", "1e100"],
-    ["figure3", "--mu", "1,nan"], ["figure3", "--mu", "1,,2"], ["figure3", "--mu", "1,"],
-    ["figure3", "--mu", "1,1e-100"], ["figure3", "--convention", "sideways"],
-    ["check", "--seed", "-1"], ["nope"], [],
-)
+# each refusal by name (``tests/test_cli.py`` checks each one on its own
+# against its ledger line)
+REFUSALS = {
+    "missing_q": ["entropy"],
+    "unknown_q": ["entropy", "--q", "nope"],
+    "unknown_q_quad_ratio": ["entropy", "--q", "nope", "--quad-ratio"],
+    "unknown_q_m_phys": ["entropy", "--q", "nope", "--m-phys", "2"],
+    "unknown_q_z": ["entropy", "--q", "nope", "--z", "0.5"],
+    "unknown_q_m0_inf": ["entropy", "--q", "nope", "--m0", "inf"],
+    "unknown_q_delta_cut": ["entropy", "--q", "nope", "--delta-cut", "0.1"],
+    "unknown_q_quad_ratio_m_phys": ["entropy", "--q", "nope", "--quad-ratio", "--m-phys", "2"],
+    "quad_ratio_not_total21": ["entropy", "--q", "mutual21", "--quad-ratio"],
+    "quad_ratio_m_phys_int21": ["entropy", "--q", "int21", "--quad-ratio", "--m-phys", "2"],
+    "delta_cut_without_quad_ratio": ["entropy", "--q", "total21", "--delta-cut", "0.1"],
+    "m_phys_total21": ["entropy", "--q", "total21", "--m-phys", "2"],
+    "m_phys_not_nonpert": ["entropy", "--q", "int21", "--m-phys", "2"],
+    "z_without_m_phys": ["entropy", "--q", "nonpert", "--z", "0.5"],
+    "quad_ratio_nonpert": ["entropy", "--q", "nonpert", "--quad-ratio"],
+    "order_above_cap": ["entropy", "--q", "int21", "--order", "33"],
+    "m0_inf": ["entropy", "--q", "ext21", "--m0", "inf"],
+    "tv_inf": ["entropy", "--q", "total21", "--tv", "inf"],
+    "lambda0_nan": ["entropy", "--q", "ext2_order1", "--lambda0", "nan"],
+    "nonfinite_result": ["entropy", "--q", "ext21", "--m0", "1e200"],
+    "bad_float": ["entropy", "--q", "int21", "--m0", "abc"],
+    "m0_overflows": ["entropy", "--q", "mutual21", "--m0", "1e100"],
+    "m0_underflows": ["entropy", "--q", "vacuum21", "--m0", "1e-200"],
+    "mu_underflows": ["entropy", "--q", "ext2_total", "--mu", "1e-100"],
+    "m_phys_overflows": ["entropy", "--q", "nonpert", "--m-phys", "1e200"],
+    "z_underflows": ["entropy", "--q", "nonpert", "--m-phys", "1", "--z", "1e-308"],
+    "quad_ratio_delta_cut_above_one": ["entropy", "--q", "total21", "--quad-ratio",
+                                       "--delta-cut", "1.5"],
+    "lambda0_above_range": ["entropy", "--q", "ext21", "--lambda0", "1e31"],
+    "tv_zero": ["entropy", "--q", "int21", "--tv", "0"],
+    "negative_order": ["trace-check", "--order", "-1"],
+    "mu_nan": ["trace-check", "--mu", "nan"],
+    "trace_check_delta_cut": ["trace-check", "--delta-cut", "0.1"],
+    "trace_check_zero_coupling": ["trace-check", "--lambda0", "0"],
+    "lambda0_overflows": ["trace-check", "--lambda0", "1e300"],
+    "delta_cut_nan": ["tau", "--delta-cut", "nan"],
+    "delta_cut_zero": ["tau", "--delta-cut", "0"],
+    "steps_above_cap": ["figure2", "--steps", "100000000"],
+    "figure_order_above_cap": ["figure2", "--order", "40"],
+    "grid_inf": ["figure2", "--m0-max", "inf"],
+    "figure2_mu": ["figure2", "--mu", "2"],
+    "grid_reversed": ["figure2", "--m0-min", "5", "--m0-max", "2"],
+    "figure2_grid_overflows": ["figure2", "--m0-max", "1e100"],
+    "figure_mu_nan": ["figure3", "--mu", "1,nan"],
+    "figure_mu_empty_entry": ["figure3", "--mu", "1,,2"],
+    "figure_mu_trailing_comma": ["figure3", "--mu", "1,"],
+    "figure3_mu_underflows": ["figure3", "--mu", "1,1e-100"],
+    "bad_convention": ["figure3", "--convention", "sideways"],
+    "negative_seed_separate": ["check", "--seed", "-1"],
+    "unknown_command": ["nope"],
+    "no_command": [],
+    "z_underflows_small_m_phys": ["entropy", "--q", "nonpert", "--m-phys", "1e-30",
+                                  "--z", "1e-300"],
+    "figure3_grid_overflows": ["figure3", "--m0-max", "1e100"],
+    "lambda0_underflows": ["trace-check", "--lambda0", "1e-100"],
+    "tv_overflows": ["entropy", "--q", "mutual21", "--m0", "1e30", "--tv", "1e300"],
+    "figure3_lambda0_tv_overflow": ["figure3", "--lambda0", "1e300", "--tv", "1e300",
+                                    "--steps", "3"],
+    "figure2_tv_below_range": ["figure2", "--tv", "1e-31", "--steps", "3"],
+    "tv_doubles_to_inf": ["entropy", "--q", "int21", "--tv", "1e308"],
+    "lambda0_minus_inf": ["entropy", "--q", "ext2_order1", "--lambda0", "-inf"],
+    "m0_above_range": ["entropy", "--q", "ext21", "--m0", "1e160"],
+    "tau_delta_cut_above_one": ["tau", "--delta-cut", "1.5"],
+    "quad_ratio_delta_cut_nan": ["entropy", "--q", "total21", "--quad-ratio",
+                                 "--delta-cut", "nan"],
+    "negative_seed": ["check", "--seed=-1"],
+    "float_seed": ["check", "--seed", "1.5"],
+    # an output path is nonempty
+    "empty_out": ["figure2", "--steps", "3", "--out", ""],
+    "empty_svg": ["figure2", "--steps", "3", "--svg", ""],
+    # "--" as an option's value, which argparse alone drops, leaving a list
+    "double_dash_value": ["figure2", "--m0-min=--"],
+    "double_dash_config": ["--config=--", "tau"],
+}
 
-# a good file (a flag overrides it), then one file for each refusal of
-# ``cli._apply_config``
-CONFIG_RUNS = (
-    ["--config", "{data}/config/good.json", "figure3", "--steps", "4"],
-    ["--config", "{data}/config/unknown_key.json", "entropy", "--q", "int21"],
-    ["--config", "{data}/config/foreign_key.json", "figure2", "--steps", "3"],
-    ["--config", "{data}/config/switch_not_bool.json", "figure2", "--steps", "3"],
-    ["--config", "{data}/config/not_object.json", "tau"],
-    ["--config", "{data}/config/bad_json.json", "tau"],
-)
+# a good file, which a flag overrides
+GOOD_CONFIG_RUN = ["--config", "{data}/config/good.json", "figure3", "--steps", "4"]
+
+# each refusal of ``cli._apply_config``, then config values that an option's
+# own check refuses, by name as REFUSALS
+CONFIG_RUNS = {
+    "unknown_key": ["--config", "{data}/config/unknown_key.json", "entropy", "--q", "int21"],
+    "config_key_of_another_command": ["--config", "{data}/config/foreign_key.json",
+                                      "figure2", "--steps", "3"],
+    "switch_not_bool": ["--config", "{data}/config/switch_not_bool.json", "figure2",
+                        "--steps", "3"],
+    "not_object": ["--config", "{data}/config/not_object.json", "tau"],
+    "bad_json": ["--config", "{data}/config/bad_json.json", "tau"],
+    "missing_config": ["--config", "{data}/config/missing.json", "tau"],
+    "unreadable_config": ["--config", "{data}/config", "tau"],
+    "switch_int": ["--config", "{data}/config/switch_int.json", "figure2"],
+    "config_list_for_scalar": ["--config", "{data}/config/list_for_scalar.json", "entropy"],
+    "config_list_for_scalar_mu": ["--config", "{data}/config/list_for_scalar_mu.json",
+                                  "trace-check"],
+    "float_steps": ["--config", "{data}/config/float_steps.json", "figure2"],
+    "bad_choice": ["--config", "{data}/config/bad_choice.json", "figure3"],
+    "null_value": ["--config", "{data}/config/null_value.json", "entropy", "--q", "int21"],
+    "missing_q_in_config_too": ["--config", "{data}/config/m0_only.json", "entropy"],
+    "config_delta_cut_without_quad_ratio": ["--config", "{data}/config/delta_cut.json",
+                                            "entropy", "--q", "total21"],
+    "config_delta_cut_above_one": ["--config", "{data}/config/delta_cut_above_one.json",
+                                   "tau"],
+    "config_empty_svg": ["--config", "{data}/config/empty_svg.json", "figure3",
+                         "--steps", "3"],
+    "config_negative_seed": ["--config", "{data}/config/negative_seed.json", "check"],
+}
 
 
 def _log_uniform(rng: random.Random) -> float:
@@ -160,8 +228,8 @@ def commands() -> list[list[str]]:
             ["figure3", "--steps", "6", "--mu", "0.7,3", "--order", "0"],
             ["figure3", "--steps", "6", "--m0-min", "0.5", "--m0-max", "12", "--tv", "5",
              "--order", "32"]]
-    out += [list(argv) for argv in REFUSALS]
-    out += [list(argv) for argv in CONFIG_RUNS]
+    out += [list(argv) for argv in REFUSALS.values()]
+    out += [list(GOOD_CONFIG_RUN)] + [list(argv) for argv in CONFIG_RUNS.values()]
     out += [["check"], ["check", "--seed", "1"]]
     return out
 

@@ -13,7 +13,7 @@ import pytest
 from loopentropy import contour as ct
 from loopentropy import entropy as en
 from loopentropy.epsseries import EpsSeries
-from loopentropy.errors import UnknownQuantityError
+from loopentropy.errors import NonFiniteError, UnknownQuantityError
 from loopentropy.params import (MASS_MAX, MASS_MIN, TV_MAX, TV_MIN, WEIGHT_MAX, Z_MIN,
                                 SchemeParams)
 
@@ -453,7 +453,11 @@ def test_breakdown_reads_its_parts_from_the_series():
 
 @pytest.mark.parametrize("call, error", [
     (lambda: en.renyi_trace_radial(1, params()), ValueError),
-], ids=["renyi_radial_n_below_2"])
+    # (32 pi^2)^n and, inside the integral, t^(3 - n) overflow
+    (lambda: en.renyi_trace_n(400, params()), NonFiniteError),
+    # m0^(4 - 2n) overflows at m0 = 1e-30 from n = 8 on
+    (lambda: en.renyi_trace_n(8, params(m0=1e-30)), NonFiniteError),
+], ids=["renyi_radial_n_below_2", "renyi_n_overflow", "renyi_small_mass_overflow"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

@@ -569,8 +569,11 @@ def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
     (lambda: power_series(0, 1.0, 4), ValueError),
     (lambda: gamma_series(0.5, 1.0, -1), ValueError),
     (lambda: digamma_series(0.5, 1.0, -1), ValueError),
+    # (slope * log(base))**2 / 2 overflows
+    (lambda: power_series(1e300, 1e300, 3), NonFiniteError),
 ], ids=["pole_below_depth", "log_above_cap", "fractional_power", "power_series_zero_base",
-        "gamma_series_negative_order", "digamma_series_negative_order"])
+        "gamma_series_negative_order", "digamma_series_negative_order",
+        "power_series_overflow"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

@@ -33,10 +33,10 @@ ALLOWED = {
     ("loopentropy._quadpack", "ValueError"): "two internal guards: loops hands QUADPACK only "
                                              "its own bounds and tolerances",
     ("loopentropy.cli", "ArgumentTypeError"): "argparse's error for a value that does not "
-                                              "convert; the parser prints it as one error: "
-                                              "line, exit 2",
+                                              "convert; argparse hands it to the parser's "
+                                              "error(), which raises it as an InputError",
     ("loopentropy.cli", "ArgumentError"): "argparse's error for an option without its value; "
-                                          "printed the same way",
+                                          "raised as an InputError the same way",
 }
 
 
