@@ -264,8 +264,10 @@ def _parse_seed(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as an ``InputError``, which the CLI prints as
     one ``error:`` line (exit 2) like any other invalid input; reads a
-    negative number in exponent notation (``-1e-3``) as a value, where
-    argparse alone would take it for an option; and refuses a value of
+    negative number in exponent notation (``-1e-3``) or a negative
+    ``inf``, ``infinity`` or ``nan`` (any case, as ``float`` reads them) as
+    a value, where argparse alone would take it for an option, so the
+    value's own check names its range; and refuses a value of
     ``--`` (``--m0=--``), which argparse alone drops, leaving an empty list.
 
     A subcommand's parser is made with ``add_arguments``, the function that
@@ -278,7 +280,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._add_arguments = add_arguments
         self._negative_number_matcher = re.compile(
-            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def parse_known_args(self, args=None, namespace=None):
         if self._add_arguments is not None:

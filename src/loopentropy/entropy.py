@@ -23,7 +23,7 @@ from . import contour as ct
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
-from .errors import InputError, NonFiniteError, UnknownQuantityError
+from .errors import InputError, UnknownQuantityError
 from .loops import (
     chi_over_delta_series_m2,
     chi_series_m2,
@@ -31,6 +31,7 @@ from .loops import (
     delta_series_m2,
     delta_stripped_series_m2,
     eta_closed_d4,
+    _in_float_range,
     _quad,
 )
 from .params import MASS_MAX, MASS_MIN, WEIGHT_MAX, Z_MIN, SchemeParams, check_range
@@ -318,21 +319,20 @@ def renyi_trace_n(n: int, params: SchemeParams,
 
     Finite for n >= 3 (hi = 1); for n = 2 the endpoint diverges and the
     value is regulated at hi = 1 - endpoint_cut.  A value past the float
-    range (a large n, or a small m0) is refused (NonFiniteError).
+    range (a large n, or a small m0), or one that underflows to zero (a
+    large m0), is refused (NonFiniteError).
     """
     if n < 2:
         raise InputError("replica power n must be >= 2")
     hi = 1.0 if n >= 3 else 1.0 - cfg.endpoint_cut
-    try:
+
+    def value():
         val = _quad(lambda t: t ** (3 - n) * (1.0 - t * t) ** (n - 3)
                     * np.arctanh(t) ** n, 0.0, hi)
-        value = (-1j) ** n * 2.0 * params.m0 ** (4 - 2 * n) \
+        return (-1j) ** n * 2.0 * params.m0 ** (4 - 2 * n) \
             / (PI ** 2 * (32.0 * PI ** 2) ** n) * val
-    except OverflowError:  # a float power past the float range
-        value = math.inf
-    if not math.isfinite(abs(value)):
-        raise NonFiniteError(f"renyi_trace_n({n}) overflows the float range at m0 = {params.m0!r}")
-    return value
+
+    return _in_float_range(value, "renyi_trace_n(%d) at m0 = %r", n, params.m0)
 
 
 def renyi_trace_radial(n: int, params: SchemeParams,

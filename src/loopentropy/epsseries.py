@@ -47,7 +47,6 @@ zero is dropped at once, so a later power restarts it there.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,12 +69,6 @@ KEY_WIDTH = 2 * LOGCAP + 1
 # kmax assigned to series that are exact (constants, monomials); large enough
 # that mixed arithmetic is always limited by the genuinely truncated operand.
 EXACT_ORDER = 64
-
-# entries kept by each memoized expansion (gamma_series, harmonic_series): the
-# library's own Gamma keys, (j - 1, -0.5, order + k), and harmonic keys,
-# (j - 2, -0.5, order + k), for j <= 4 at every order up to the cap, fit, and
-# no caller can grow it further
-EXPANSION_CACHE_SIZE = 256
 
 
 def kernel_key(k: int, l: int = 0) -> int:
@@ -521,42 +514,13 @@ def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weights=None) -> EpsSer
 # ----------------------------------------------------------------------
 # standard expansions
 # ----------------------------------------------------------------------
-def _memoized(expansion):
-    """Memoize a pure expansion of ``(c0, slope, order)`` in a bounded LRU cache.
-
-    Every caller gets the same :class:`EpsSeries` object, so nothing may
-    mutate a returned series.  ``0.0`` and ``-0.0`` compare equal but pick
-    opposite branches (``loggamma(-2.5 - 0j)`` is the conjugate of
-    ``loggamma(-2.5 + 0j)``), so the key carries the sign of each part of
-    ``c0`` and ``slope``; ``typed`` keeps ``order=4.0`` (an error) apart from
-    ``order=4``.
-    """
-    @functools.lru_cache(maxsize=EXPANSION_CACHE_SIZE, typed=True)
-    def cached(c0: complex, slope: complex, order: int, signs: tuple) -> EpsSeries:
-        return expansion(c0, slope, order)
-
-    @functools.wraps(expansion)
-    def memoized(c0: complex, slope: complex, order: int) -> EpsSeries:
-        c0, slope = complex(c0), complex(slope)
-        signs = tuple(math.copysign(1.0, x)
-                      for x in (c0.real, c0.imag, slope.real, slope.imag))
-        return cached(c0, slope, order, signs)
-
-    memoized.cache_info = cached.cache_info
-    memoized.cache_clear = cached.cache_clear
-    return memoized
-
-
 def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSeries:
     """base**(exponent_slope * eps) expanded to the given order.
 
-    The branch of log(base) follows the library policy.  Not memoized here:
-    the bases a sweep passes are its masses and scales, new at each point.
-    ``loops`` caches the one constant base, 4*pi, by order, and keeps the
-    last two tadpole mass factors (this series at m^2 times the 4*pi one),
-    so the two tadpoles of a figure2 point (``ext21`` and ``int21``) build
-    one product between them.  A coefficient past the float range is
-    refused (NonFiniteError).
+    The branch of log(base) follows the library policy.  A coefficient past
+    the float range is refused (NonFiniteError).  No expansion here keeps a
+    cache: ``loops`` keeps the ones that a sweep repeats, keyed by what its
+    calls vary.
     """
     if base == 0:
         raise InputError("power_series requires a nonzero base")
@@ -583,12 +547,12 @@ def _gamma_one_plus(slope: complex, order: int) -> EpsSeries:
     return EpsSeries(logg, order).exp()
 
 
-@_memoized
 def gamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
-    """Expansion of Gamma(c0 + slope*eps) around eps = 0 (memoized).
+    """Expansion of Gamma(c0 + slope*eps) around eps = 0.
 
     At a nonpositive integer c0 = -n the result starts with a simple pole
-    whose residue is (-1)**n / (n! * slope).
+    whose residue is (-1)**n / (n! * slope).  Between the poles, the sign of a
+    zero imaginary part of c0 picks the side of log-gamma's branch cut.
     """
     check_int_range("order", order, 0, sf.MAX_POLYGAMMA_ORDER)
     c0 = complex(c0)
@@ -650,7 +614,6 @@ def digamma_series(c0: complex, slope: complex, order: int) -> EpsSeries:
     return EpsSeries(coeffs, order)
 
 
-@_memoized
 def harmonic_series(c0: complex, slope: complex, order: int) -> EpsSeries:
-    """Expansion of the harmonic number H(c0 + slope*eps) (memoized)."""
+    """Expansion of the harmonic number H(c0 + slope*eps)."""
     return digamma_series(c0 + 1, slope, order) + sf.EULER_GAMMA

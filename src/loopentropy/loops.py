@@ -21,6 +21,7 @@ Renyi traces.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -29,8 +30,9 @@ from typing import Callable
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
-from .errors import InputError, NonConvergentError, PoleError, ToleranceNotMetError
-from .params import MAX_ORDER, SchemeParams, check_positive
+from .errors import (InputError, NonConvergentError, NonFiniteError, PoleError,
+                     ToleranceNotMetError)
+from .params import MAX_ORDER, SchemeParams, check_int_range, check_positive
 
 np = LazyModule("numpy")
 integrate = LazyModule("loopentropy._quadpack")
@@ -97,6 +99,20 @@ def _quad(f: Callable[[float], float], a: float, b: float,
     return val
 
 
+def _in_float_range(compute: Callable[[], complex], what: str, *args) -> complex:
+    """``compute()``, refused (NonFiniteError) where it leaves the float
+    range: a float power in it overflows, or the value is infinite, NaN or
+    zero.  Every value it guards is nonzero, so a zero is an underflow.
+    The message names ``what % args``, formatted only for a refusal."""
+    try:
+        value = compute()
+    except OverflowError:  # a float power past the float range
+        value = math.inf
+    if not value or not cmath.isfinite(value):
+        raise NonFiniteError(f"{what % args} leaves the float range")
+    return value
+
+
 def complex_quad(f: Callable[[float], complex], a: float, b: float,
                  rel_tol: float = QUAD_REL_TOL) -> complex:
     """Adaptive quadrature of a complex integrand on a real interval."""
@@ -114,22 +130,23 @@ def delta_closed(j: int, m2: float, d: float) -> complex:
         i (-1)^(j+1) m^(d - 2(j+1)) (4 pi)^(-d/2) Gamma(j+1-d/2) / Gamma(j+1)
 
     Raises PoleError when j+1-d/2 is a nonpositive integer (use
-    delta_series at d near 4 instead).
+    delta_series at d near 4 instead).  j runs to 170, the largest j whose
+    j! = Gamma(j+1) is a float; a value past the float range, or one that
+    underflows to zero, is refused (NonFiniteError).
     """
-    if j < 0:
-        raise InputError("j must be nonnegative")
+    check_int_range("j", j, 0, sf.MAX_POLYGAMMA_ORDER)
     check_positive("m2", m2)
     arg = j + 1 - d / 2.0
     if sf.is_nonpositive_integer(arg, tol=1e-9):
         raise PoleError(
             f"delta_closed: Gamma({arg}) pole at j={j}, d={d}; use the series"
         )
-    return (
+    return _in_float_range(lambda: (
         1j * (-1.0) ** (j + 1)
         * m2 ** (d / 2.0 - (j + 1))
         * (4.0 * PI) ** (-d / 2.0)
         * sf.gamma(arg) / math.gamma(j + 1)
-    )
+    ), "delta_closed(%d, %r, %r)", j, m2, d)
 
 
 def chi_closed(j: int, m2: float, d: float) -> complex:
@@ -218,14 +235,37 @@ def _mass_factor(m2: float, order: int) -> EpsSeries:
     return power_series(m2, 0.5, order) * _four_pi_factor(order)
 
 
+# The tadpole's mass-free expansions, keyed by (j, order) alone, so a sweep
+# builds each once.  The library asks for Gamma at j = 0 and 1 in every
+# entropy and at j = 2 in the series-scaling check, and for the harmonic
+# number at j = 0 and 1, each at the orders that the 4*pi factor serves
+# (the harmonic one an order lower): no key of its own is ever evicted.
+@functools.lru_cache(maxsize=3 * (MAX_ORDER + 3), typed=True)
+def _gamma_factor(j: int, order: int) -> EpsSeries:
+    """Gamma(j - 1 - eps/2) to the given order."""
+    return gamma_series(j - 1, -0.5, order)
+
+
+@functools.lru_cache(maxsize=2 * (MAX_ORDER + 2), typed=True)
+def _harmonic_factor(j: int, order: int) -> EpsSeries:
+    """H(j - 2 - eps/2) = H_{j - d/2} to the given order."""
+    return harmonic_series(j - 2, -0.5, order)
+
+
 def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
-    """Tadpole-power integral at squared mass m2 as a series in eps = d - 4."""
-    if j < 0:
-        raise InputError("j must be nonnegative")
+    """Tadpole-power integral at squared mass m2 as a series in eps = d - 4.
+
+    j runs to 170, as in :func:`delta_closed`; a prefactor m2**(1 - j) / j!
+    past the float range, or one that underflows to zero, is refused
+    (NonFiniteError).
+    """
+    check_int_range("j", j, 0, sf.MAX_POLYGAMMA_ORDER)
     check_positive("m2", m2)
-    pref = 1j * (-1.0) ** (j + 1) * m2 ** (1 - j) / ((4.0 * PI) ** 2 * math.gamma(j + 1))
+    pref = _in_float_range(
+        lambda: 1j * (-1.0) ** (j + 1) * m2 ** (1 - j) / ((4.0 * PI) ** 2 * math.gamma(j + 1)),
+        "the delta_%d prefactor at m2 = %r", j, m2)
     # one order past the cut covers the simple pole of Gamma(j - 1 - eps/2), j <= 1
-    body = _mass_factor(m2, order + 1) * gamma_series(j - 1, -0.5, order + 1)
+    body = _mass_factor(m2, order + 1) * _gamma_factor(j, order + 1)
     return body.truncate(order).scale(pref)
 
 
@@ -272,10 +312,12 @@ def chi_over_delta_series_m2(j: int, m2: float, order: int,
 
     With ``real_branch=True`` the +i*pi of log(-m^2) is dropped (the branch
     choice that the printed entropy expansions absorb into their real parts).
+    j runs to 170, as in :func:`delta_closed`.
     """
+    check_int_range("j", j, 0, sf.MAX_POLYGAMMA_ORDER)
     check_positive("m2", m2)
     log_term = math.log(m2) + (0.0 if real_branch else 1j * PI)
-    return complex(sf.harmonic_int(j) + log_term) - harmonic_series(j - 2, -0.5, order)
+    return complex(sf.harmonic_int(j) + log_term) - _harmonic_factor(j, order)
 
 
 def chi_over_delta_series(j: int, params: SchemeParams) -> EpsSeries:

@@ -50,7 +50,8 @@ ZETA = {
 
 _POLE_TOL = 1e-12
 
-# the largest n of polygamma(n, z): 170! is the largest factorial a float holds
+# the largest n of polygamma(n, z), and of the loop power j (whose j! = Gamma(j + 1)
+# the loops divide by): 170! is the largest factorial a float holds
 MAX_POLYGAMMA_ORDER = 170
 
 

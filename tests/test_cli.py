@@ -537,6 +537,15 @@ def test_negative_numbers_in_exponent_notation_are_values(value, capsys):
     assert json.loads(separate.out)["lambda0"] == float(value)
 
 
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
+def test_a_negative_inf_or_nan_is_a_value_that_its_range_refuses(value, capsys):
+    assert main(["entropy", "--q", "ext2_order1", "--lambda0", value]) == 2
+    separate = capsys.readouterr()
+    assert main(["entropy", "--q", "ext2_order1", f"--lambda0={value}"]) == 2
+    assert separate == capsys.readouterr()
+    assert separate.err.startswith("error: lambda0 must be 0 or have a magnitude in ")
+
+
 @pytest.mark.parametrize("lambda0", ["1e-30", "-1e-30", "1e30", "-1e30"])
 @pytest.mark.parametrize("tv", ["1e-30", "1e30"])
 def test_every_quantity_is_finite_at_the_coupling_and_tv_range_ends(lambda0, tv, capsys):

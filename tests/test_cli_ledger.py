@@ -135,6 +135,9 @@ REFUSALS = {
     # "--" as an option's value, which argparse alone drops, leaving a list
     "double_dash_value": ["figure2", "--m0-min=--"],
     "double_dash_config": ["--config=--", "tau"],
+    # a negative inf or nan is a value, as -1e-3 is, and its range names it
+    "lambda0_minus_nan": ["entropy", "--q", "ext2_order1", "--lambda0", "-nan"],
+    "m0_minus_inf": ["entropy", "--q", "ext21", "--m0", "-inf"],
 }
 
 # a good file, which a flag overrides

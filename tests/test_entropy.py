@@ -457,7 +457,10 @@ def test_breakdown_reads_its_parts_from_the_series():
     (lambda: en.renyi_trace_n(400, params()), NonFiniteError),
     # m0^(4 - 2n) overflows at m0 = 1e-30 from n = 8 on
     (lambda: en.renyi_trace_n(8, params(m0=1e-30)), NonFiniteError),
-], ids=["renyi_radial_n_below_2", "renyi_n_overflow", "renyi_small_mass_overflow"])
+    # m0^(4 - 2n) underflows to zero at m0 = 1e30; it returned 0j
+    (lambda: en.renyi_trace_n(10, params(m0=1e30)), NonFiniteError),
+], ids=["renyi_radial_n_below_2", "renyi_n_overflow", "renyi_small_mass_overflow",
+        "renyi_large_mass_underflow"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

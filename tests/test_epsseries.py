@@ -1,5 +1,5 @@
 """Series-algebra layer: ring axioms, division/log/exp, the standard
-expansions and their memoization, and the truncation bookkeeping."""
+expansions and the loops' caches of them, and the truncation bookkeeping."""
 
 import json
 import math
@@ -14,7 +14,6 @@ from loopentropy import epsseries
 from loopentropy import loops
 from loopentropy import specialfns as sf
 from loopentropy.epsseries import (
-    EXPANSION_CACHE_SIZE,
     EpsSeries,
     digamma_series,
     gamma_series,
@@ -28,6 +27,7 @@ from loopentropy.errors import (
     TruncationUnderflowError,
 )
 from loopentropy.loops import (
+    MAX_ORDER,
     SchemeParams,
     chi_over_delta_series_m2,
     chi_series_m2,
@@ -342,51 +342,80 @@ def test_evaluate_without_logs_keeps_the_bits_of_the_log_loop():
 
 
 # ----------------------------------------------------------------------
-# memoized expansions
+# the loops' caches of the tadpole factors
 # ----------------------------------------------------------------------
-MEMOIZED = (gamma_series, harmonic_series)
+# the 4*pi and mass factors of every tadpole body and its Gamma and
+# harmonic-number expansions, keyed by (j, order)
+LOOP_CACHES = (loops._four_pi_factor, loops._mass_factor, loops._gamma_factor,
+               loops._harmonic_factor)
 
 
 def _clear_expansion_caches():
-    """Empty every cache of the library: the memoized expansions and the
-    tadpole's 4*pi and mass factors."""
-    for fn in (*MEMOIZED, loops._four_pi_factor, loops._mass_factor):
+    """Empty every cache of the library."""
+    for fn in LOOP_CACHES:
         fn.cache_clear()
-
-
-@pytest.mark.parametrize("fn", MEMOIZED, ids=lambda f: f.__name__)
-def test_memoized_expansions_equal_the_uncached_ones(fn):
-    # poles n = 0..5, regular points, and both signs of a zero imaginary part
-    # (complex(-2.5, -0.0) lies on the other side of the log-gamma branch cut)
-    points = [0, -1, -2, -3, -4, -5, 1, 2.5, 0.3, complex(1.3, 0.4),
-              complex(-2.5, 0.0), complex(-2.5, -0.0), -2.5]
-    _clear_expansion_caches()
-    for order in range(9):
-        for c0 in points:
-            for slope in (-0.5, 1.0, 0.7):
-                expected = repr(fn.__wrapped__(c0, slope, order).terms())
-                first, second = fn(c0, slope, order), fn(c0, slope, order)
-                assert second is first
-                assert repr(first.terms()) == expected, (c0, slope, order)
-
-
-def test_loop_series_at_interleaved_masses_and_orders_equal_a_cold_call():
-    rng = random.Random(7)
-    calls = [(f, j, m2, order) for f in (delta_series_m2, chi_series_m2)
-             for j in range(5) for m2 in (0.3, 1.0, 7.5) for order in (0, 3, 8)]
-    rng.shuffle(calls)
-    cold = []
-    for f, j, m2, order in calls:
-        _clear_expansion_caches()
-        cold.append(repr(f(j, m2, order).terms()))
-    _clear_expansion_caches()
-    warm = [repr(f(j, m2, order).terms()) for f, j, m2, order in calls]
-    assert warm == cold
 
 
 def _hex_terms(s: EpsSeries) -> list:
     """Each coefficient's bits, in the series' key order."""
     return [(key, c.real.hex(), c.imag.hex()) for key, c in s.coeffs.items()]
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["plus_zero_first", "minus_zero_first"])
+def test_gamma_series_branch_follows_the_zero_sign(first):
+    """complex(-2.5, 0.0) and complex(-2.5, -0.0) compare equal but lie on
+    the two sides of log-gamma's branch cut, so their expansions are each
+    other's conjugates, whichever is asked for first."""
+    for order in range(9):
+        for slope in (-0.5, 1.0, 0.7):
+            got = {math.copysign(1.0, zero): gamma_series(complex(-2.5, zero), slope, order)
+                   for zero in (first, -first)}
+            upper, lower = got[1.0], got[-1.0]
+            conjugate = EpsSeries({key: c.conjugate() for key, c in upper.coeffs.items()},
+                                  upper.kmax)
+            assert _hex_terms(lower) == _hex_terms(conjugate), (slope, order)
+            assert _hex_terms(lower) != _hex_terms(upper), (slope, order)
+
+
+def test_loop_series_at_interleaved_masses_and_orders_equal_a_cold_call():
+    """Every series that the cached factors enter, asked for at interleaved
+    (j, m2, order), has the bits and order of a call with every cache empty."""
+    rng = random.Random(7)
+    calls = [(f, j, m2, order)
+             for f in (delta_series_m2, chi_series_m2, chi_over_delta_series_m2)
+             for j in range(5) for m2 in (0.3, 1.0, 7.5) for order in (0, 3, 8)]
+    rng.shuffle(calls)
+    cold = []
+    for f, j, m2, order in calls:
+        _clear_expansion_caches()
+        series = f(j, m2, order)
+        cold.append((_hex_terms(series), series.kmax))
+    _clear_expansion_caches()
+    warm = [(_hex_terms(series), series.kmax)
+            for series in (f(j, m2, order) for f, j, m2, order in calls)]
+    assert warm == cold
+
+
+def test_the_expansion_caches_hold_every_key_the_system_asks_for(capsys):
+    """A default figure2 sweep, every command line of the CLI ledger, and
+    every quantity at every order build each (j, order) of the Gamma and
+    harmonic-number caches once: none is evicted and built again."""
+    from test_cli_ledger import commands, run
+
+    from loopentropy.cli import main
+
+    _clear_expansion_caches()
+    assert main(["figure2"]) == 0
+    for argv in commands():
+        run(argv)
+    for order in range(MAX_ORDER + 1):
+        p = SchemeParams(order=order)
+        for name in en.QUANTITY_NAMES:
+            en.compute_quantity(name, p)
+        en.order1_blocks_n2(p)
+    for cache in (loops._gamma_factor, loops._harmonic_factor):
+        info = cache.cache_info()
+        assert info.misses == info.currsize <= info.maxsize, (cache.__name__, info)
 
 
 def test_the_shared_mass_factor_at_interleaved_masses_equals_a_cold_call():
@@ -434,29 +463,18 @@ def test_chi_over_delta_at_unit_mass_bit_for_bit(j, real_branch):
 
 def test_quantities_leave_cached_expansions_unchanged():
     _clear_expansion_caches()
-    # every key the pass below uses: c0 = j - 1, orders up to 8 + 2
-    keys = [(c0, -0.5, order) for c0 in range(-1, 4) for order in range(15)]
-    cached = {(fn, key): fn(*key) for fn in MEMOIZED for key in keys}
-    before = {k: repr(v.terms()) for k, v in cached.items()}
+    # every key the pass below uses: j = 0, 1 at orders up to 8 + 2
+    keys = [(loops._four_pi_factor, (order,)) for order in range(11)]
+    keys += [(fn, (j, order)) for fn in (loops._gamma_factor, loops._harmonic_factor)
+             for j in (0, 1) for order in range(11)]
+    cached = {(fn, key): fn(*key) for fn, key in keys}
+    before = {k: _hex_terms(v) for k, v in cached.items()}
     for m0, order in ((0.7, 0), (1.0, 4), (3.2, 8)):
         for name in en.QUANTITY_NAMES:
             en.compute_quantity(name, SchemeParams(m0=m0, mu=1.3, order=order))
     for (fn, key), series in cached.items():
         assert fn(*key) is series  # still the cached object the pass used
-        assert repr(series.terms()) == before[(fn, key)], (fn.__name__, key)
-
-
-def test_expansion_caches_stay_bounded():
-    rng = random.Random(11)
-    for _ in range(10_000):
-        c0 = rng.uniform(0.1, 50.0)
-        gamma_series(c0, 1.0, 0)
-        harmonic_series(c0, 1.0, 0)
-    for fn in MEMOIZED:
-        assert fn.cache_info().currsize <= EXPANSION_CACHE_SIZE
-    # evicted library entries are rebuilt on demand
-    assert repr(gamma_series(-1, -0.5, 6).terms()) == \
-        repr(gamma_series.__wrapped__(-1, -0.5, 6).terms())
+        assert _hex_terms(series) == before[(fn, key)], (fn.__name__, key)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from loopentropy import entropy as en
 from loopentropy import checks, epsseries, loops, traces
 from loopentropy.epsseries import EXACT_ORDER
-from loopentropy.errors import InputError, NonConvergentError, PoleError, ToleranceNotMetError
+from loopentropy.errors import (InputError, NonConvergentError, NonFiniteError, PoleError,
+                                 ToleranceNotMetError)
 from loopentropy.loops import (
     MAX_ORDER,
     LoopValue,
@@ -439,6 +440,17 @@ def test_eta_beyond_threshold_branch():
     (lambda: delta_series_m2(0, math.nan, 2), InputError),
     (lambda: eta_closed_d4(1.0, math.nan), InputError),
     (lambda: chi_over_delta_series_m2(0, math.inf, 2), InputError),
+    # j runs to 170, past which j! overflows (j = 200 raised OverflowError)
+    (lambda: delta_series_m2(200, 1.0, 2), InputError),
+    (lambda: delta_closed(200, 1.0, 4.5), InputError),
+    (lambda: chi_over_delta_series_m2(1.5, 1.0, 2), InputError),  # raised TypeError
+    # m2**(1 - j) past the float range raised OverflowError; below it, the
+    # prefactor underflowed to zero and the series came back zero
+    (lambda: delta_series_m2(7, 1e-60, 2), NonFiniteError),
+    (lambda: chi_series_m2(7, 1e-60, 2), NonFiniteError),
+    (lambda: delta_closed(7, 1e-60, 4.5), NonFiniteError),
+    (lambda: delta_series_m2(7, 1e60, 2), NonFiniteError),
+    (lambda: delta_closed(7, 1e60, 4.5), NonFiniteError),
     # d just above 0: subdivision reaches x == 1.0, where (1 - x)^(d/2 - 1) divides by zero
     (lambda: oracle_chi_x(0, 0.05050689758849527, 2.7202514838453595e-06),
      ToleranceNotMetError),
@@ -448,7 +460,10 @@ def test_eta_beyond_threshold_branch():
         "delta_closed_negative_j", "delta_closed_zero_m2", "delta_series_negative_j",
         "delta_series_negative_m2", "chi_over_delta_zero_m2", "eta_negative_m2",
         "delta_closed_inf_m2", "delta_series_nan_m2", "eta_closed_nan_m2",
-        "chi_over_delta_inf_m2",
+        "chi_over_delta_inf_m2", "delta_series_j_above_170", "delta_closed_j_above_170",
+        "chi_over_delta_fractional_j", "delta_series_prefactor_overflows",
+        "chi_series_prefactor_overflows", "delta_closed_overflows",
+        "delta_series_prefactor_underflows", "delta_closed_underflows",
         "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):

@@ -264,9 +264,9 @@ def _library_arguments(monkeypatch):
         calls.append((name, complex(z)))
         return off_pole(name, z)
 
-    # the memoized expansions would hide the calls that earlier tests made first
-    epsseries.gamma_series.cache_clear()
-    epsseries.harmonic_series.cache_clear()
+    # the loops' cached expansions would hide the calls that earlier tests made first
+    loops._gamma_factor.cache_clear()
+    loops._harmonic_factor.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(sf, "_scipy_off_pole", record)
         checks.run_all()
