@@ -27,17 +27,14 @@ _ext = scipy_extension("integrate", "_quadpack")
 
 def quad(func, a: float, b: float, epsabs: float, epsrel: float,
          limit: int) -> tuple[float, float]:
-    """``scipy.integrate.quad(func, a, b, epsabs=, epsrel=, limit=)`` for finite
-    bounds or ``b = +inf``; returns ``(value, abserr)``.
+    """``scipy.integrate.quad(func, a, b, epsabs=, epsrel=, limit=)`` for
+    finite bounds or ``[a, +inf)``; returns ``(value, abserr)``.
 
     QUADPACK's ``ier`` 1-5 (scipy's warnings) are left to the caller's own
     check of the error estimate; ``ier == 6`` (invalid input) raises.
     """
     if a == b:
         return 0.0, 0.0
-    flip = b < a
-    if flip:
-        a, b = b, a
     if math.isfinite(a) and math.isfinite(b):
         val, err, ier = _ext._qagse(func, a, b, (), 0, epsabs, epsrel, limit)
     elif math.isfinite(a) and b == math.inf:
@@ -47,4 +44,4 @@ def quad(func, a: float, b: float, epsabs: float, epsrel: float,
     if ier == 6:
         raise ValueError(f"QUADPACK refused epsabs={epsabs}, epsrel={epsrel}, "
                          f"limit={limit}")
-    return (-val if flip else val), err
+    return val, err

@@ -9,6 +9,7 @@ discrepancy without failing the run.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -36,11 +37,15 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _random_point(rng) -> tuple[int, float, float]:
-    j = int(rng.integers(0, 5))
-    d = float(rng.uniform(1.0, 2 * j + 1.8))
-    m2 = float(rng.uniform(0.25, 9.0))
+def _random_point(rng: random.Random) -> tuple[int, float, float]:
+    j = rng.randrange(0, 5)
+    d = rng.uniform(1.0, 2 * j + 1.8)
+    m2 = rng.uniform(0.25, 9.0)
     return j, d, m2
+
+
+def _complex_gauss(rng: random.Random) -> complex:
+    return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
 
 
 def check_tau() -> CheckResult:
@@ -74,7 +79,7 @@ def check_conditional_constancy() -> CheckResult:
 
 
 def check_delta_oracle(seed: int = 20240817) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     worst_pt = None
     for _ in range(12):
@@ -90,7 +95,7 @@ def check_delta_oracle(seed: int = 20240817) -> CheckResult:
 
 
 def check_chi_oracle(seed: int = 20240818) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(8):
         j, d, m2 = _random_point(rng)
@@ -106,11 +111,11 @@ def check_chi_oracle(seed: int = 20240818) -> CheckResult:
 
 
 def check_eta_zero_momentum(seed: int = 20240819) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(8):
-        m2 = float(rng.uniform(0.25, 9.0))
-        d = float(rng.uniform(2.0, 5.5))
+        m2 = rng.uniform(0.25, 9.0)
+        d = rng.uniform(2.0, 5.5)
         lhs = loops.eta(0.0, m2, d)
         rhs = loops.delta_closed(2, m2, d)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -153,15 +158,14 @@ def check_mutual_identity() -> CheckResult:
 
 
 def check_trace_relations(seed: int = 20240820) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(20):
-        coeffs4 = {(int(k), 0): complex(*rng.normal(size=2)) for k in range(-1, 3)}
-        coeffs2 = {(int(k), 0): complex(*rng.normal(size=2)) for k in range(-1, 3)}
-        d0 = EpsSeries({(-1, 0): complex(*rng.normal(size=2)) + 2.0,
-                        (0, 0): complex(*rng.normal(size=2))}, kmax=4)
-        ts = TraceSet(r=4, traces={4: EpsSeries(coeffs4, 4), 2: EpsSeries(coeffs2, 4)},
-                      delta0=d0, lambda0=float(rng.uniform(0.1, 2.0)))
+        traces = {r: EpsSeries({(k, 0): _complex_gauss(rng) for k in range(-1, 3)}, 4)
+                  for r in (4, 2)}
+        d0 = EpsSeries({(-1, 0): _complex_gauss(rng) + 2.0,
+                        (0, 0): _complex_gauss(rng)}, kmax=4)
+        ts = TraceSet(r=4, traces=traces, delta0=d0, lambda0=rng.uniform(0.1, 2.0))
         worst = max(worst, vacuum_trace_phi4(ts).max_coeff_diff(vacuum_trace_phir(ts)))
     # round trip: inferred four-point trace plugged back must return the overlap
     p = SchemeParams(m0=1.2, lambda0=0.7, tv=1.0)

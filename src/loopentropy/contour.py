@@ -61,10 +61,7 @@ def coeff_b(cfg: ContourConfig = ContourConfig()) -> complex:
 
 
 def _log_factor(t: float) -> complex:
-    # log[(1 - t^2) atanh(t) / (8 pi^2 t)] + i pi/2; the t -> 0 limit is
-    # log(1/(8 pi^2)) + i pi/2, i.e. log(i/(8 pi^2)).
-    if t == 0.0:
-        return math.log(1.0 / (8.0 * PI ** 2)) + 0.5j * PI
+    # log[(1 - t^2) atanh(t) / (8 pi^2 t)] + i pi/2 at QUADPACK's interior nodes, 0 < t < 1
     return math.log((1.0 - t * t) * np.arctanh(t) / (8.0 * PI ** 2 * t)) + 0.5j * PI
 
 

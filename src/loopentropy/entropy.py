@@ -319,8 +319,8 @@ def renyi_trace_n(n: int, params: SchemeParams,
 
     Finite for n >= 3 (hi = 1); for n = 2 the endpoint diverges and the
     value is regulated at hi = 1 - endpoint_cut.  A value past the float
-    range (a large n, or a small m0), or one that underflows to zero (a
-    large m0), is refused (NonFiniteError).
+    range (a large n, or a small m0), or one that underflows below the
+    normal range (a large m0), is refused (NonFiniteError).
     """
     if n < 2:
         raise InputError("replica power n must be >= 2")

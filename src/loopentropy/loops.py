@@ -21,9 +21,9 @@ Renyi traces.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,15 +100,17 @@ def _quad(f: Callable[[float], float], a: float, b: float,
 
 
 def _in_float_range(compute: Callable[[], complex], what: str, *args) -> complex:
-    """``compute()``, refused (NonFiniteError) where it leaves the float
-    range: a float power in it overflows, or the value is infinite, NaN or
-    zero.  Every value it guards is nonzero, so a zero is an underflow.
-    The message names ``what % args``, formatted only for a refusal."""
+    """``compute()``, refused (NonFiniteError) where it leaves the normal
+    float range: a float power in it overflows, or the value is infinite,
+    NaN, zero or subnormal (every value it guards is nonzero, so the last
+    two are underflows).  The message names ``what % args``, formatted only
+    for a refusal."""
     try:
         value = compute()
-    except OverflowError:  # a float power past the float range
-        value = math.inf
-    if not value or not cmath.isfinite(value):
+        size = abs(value)
+    except OverflowError:  # a float power, or the magnitude, past the float range
+        size = math.inf
+    if not sys.float_info.min <= size < math.inf:  # NaN fails both
         raise NonFiniteError(f"{what % args} leaves the float range")
     return value
 
@@ -132,7 +134,7 @@ def delta_closed(j: int, m2: float, d: float) -> complex:
     Raises PoleError when j+1-d/2 is a nonpositive integer (use
     delta_series at d near 4 instead).  j runs to 170, the largest j whose
     j! = Gamma(j+1) is a float; a value past the float range, or one that
-    underflows to zero, is refused (NonFiniteError).
+    underflows below the normal range, is refused (NonFiniteError).
     """
     check_int_range("j", j, 0, sf.MAX_POLYGAMMA_ORDER)
     check_positive("m2", m2)
@@ -188,7 +190,7 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     return -1j * np.arctanh(q) / (8.0 * PI ** 2 * root_r * root_s)
 
 
-def eta(r2: float, m2: float, d: float = 4.0) -> complex:
+def eta(r2: float, m2: float, d: float) -> complex:
     """One-loop bubble via the Feynman-parameter integral.
 
         -i Gamma(3 - d/2) (4 pi)^(-d/2)
@@ -256,8 +258,8 @@ def delta_series_m2(j: int, m2: float, order: int) -> EpsSeries:
     """Tadpole-power integral at squared mass m2 as a series in eps = d - 4.
 
     j runs to 170, as in :func:`delta_closed`; a prefactor m2**(1 - j) / j!
-    past the float range, or one that underflows to zero, is refused
-    (NonFiniteError).
+    past the float range, or one that underflows below the normal range, is
+    refused (NonFiniteError).
     """
     check_int_range("j", j, 0, sf.MAX_POLYGAMMA_ORDER)
     check_positive("m2", m2)

@@ -4,10 +4,10 @@ Every number comes out of a fresh ``loopentropy`` process, so start-up is
 part of each command's cost: ``tau`` loads no ``entropy``, ``epsseries``,
 ``loops``, ``traces`` or ``svg``; ``trace-check`` no ``entropy`` or
 ``svg``; ``entropy`` and the figures no ``traces`` or ``checks``; and no
-command ``fractions`` or ``numpy.ma``.  The package resolves its public
-names on first lookup (PEP 562), so ``import loopentropy`` loads no
-submodule.  The import checks run in a fresh interpreter, since the rest of
-the suite leaves every module loaded.
+command ``fractions``, ``numpy.ma`` or ``numpy.random``.  The package
+resolves its public names on first lookup (PEP 562), so ``import
+loopentropy`` loads no submodule.  The import checks run in a fresh
+interpreter, since the rest of the suite leaves every module loaded.
 
 A process that runs its own command line (``main()``, as the console script
 does) freezes its heap once its output is written, so that CPython does not
@@ -41,7 +41,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code,
                   sorted(m[len("loopentropy."):] for m in sys.modules
                          if m.startswith("loopentropy.")),
-                  [m for m in ("fractions", "numpy.ma") if m in sys.modules]]))
+                  [m for m in ("fractions", "numpy.ma", "numpy.random")
+                   if m in sys.modules]]))
 '''
 
 TAU = {"cli", "contour", "errors", "params", "specialfns", "_lazy"}

@@ -102,6 +102,10 @@ def test_div_requires_clean_leading_term():
     bad = EpsSeries({(0, 1): 1.0, (1, 0): 1.0}, kmax=3)
     with pytest.raises(NonInvertibleLeadingTermError):
         EpsSeries.constant(1.0) / bad
+    # a log-free term and a log(eps) term at the same leading power
+    mixed = EpsSeries({(-1, 0): 1.0, (-1, 1): 2.0}, kmax=3)
+    with pytest.raises(NonInvertibleLeadingTermError):
+        EpsSeries.constant(1.0) / mixed
     with pytest.raises(NonInvertibleLeadingTermError):
         EpsSeries.zero(3).inverse()
 

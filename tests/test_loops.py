@@ -185,6 +185,19 @@ def test_chi_branch_term_at_unit_mass():
     assert resid == pytest.approx(1j * PI, abs=1e-12)
 
 
+# numpy's generator drew these for the chi check of `check --seed 174` and
+# `--seed 480`; one pass of the x-integral (both) and of the radial
+# integral (480) over its whole range missed the oracle tolerance there
+@pytest.mark.parametrize("j, m2, d", [(0, 8.383286922642323, 1.6195723560906439),
+                                      (0, 1.079967495957862, 1.4890595436122886)],
+                         ids=["check_seed_174", "check_seed_480"])
+def test_chi_quadratures_agree_at_the_hard_check_points(j, m2, d):
+    x_val = oracle_chi_x(j, m2, d)
+    r_val = oracle_chi_radial(j, m2, d)
+    assert abs(x_val - r_val) <= 1e-6 * abs(r_val)
+    assert abs(chi_closed(j, m2, d) - x_val) <= 1e-6 * abs(x_val)
+
+
 def test_chi_quadratures_agree_random():
     for j, m2, d in _random_convergent_points(20, seed=102):
         x_val = oracle_chi_x(j, m2, d)
@@ -434,7 +447,7 @@ def test_eta_beyond_threshold_branch():
     (lambda: delta_series_m2(-1, 1.0, 4), ValueError),
     (lambda: delta_series_m2(0, -1.0, 4), ValueError),
     (lambda: chi_over_delta_series_m2(0, 0.0, 4), ValueError),
-    (lambda: eta(1.0, -1.0), ValueError),
+    (lambda: eta(1.0, -1.0, 4.0), ValueError),
     # a non-finite mass gave NaN before it was refused
     (lambda: delta_closed(0, math.inf, 4.5), InputError),
     (lambda: delta_series_m2(0, math.nan, 2), InputError),
@@ -451,6 +464,8 @@ def test_eta_beyond_threshold_branch():
     (lambda: delta_closed(7, 1e-60, 4.5), NonFiniteError),
     (lambda: delta_series_m2(7, 1e60, 2), NonFiniteError),
     (lambda: delta_closed(7, 1e60, 4.5), NonFiniteError),
+    # a subnormal prefactor (1.3e-312j) gave an eps^0 coefficient 1.8e-13 off
+    (lambda: delta_series_m2(7, 1e51, 2), NonFiniteError),
     # d just above 0: subdivision reaches x == 1.0, where (1 - x)^(d/2 - 1) divides by zero
     (lambda: oracle_chi_x(0, 0.05050689758849527, 2.7202514838453595e-06),
      ToleranceNotMetError),
@@ -464,6 +479,7 @@ def test_eta_beyond_threshold_branch():
         "chi_over_delta_fractional_j", "delta_series_prefactor_overflows",
         "chi_series_prefactor_overflows", "delta_closed_overflows",
         "delta_series_prefactor_underflows", "delta_closed_underflows",
+        "delta_series_prefactor_subnormal",
         "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):

@@ -71,14 +71,6 @@ def test_library_quadratures_match_scipy_bit_for_bit(monkeypatch):
         assert _bits(ours) == _bits(_scipy_quad(f, a, b, **kwargs)), (a, b, kwargs)
 
 
-@pytest.mark.parametrize("f, a, b", [(ct._weight, 0.9, 0.0), (ct._weight, 0.7, 0.2),
-                                     (lambda u: (u + 1.0) ** -2.5, math.inf, 0.5)])
-def test_reversed_bounds_negate_the_value(f, a, b):
-    ours = _quadpack.quad(f, a, b, 0.0, 1e-9, QUAD_LIMIT)
-    assert _bits(ours) == _bits(_scipy_quad(f, a, b, 0.0, 1e-9, QUAD_LIMIT))
-    assert ours[0] < 0.0
-
-
 def test_an_empty_interval_never_calls_the_integrand(monkeypatch):
     def unreachable(x):
         raise AssertionError(f"integrand called at {x}")
