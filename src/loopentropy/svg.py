@@ -26,6 +26,10 @@ def _fmt(x: float) -> str:
 
 def _ticks(lo: float, hi: float) -> list[float]:
     raw = (hi - lo) / 5  # about six ticks
+    # a span that is zero or past the float range, or one so thin that a
+    # step of it cannot move a tick at this magnitude
+    if not raw > math.ulp(max(abs(lo), abs(hi))):
+        raise InputError(f"cannot tick an axis from {lo!r} to {hi!r}")
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

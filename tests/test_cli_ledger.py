@@ -108,6 +108,7 @@ REFUSALS = {
     "figure_mu_nan": ["figure3", "--mu", "1,nan"],
     "figure_mu_empty_entry": ["figure3", "--mu", "1,,2"],
     "figure_mu_trailing_comma": ["figure3", "--mu", "1,"],
+    "figure_mu_empty": ["figure3", "--mu", ""],
     "figure3_mu_underflows": ["figure3", "--mu", "1,1e-100"],
     "bad_convention": ["figure3", "--convention", "sideways"],
     "negative_seed_separate": ["check", "--seed", "-1"],

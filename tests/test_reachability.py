@@ -33,12 +33,9 @@ import inspect
 import json
 import os
 import pkgutil
-import subprocess
 import sys
 import types
 from pathlib import Path
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BENCH = "read by bench/, ROADMAP 1a/5"
 MULTIPARTICLE = ("a multiparticle spectral density, which the library takes and the CLI "
@@ -200,10 +197,9 @@ def unrun() -> dict:
 
 
 def test_every_unreached_function_is_listed_with_its_reason():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
-                           text=True, timeout=300)
+    from test_cold_start import _run  # not at the top: the child runs this file
+
+    child = _run(__file__)
     assert child.returncode == 0, child.stderr
     found = json.loads(child.stdout)
     new = {name: lines for name, lines in sorted(found.items()) if name not in UNREACHED}

@@ -4,12 +4,8 @@ oracle (mpmath), recurrence properties, pole behavior, and the same bits as
 
 import cmath
 import math
-import os
 import random
 import signal
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,6 +15,7 @@ import scipy.special as sp_special
 from loopentropy import _special, checks, epsseries, loops
 from loopentropy import specialfns as sf
 from loopentropy.errors import InputError, LoopEntropyError, NonFiniteError, PoleError
+from test_cold_start import _run
 
 mpmath.mp.dps = 30
 
@@ -320,10 +317,6 @@ print(len(before))
 
 
 def test_loading_special_before_scipy_special_keeps_the_bits():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", LOAD_ORDER],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _run("-W", "error", "-c", LOAD_ORDER)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{3 * 526}\n"
