@@ -34,7 +34,8 @@ from .loops import (
     _in_float_range,
     _quad,
 )
-from .params import MASS_MAX, MASS_MIN, WEIGHT_MAX, Z_MIN, SchemeParams, check_range
+from .params import (MASS_MAX, MASS_MIN, WEIGHT_MAX, Z_MIN, SchemeParams, check_positive,
+                     check_range)
 
 np = LazyModule("numpy")
 
@@ -46,7 +47,18 @@ DEFAULT_IMAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EntropyBreakdown:
-    """A named entropy series and its scheme; the parts are read from the series."""
+    """A named entropy series and its scheme; the parts are read from the series.
+
+    The pole, log(eps) and finite parts do not depend on ``params.order``
+    and follow the mass-scaling law to about 2e-14 of the largest
+    coefficient.  The eps^k coefficients of ``series`` with k >= 1 lose
+    digits with the order and with |ln m0|.  Measured against that law,
+    the worst coefficient, sampled over m0 from 1e-30 to 1e30, is off by
+    2e-10 of its own size at order 2 and by 1e-5 at order 4.  At order 8
+    it is off by 3e-7 at m0 = 10^+-1 and by 5 at m0 = 10^+-10; at order 12,
+    by 4e-6 at m0 = 10^+-0.25 and by 1e8 at m0 = 10^+-10.  The README
+    tabulates it.
+    """
 
     name: str
     series: EpsSeries
@@ -135,9 +147,11 @@ def entropy_order1_generic(beta0: EpsSeries, beta1: EpsSeries,
         log(b0) - t00/b0 - lambda0 (W1/W0) [b1 t00 - b0 t10] / b0^2
 
     where b_i are the state traces and t_i0 the Tr[rho_i log(rho_0)]
-    blocks.  The weights may be any reals (a ``Fraction`` too); each goes
-    through ``float``.  Pure series assembly; division errors propagate.
+    blocks.  The weights are reals (a ``Fraction`` too); each goes
+    through ``float``; ``W0`` must be positive and finite.  Pure series
+    assembly; division errors propagate.
     """
+    check_positive("W0", W0)
     w = float(W1) / float(W0)
     b0sq = beta0 * beta0
     first = (beta1 * t00 - beta0 * t10) / b0sq
@@ -375,8 +389,9 @@ def vacuum_coefficients(mu: float) -> tuple[float, float]:
     """The constants (vacA, vacB) of the vacuum-entropy finite coefficient.
 
     Named to keep them apart from the contour pair (a, b); they are
-    functions of the scale mu only.
+    functions of the scale mu only, which lies in [MASS_MIN, MASS_MAX].
     """
+    check_range("mu", mu)
     lx = math.log(4.0 * PI * mu)
     vac_a = 96.0 * PI ** 2 * (1.0 - GAMMA + math.log(4.0 * PI * mu ** 2))
     vac_b = 18.0 + 12.0 * (GAMMA - 2.0) * GAMMA + PI ** 2 \
@@ -388,7 +403,10 @@ def vacuum_mass_log_term(m0: float, mu: float) -> float:
     """The mass-log piece of the vacuum finite coefficient:
 
     48 m0^4 log(m0) [-1 + gamma + log(m0/(4 pi mu))]; vanishes at m0 = 1.
+    Both m0 and mu lie in [MASS_MIN, MASS_MAX].
     """
+    check_range("m0", m0)
+    check_range("mu", mu)
     return 48.0 * m0 ** 4 * math.log(m0) \
         * (-1.0 + GAMMA + math.log(m0 / (4.0 * PI * mu)))
 
@@ -434,6 +452,7 @@ def vacuum_finite_coefficient(m0: float, mu: float, lambda0: float = 1.0,
     that reproduces the published curve shape: exactly one interior minimum
     in m0 whose location decreases as mu increases.  The figure command
     uses this convention by default and records it in its output header.
+    Both m0 and mu lie in [MASS_MIN, MASS_MAX].
     """
     vac_a, vac_b = vacuum_coefficients(mu)
     masslog = vacuum_mass_log_term(m0, mu)

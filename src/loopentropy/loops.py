@@ -32,7 +32,7 @@ from ._lazy import LazyModule
 from .epsseries import EpsSeries, gamma_series, harmonic_series, power_series
 from .errors import (InputError, NonConvergentError, NonFiniteError, PoleError,
                      ToleranceNotMetError)
-from .params import MAX_ORDER, SchemeParams, check_int_range, check_positive
+from .params import MAX_ORDER, SchemeParams, check_int_range, check_positive, check_range
 
 np = LazyModule("numpy")
 integrate = LazyModule("loopentropy._quadpack")
@@ -170,9 +170,10 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     roots, eta = -i atanh(q) / (8 pi^2 sqrt(r2) sqrt(r2 + 4 m^2)); the
     r2 = 0 limit is the j=2 tadpole power.  Below the two-particle
     threshold r2 < -4 m^2 the m^2 - i0 prescription selects the branch
-    with a positive absorptive (real) part.
+    with a positive absorptive (real) part.  A non-finite r2 is refused.
     """
     check_positive("m2", m2)
+    check_range("r2", r2, -sys.float_info.max, sys.float_info.max)
     if r2 == 0.0:
         return -1j / (32.0 * PI ** 2 * m2)
     shifted = r2 + 4.0 * m2
@@ -329,7 +330,8 @@ def chi_over_delta_series(j: int, params: SchemeParams) -> EpsSeries:
 # ----------------------------------------------------------------------
 # quadrature oracles (independent evaluations for the validation suite)
 # ----------------------------------------------------------------------
-def _check_radial_convergence(j: int, d: float):
+def _check_oracle_inputs(j: int, m2: float, d: float):
+    check_positive("m2", m2)
     if not 0 < d < 2 * (j + 1):
         raise NonConvergentError(
             f"radial oracle diverges for j={j}, d={d}; needs 0 < d < {2 * (j + 1)}"
@@ -343,7 +345,7 @@ def oracle_delta_radial(j: int, m2: float, d: float) -> complex:
     i (-1)^(j+1) (4pi)^(-d/2)/Gamma(d/2) * integral_0^inf u^(d/2-1) (u+m^2)^-(j+1) du.
     Convergence requires d < 2 (j + 1).
     """
-    _check_radial_convergence(j, d)
+    _check_oracle_inputs(j, m2, d)
     val = _quad(lambda u: u ** (d / 2.0 - 1.0) * (u + m2) ** (-(j + 1.0)),
                 0.0, np.inf, rel_tol=ORACLE_REL_TOL)
     return 1j * (-1.0) ** (j + 1) * (4.0 * PI) ** (-d / 2.0) / math.gamma(d / 2.0) * val
@@ -357,7 +359,7 @@ def oracle_chi_x(j: int, m2: float, d: float) -> complex:
     singular at both ends, so each half of the interval is its own
     quadrature, with one singular end each.
     """
-    _check_radial_convergence(j, d)
+    _check_oracle_inputs(j, m2, d)
     pref = (
         1j * (-1.0) ** (j + 1) * m2 ** (d / 2.0 - (j + 1))
         * (4.0 * PI) ** (-d / 2.0) / math.gamma(d / 2.0)
@@ -380,7 +382,7 @@ def oracle_chi_radial(j: int, m2: float, d: float) -> complex:
     tolerance at j=0, m2=1.08, d=1.49 (error estimate 2.2e-6 on 15.6), and a
     split at u = m^2 without the substitution at j=1, m2=8.10, d=1.89.
     """
-    _check_radial_convergence(j, d)
+    _check_oracle_inputs(j, m2, d)
 
     def weight(u):
         return u ** (d / 2.0 - 1.0) * (u + m2) ** (-(j + 1.0))

@@ -20,11 +20,13 @@ dependent (see :func:`ratio_checks`).
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 
 from .epsseries import EpsSeries
 from .errors import InputError
 from .loops import SchemeParams, delta_series_m2
+from .params import Z_MIN, check_range
 
 
 @dataclass(frozen=True)
@@ -80,13 +82,17 @@ def tr_rho4_inferred(Z: float, m_phys: float, e0_2t: float,
 
     ``e0_2t`` is the product of the vacuum energy and the total time extent
     2T (only the product enters, through the phase exp(-i e0_2t));
-    ``overlap_sq`` is the squared overlap of the free and interacting vacua.
+    ``overlap_sq`` is the squared overlap of the free and interacting vacua,
+    in [0, 1], and the field strength ``Z`` lies in [Z_MIN, 1].
 
         (i/lambda0) [overlap_sq e^(-i e0_2t) - 1]
             + delta0(m0^2) [delta0(m0^2) - 2TV Z delta0(m_phys^2)]
     """
     if params.lambda0 == 0.0:
         raise InputError("tr_rho4_inferred requires a nonzero coupling")
+    check_range("Z", Z, Z_MIN, 1.0)
+    check_range("e0_2t", e0_2t, -sys.float_info.max, sys.float_info.max)
+    check_range("overlap_sq", overlap_sq, 0.0, 1.0)
     vac = overlap_sq * cmath.exp(-1j * e0_2t)
     d0_bare = delta_series_m2(0, params.m2, params.order)
     d0_phys = delta_series_m2(0, m_phys * m_phys, params.order)

@@ -3,6 +3,7 @@ and the mass dependence of their ratio."""
 
 import math
 import random
+import time
 
 import pytest
 
@@ -74,7 +75,9 @@ def test_regulated_ratio_reported_with_cut():
 
 
 def test_tau_reference_value():
+    t0 = time.perf_counter()
     value = tau()
+    assert time.perf_counter() - t0 < 1e-3  # a closed form, no quadrature
     # published figure 3.2663 is a 4-decimal truncation of 3.26636...
     assert abs(value - 3.2663) / 3.2663 <= 5e-5
     assert abs(value - 3.2663) <= 1e-4

@@ -13,7 +13,7 @@ import pytest
 from loopentropy import contour as ct
 from loopentropy import entropy as en
 from loopentropy.epsseries import EpsSeries
-from loopentropy.errors import NonFiniteError, UnknownQuantityError
+from loopentropy.errors import InputError, NonFiniteError, UnknownQuantityError
 from loopentropy.params import (MASS_MAX, MASS_MIN, TV_MAX, TV_MIN, WEIGHT_MAX, Z_MIN,
                                 SchemeParams)
 
@@ -154,7 +154,7 @@ def test_mutual_quoted_value():
 
 
 def test_mutual_composition_identity_over_grid():
-    for m0 in np.linspace(0.5, 10.0, 12):
+    for m0 in np.concatenate([np.linspace(0.5, 10.0, 12), np.linspace(0.5, 10.0, 25)]):
         for tv in (1.0, 10.0):
             p = params(m0=float(m0), tv=tv)
             quoted = en.mutual_information_21(p).series
@@ -179,9 +179,10 @@ def test_conditional_entropies_values_and_difference():
 
 
 def test_conditional_entropies_mass_independent():
-    finites = [en.compute_quantity("cond_ext_int", params(m0=float(m0))).finite
-               for m0 in np.linspace(0.5, 10.0, 50)]
-    assert np.ptp(finites) <= 1e-9
+    for name in ("cond_ext_int", "cond_int_ext"):
+        finites = [en.compute_quantity(name, params(m0=float(m0))).finite
+                   for m0 in np.linspace(0.5, 10.0, 50)]
+        assert np.ptp(finites) <= 1e-9
 
 
 def test_entropy_log_slope_is_four():
@@ -264,7 +265,8 @@ def test_renyi_trace_n2_regulated():
 
 def test_plane_wave_trace_values():
     assert en.plane_wave_trace(params(tv=1.0)) == 0.5
-    assert en.plane_wave_trace(params(tv=5.0)) == pytest.approx(0.1)
+    assert en.plane_wave_trace(params(tv=5.0)) == 0.1
+    assert en.plane_wave_trace(params(tv=0.25)) == 2.0
     for tv in (0.3, 2.0, 40.0):
         assert en.plane_wave_trace(params(tv=tv)) > 0
 
@@ -459,8 +461,16 @@ def test_breakdown_reads_its_parts_from_the_series():
     (lambda: en.renyi_trace_n(8, params(m0=1e-30)), NonFiniteError),
     # m0^(4 - 2n) underflows to zero at m0 = 1e30; it returned 0j
     (lambda: en.renyi_trace_n(10, params(m0=1e30)), NonFiniteError),
+    # a bare ValueError, ZeroDivisionError or NaN before they were refused
+    (lambda: en.vacuum_finite_coefficient(-1.0, 1.0), InputError),
+    (lambda: en.vacuum_finite_coefficient(math.nan, 1.0), InputError),
+    (lambda: en.vacuum_coefficients(0.0), InputError),
+    (lambda: en.vacuum_mass_log_term(0.0, 1.0), InputError),
+    (lambda: en.entropy_order1_generic(*en.order1_blocks_n2(params()), 0, 1, 1.0),
+     InputError),
 ], ids=["renyi_radial_n_below_2", "renyi_n_overflow", "renyi_small_mass_overflow",
-        "renyi_large_mass_underflow"])
+        "renyi_large_mass_underflow", "vacuum_negative_m0", "vacuum_nan_m0",
+        "vacuum_zero_mu", "vacuum_log_zero_m0", "generic_zero_w0"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

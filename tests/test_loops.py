@@ -4,6 +4,7 @@ against closed forms, and the bubble at general momentum."""
 import dataclasses
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -199,12 +200,14 @@ def test_chi_quadratures_agree_at_the_hard_check_points(j, m2, d):
 
 
 def test_chi_quadratures_agree_random():
-    for j, m2, d in _random_convergent_points(20, seed=102):
+    t0 = time.perf_counter()
+    for j, m2, d in _random_convergent_points(50, seed=102):
         x_val = oracle_chi_x(j, m2, d)
         r_val = oracle_chi_radial(j, m2, d)
         c_val = chi_closed(j, m2, d)
         assert abs(x_val - r_val) <= 1e-6 * abs(r_val)
         assert abs(c_val - x_val) <= 1e-6 * abs(x_val)
+    assert time.perf_counter() - t0 < 30.0
 
 
 # ----------------------------------------------------------------------
@@ -230,19 +233,25 @@ def test_delta_series_j3_regular_matches_closed():
     assert ser.coefficient(0, 0) == pytest.approx(delta_closed(3, 1.0, 4.0), rel=1e-12)
 
 
+def _halving_exponent(series, closed, j, p):
+    """The median order at which the series error falls as eps halves from 1e-2.
+
+    d = 4 + eps is composed first and the series evaluated at d - 4 (exact
+    in doubles) so the pole of Gamma does not amplify representation error.
+    """
+    ser = series(j, p)
+    errs = []
+    for e in 1e-2 * 0.5 ** np.arange(5):
+        d = 4.0 + e
+        errs.append(abs(ser.evaluate(d - 4.0) - closed(j, p.m2, d)))
+    return float(np.median(np.log2(np.array(errs[:-1]) / np.array(errs[1:]))))
+
+
 def test_delta_series_matches_closed_under_halving():
-    # d = 4 + eps is composed first and the series evaluated at d - 4 (exact
-    # in doubles) so the pole of Gamma does not amplify representation error
     for j in (0, 1, 2):
         for order in (0, 1, 2):
             p = SchemeParams(m0=1.4, order=order)
-            ser = delta_series(j, p)
-            errs = []
-            for e in 1e-2 * 0.5 ** np.arange(5):
-                d = 4.0 + e
-                errs.append(abs(ser.evaluate(d - 4.0) - delta_closed(j, p.m2, d)))
-            expo = float(np.median(np.log2(np.array(errs[:-1]) / np.array(errs[1:]))))
-            assert abs(expo - (order + 1)) <= 0.3
+            assert abs(_halving_exponent(delta_series, delta_closed, j, p) - (order + 1)) <= 0.3
 
 
 def test_delta_series_small_eps_both_signs():
@@ -255,12 +264,18 @@ def test_delta_series_small_eps_both_signs():
 
 
 def test_chi_series_matches_closed():
-    p = SchemeParams(m0=1.7, order=3)
+    for m0, order, eps_values, tol in ((1.7, 3, (1e-5, -1e-5), 1e-7), (1.3, 4, (1e-6,), 1e-8)):
+        p = SchemeParams(m0=m0, order=order)
+        for j in (0, 1, 2):
+            ser = chi_series(j, p)
+            for eps in eps_values:
+                closed = chi_closed(j, p.m2, 4.0 + eps)
+                assert abs(ser.evaluate(eps) - closed) <= tol * abs(closed)
+    # the halving ladder at j = order only: at j = 1, order 2 the error
+    # meets the closed form's rounding (4e-14 relative) from eps = 2.5e-3 down
     for j in (0, 1, 2):
-        ser = chi_series(j, p)
-        for eps in (1e-5, -1e-5):
-            closed = chi_closed(j, p.m2, 4.0 + eps)
-            assert abs(ser.evaluate(eps) - closed) <= 1e-7 * abs(closed)
+        p = SchemeParams(m0=1.3, order=j)
+        assert abs(_halving_exponent(chi_series, chi_closed, j, p) - (j + 1)) <= 0.3
 
 
 def test_chi_over_delta_quotient_matches_direct_ratio():
@@ -471,6 +486,13 @@ def test_eta_beyond_threshold_branch():
      ToleranceNotMetError),
     (lambda: oracle_chi_x(0, 0.9802443534272027, 4.0643410696021195e-05),
      ToleranceNotMetError),
+    # a bare ValueError (math domain error) and NaN before they were refused
+    (lambda: oracle_chi_x(0, -1.0, 1.0), InputError),
+    (lambda: eta_closed_d4(math.nan, 1.0), InputError),
+    (lambda: eta_closed_d4(math.inf, 1.0), InputError),
+    (lambda: traces.tr_rho4_inferred(1.0, 1.0, math.inf, SchemeParams()), InputError),
+    (lambda: traces.tr_rho4_inferred(0.0, 1.0, 0.0, SchemeParams()), InputError),
+    (lambda: traces.tr_rho4_inferred(1.0, 1.0, 0.0, SchemeParams(), math.nan), InputError),
 ], ids=["quad_non_finite", "quad_tolerance", "eta_closed_threshold",
         "delta_closed_negative_j", "delta_closed_zero_m2", "delta_series_negative_j",
         "delta_series_negative_m2", "chi_over_delta_zero_m2", "eta_negative_m2",
@@ -480,7 +502,9 @@ def test_eta_beyond_threshold_branch():
         "chi_series_prefactor_overflows", "delta_closed_overflows",
         "delta_series_prefactor_underflows", "delta_closed_underflows",
         "delta_series_prefactor_subnormal",
-        "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b"])
+        "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b", "oracle_negative_m2",
+        "eta_closed_nan_r2", "eta_closed_inf_r2", "tr_rho4_inf_phase", "tr_rho4_zero_z",
+        "tr_rho4_nan_overlap"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

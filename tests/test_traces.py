@@ -75,6 +75,16 @@ def test_phir_reduces_to_phi4():
         a = vacuum_trace_phi4(ts)
         b = vacuum_trace_phir(ts)
         assert a.max_coeff_diff(b) <= 1e-12 * max(a.max_abs(), 1.0)
+    # traces through eps^2 and a delta0 of pole and constant only, its pole
+    # shifted by 2: the two formulas agree to 1e-12 absolute
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        traces = {r: EpsSeries({(k, 0): complex(rng.normal(), rng.normal())
+                                for k in range(-1, 3)}, 4) for r in (4, 2)}
+        d0 = EpsSeries({(-1, 0): complex(rng.normal() + 2.0, rng.normal()),
+                        (0, 0): complex(rng.normal(), rng.normal())}, 4)
+        ts = TraceSet(r=4, traces=traces, delta0=d0, lambda0=float(rng.uniform(0.1, 2.0)))
+        assert vacuum_trace_phi4(ts).max_coeff_diff(vacuum_trace_phir(ts)) <= 1e-12
 
 
 def test_phir_six_point_constant_term():
@@ -128,17 +138,18 @@ def test_tr_rho4_inferred_requires_coupling():
 
 
 def test_round_trip_overlap_recovery():
-    p = SchemeParams(m0=1.3, lambda0=0.7, tv=2.0, order=4)
-    overlap, e0_2t = 0.87, 1.234
-    t4 = tr_rho4_inferred(0.9, 2.0, e0_2t, p, overlap_sq=overlap)
-    d0 = delta_series(0, p)
     from loopentropy.loops import delta_series_m2
 
-    tr2 = delta_series_m2(0, 4.0, p.order).scale(p.stvol * 0.9)
-    ts = TraceSet(r=4, traces={4: t4, 2: tr2}, delta0=d0, lambda0=p.lambda0)
-    back = vacuum_trace_phi4(ts)
-    target = overlap * cmath.exp(-1j * e0_2t)
-    assert back.max_coeff_diff(EpsSeries.constant(target, back.kmax)) <= 1e-10
+    for m0, lambda0, tv, overlap, e0_2t, z, m_phys in ((1.3, 0.7, 2.0, 0.87, 1.234, 0.9, 2.0),
+                                                       (1.2, 0.7, 1.5, 0.93, 0.41, 0.85, 1.9)):
+        p = SchemeParams(m0=m0, lambda0=lambda0, tv=tv, order=4)
+        t4 = tr_rho4_inferred(z, m_phys, e0_2t, p, overlap_sq=overlap)
+        d0 = delta_series(0, p)
+        tr2 = delta_series_m2(0, m_phys ** 2, p.order).scale(p.stvol * z)
+        ts = TraceSet(r=4, traces={4: t4, 2: tr2}, delta0=d0, lambda0=p.lambda0)
+        back = vacuum_trace_phi4(ts)
+        target = overlap * cmath.exp(-1j * e0_2t)
+        assert back.max_coeff_diff(EpsSeries.constant(target, back.kmax)) <= 1e-10
 
 
 def test_ratio_checks_first_relation_exact():
