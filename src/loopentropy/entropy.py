@@ -16,6 +16,7 @@ reads, are the table :data:`QUANTITIES` (listed in the README's
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,10 +149,12 @@ def entropy_order1_generic(beta0: EpsSeries, beta1: EpsSeries,
 
     where b_i are the state traces and t_i0 the Tr[rho_i log(rho_0)]
     blocks.  The weights are reals (a ``Fraction`` too); each goes
-    through ``float``; ``W0`` must be positive and finite.  Pure series
-    assembly; division errors propagate.
+    through ``float``; ``W0`` must be positive and finite, ``W1`` and
+    ``lambda0`` finite.  Pure series assembly; division errors propagate.
     """
     check_positive("W0", W0)
+    check_range("W1", float(W1), -sys.float_info.max, sys.float_info.max)
+    check_range("lambda0", lambda0, -sys.float_info.max, sys.float_info.max)
     w = float(W1) / float(W0)
     b0sq = beta0 * beta0
     first = (beta1 * t00 - beta0 * t10) / b0sq

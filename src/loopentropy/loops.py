@@ -170,7 +170,8 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     roots, eta = -i atanh(q) / (8 pi^2 sqrt(r2) sqrt(r2 + 4 m^2)); the
     r2 = 0 limit is the j=2 tadpole power.  Below the two-particle
     threshold r2 < -4 m^2 the m^2 - i0 prescription selects the branch
-    with a positive absorptive (real) part.  A non-finite r2 is refused.
+    with a positive absorptive (real) part.  A non-finite r2 is refused, and
+    so (NonFiniteError) is an |r2| / m2 past about 1e16: q rounds to 1.
     """
     check_positive("m2", m2)
     check_range("r2", r2, -sys.float_info.max, sys.float_info.max)
@@ -179,15 +180,17 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     shifted = r2 + 4.0 * m2
     if r2 < 0.0 and abs(shifted) < 1e-12 * m2:
         raise NonConvergentError("bubble is singular at the two-particle threshold")
+    if shifted < 0.0:  # beyond threshold: explicit -i0 continuation
+        q = math.sqrt(shifted / r2)
+    else:
+        z = complex(r2)
+        root_r = np.sqrt(z)
+        root_s = np.sqrt(z + 4.0 * m2)
+        q = root_r / root_s
+    if q == 1.0:
+        raise NonFiniteError(f"eta_closed_d4({r2!r}, {m2!r}): q rounds to 1, the pole of atanh")
     if shifted < 0.0:
-        # beyond threshold: explicit -i0 continuation
-        root = math.sqrt(r2 * shifted)
-        return (0.5 * PI + 1j * np.arctanh(math.sqrt(shifted / r2))) \
-            / (8.0 * PI ** 2 * root)
-    z = complex(r2)
-    root_r = np.sqrt(z)
-    root_s = np.sqrt(z + 4.0 * m2)
-    q = root_r / root_s
+        return (0.5 * PI + 1j * np.arctanh(q)) / (8.0 * PI ** 2 * math.sqrt(r2 * shifted))
     return -1j * np.arctanh(q) / (8.0 * PI ** 2 * root_r * root_s)
 
 
@@ -347,7 +350,7 @@ def oracle_delta_radial(j: int, m2: float, d: float) -> complex:
     """
     _check_oracle_inputs(j, m2, d)
     val = _quad(lambda u: u ** (d / 2.0 - 1.0) * (u + m2) ** (-(j + 1.0)),
-                0.0, np.inf, rel_tol=ORACLE_REL_TOL)
+                0.0, math.inf, rel_tol=ORACLE_REL_TOL)
     return 1j * (-1.0) ** (j + 1) * (4.0 * PI) ** (-d / 2.0) / math.gamma(d / 2.0) * val
 
 

@@ -80,10 +80,10 @@ def tr_rho4_inferred(Z: float, m_phys: float, e0_2t: float,
                      params: SchemeParams, overlap_sq: float = 1.0) -> EpsSeries:
     """Four-point trace inferred from the vacuum overlap.
 
-    ``e0_2t`` is the product of the vacuum energy and the total time extent
-    2T (only the product enters, through the phase exp(-i e0_2t));
-    ``overlap_sq`` is the squared overlap of the free and interacting vacua,
-    in [0, 1], and the field strength ``Z`` lies in [Z_MIN, 1].
+    ``e0_2t`` is the vacuum energy times the total time extent 2T (only the
+    product enters, through the phase exp(-i e0_2t)); ``overlap_sq``, the
+    squared overlap of the free and interacting vacua, lies in [0, 1], the
+    field strength ``Z`` in [Z_MIN, 1] and ``m_phys`` in the mass range.
 
         (i/lambda0) [overlap_sq e^(-i e0_2t) - 1]
             + delta0(m0^2) [delta0(m0^2) - 2TV Z delta0(m_phys^2)]
@@ -91,6 +91,7 @@ def tr_rho4_inferred(Z: float, m_phys: float, e0_2t: float,
     if params.lambda0 == 0.0:
         raise InputError("tr_rho4_inferred requires a nonzero coupling")
     check_range("Z", Z, Z_MIN, 1.0)
+    check_range("m_phys", m_phys)
     check_range("e0_2t", e0_2t, -sys.float_info.max, sys.float_info.max)
     check_range("overlap_sq", overlap_sq, 0.0, 1.0)
     vac = overlap_sq * cmath.exp(-1j * e0_2t)

@@ -1,5 +1,8 @@
-"""Command-line layer: deterministic CSV output, figure properties, JSON
-breakdowns, config precedence, exit codes, and the check suite."""
+"""Command-line layer, for what the ledger of ``tests/test_cli_ledger.py``
+does not pin by hash: figure properties over whole grids, the grid
+arithmetic, file writing, config conversion, that every flag shows in the
+output, each refusal on its own against its ledger line, and the ``check``
+suite's verdicts."""
 
 import builtins
 import errno
@@ -32,30 +35,6 @@ def _parse_csv(text):
 # ----------------------------------------------------------------------
 # figure 2
 # ----------------------------------------------------------------------
-def test_figure2_csv_shape_and_column_arithmetic():
-    cfg = SweepConfig(m0_min=1.0, m0_max=10.0, steps=50, mu=(1.0,))
-    text = cmd_figure2(cfg)
-    header, rows = _parse_csv(text)
-    assert header == ["m0", "S_total", "S_ext", "S_int", "I", "S_ext_plus_S_int"]
-    assert len(rows) == 50
-    for row in rows:
-        assert row[5] == pytest.approx(row[2] + row[3], abs=1e-14)
-        # mutual information is the defining combination of the other three
-        assert row[4] == pytest.approx(row[2] + row[3] - row[1], abs=1e-10)
-
-
-def test_figure2_17_digit_round_trip():
-    cfg = SweepConfig(steps=5, mu=(1.0,))
-    text = cmd_figure2(cfg)
-    _, rows = _parse_csv(text)
-    from loopentropy import entropy as en
-    from loopentropy.loops import SchemeParams
-
-    for row in rows:
-        p = SchemeParams(m0=row[0], mu=1.0, lambda0=1.0, tv=1.0)
-        assert row[1] == en.s_total_21(p).finite  # exact, not approximate
-
-
 def test_figure2_curves_increase_and_dominance():
     for steps in (100, 200):  # 200: the default grid, in under 5 s
         t0 = time.perf_counter()
@@ -77,15 +56,6 @@ def test_figure2_asymptotic_log_slope():
     for col in (1, 2, 3):
         slope = np.polyfit(logs, arr[:, col], 1)[0]
         assert slope == pytest.approx(4.0, abs=0.05)
-
-
-def test_figure2_svg_output(tmp_path):
-    svg_path = tmp_path / "fig2.svg"
-    cfg = SweepConfig(steps=20, mu=(1.0,), svg=str(svg_path))
-    cmd_figure2(cfg)
-    content = svg_path.read_text()
-    assert content.count("<polyline") == 5
-    assert "<svg" in content and "S_total" in content
 
 
 # ----------------------------------------------------------------------
@@ -119,13 +89,6 @@ def test_figure3_mass_log_term_inactive_at_unit_mass():
     assert mid[1] == pytest.approx(expected, rel=1e-12)
 
 
-def test_figure3_convention_recorded_in_header_comment():
-    cfg = SweepConfig(steps=5, mu=(1.0,), m0_min=0.2, m0_max=6.0)
-    text = cmd_figure3(cfg)
-    first = text.split("\n", 1)[0]
-    assert first.startswith("#") and "figure convention" in first
-
-
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(steps=1)
@@ -153,61 +116,14 @@ def test_grid_equals_numpy_bit_for_bit():
 
 
 # ----------------------------------------------------------------------
-# entropy / tau / trace-check commands
+# entropy / tau / trace-check / check commands
 # ----------------------------------------------------------------------
-def test_entropy_command_conditional(capsys):
-    code = main(["entropy", "--q", "cond_ext_int"])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["finite"] == pytest.approx(-0.102, abs=1e-3)
-
-
-def test_entropy_command_mutual(capsys):
-    code = main(["entropy", "--q", "mutual21", "--m0", "1", "--tv", "1"])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    from loopentropy.contour import tau
-
-    assert data["finite"] == pytest.approx(1 - tau() + math.log(2.0), abs=1e-12)
-
-
-def test_entropy_command_unknown_quantity(capsys):
-    assert main(["entropy", "--q", "nonsense"]) == 2
-
-
-def test_entropy_command_invalid_parameter(capsys):
-    assert main(["entropy", "--q", "mutual21", "--m0", "-3"]) == 2
-
-
-def test_tau_command(capsys):
-    code = main(["tau"])
-    assert code == 0
-    out = capsys.readouterr().out.strip()
-    assert float(out) == pytest.approx(3.2663, abs=1e-4)
-
-
 def test_tau_command_with_regulated_ratio(capsys):
     code = main(["tau", "--delta-cut", "0.05"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["tau"] == pytest.approx(3.26636, abs=1e-4)
     assert data["regulated_ratio"]["im"] == pytest.approx(math.pi / 2, rel=1e-6)
-
-
-def test_trace_check_command(capsys):
-    code = main(["trace-check"])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    terms = {(t["k"], t["l"]): complex(t["re"], t["im"])
-             for t in data["tadpole_pair"]["normalized"]["terms"]}
-    assert terms[(0, 0)] == pytest.approx(1.0, abs=1e-12)
-    # anything beyond the unit constant is float residue
-    assert all(abs(v) <= 1e-12 for key, v in terms.items() if key != (0, 0))
-
-
-def test_usage_error_exit_code():
-    assert main(["no-such-command"]) == 2
-    assert main(["figure2", "--steps", "1"]) == 2
 
 
 def test_a_bare_value_error_is_a_bug_and_not_reported_as_invalid_input(monkeypatch, capsys):
@@ -234,17 +150,6 @@ def test_a_nul_in_an_output_path_names_the_flag(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: argument --out: cannot write ")
     assert list(tmp_path.iterdir()) == [config]
-
-
-def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
-    cfg_path = tmp_path / "conf.json"
-    cfg_path.write_text(json.dumps({"m0": 2.0, "tv": 4.0}))
-    code = main(["--config", str(cfg_path), "entropy", "--q", "int21",
-                 "--tv", "1"])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["m0"] == 2.0   # from config
-    assert data["tv"] == 1.0   # explicit flag wins
 
 
 def test_config_may_give_the_quantity(tmp_path, capsys):
@@ -304,7 +209,8 @@ def test_check_tau_verdict_is_numeric_only(monkeypatch):
 
 
 def test_fmt_is_lossless():
-    for x in (1 / 3, math.pi, -2.0, 1e-17, 123456.789):
+    # 0.1 + 0.2 is 0.30000000000000004: 16 digits print another double
+    for x in (1 / 3, math.pi, -2.0, 1e-17, 123456.789, 0.1 + 0.2):
         assert float(fmt(x)) == x
 
 
@@ -573,20 +479,6 @@ def test_sweep_config_caps_and_finiteness():
                    {"tv": -1.0}):
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
-
-
-@pytest.mark.parametrize("order", ["20", "32"])
-def test_high_orders_give_the_order_4_finite_part(order, capsys):
-    """The printed finite part does not depend on --order; the exact,
-    library-level form is tests/test_quantities.py's order test."""
-    from loopentropy.entropy import QUANTITY_NAMES
-
-    for q in QUANTITY_NAMES:
-        finite = []
-        for o in ("4", order):
-            assert main(["entropy", "--q", q, "--m0", "1.7", "--order", o]) == 0
-            finite.append(json.loads(capsys.readouterr().out)["finite"])
-        assert finite[1] == pytest.approx(finite[0], rel=1e-12, abs=1e-12), q
 
 
 def _record_orders(monkeypatch, module, names) -> list[int]:

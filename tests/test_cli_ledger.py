@@ -9,9 +9,11 @@ non-default and log grids of both figures, both figures at orders 0 and 32,
 ``figure3 --convention closed_form``, the exit-2 refusals, ``--config``
 files (one good file, one for each refusal of a config file and config
 values that an option's own check refuses) and ``check`` (its ``runtime=``
-fields stripped).  Commands run in-process.  Each refusal has a name, and
-``tests/test_cli.py`` checks each one on its own: the ledger is the one
-table that pins the CLI's ``error:`` lines.
+fields stripped).  Commands run in-process.  The ledger is the one table
+that pins what the CLI prints, its output and its ``error:`` lines alike:
+the library's tests hold the values, and ``tests/test_cli.py`` runs a
+command only for what no entry pins.  Each refusal has a name, and
+``tests/test_cli.py`` checks each one on its own.
 The config files are committed under ``tests/data/config``; an argv names
 that directory ``{data}``, which stands in its ``error:`` lines too, so no
 entry depends on where the repository lives.
@@ -139,6 +141,8 @@ REFUSALS = {
     # a negative inf or nan is a value, as -1e-3 is, and its range names it
     "lambda0_minus_nan": ["entropy", "--q", "ext2_order1", "--lambda0", "-nan"],
     "m0_minus_inf": ["entropy", "--q", "ext21", "--m0", "-inf"],
+    "negative_m0": ["entropy", "--q", "mutual21", "--m0", "-3"],
+    "one_step": ["figure2", "--steps", "1"],
 }
 
 # a good file, which a flag overrides

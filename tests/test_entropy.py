@@ -468,9 +468,15 @@ def test_breakdown_reads_its_parts_from_the_series():
     (lambda: en.vacuum_mass_log_term(0.0, 1.0), InputError),
     (lambda: en.entropy_order1_generic(*en.order1_blocks_n2(params()), 0, 1, 1.0),
      InputError),
+    # a NaN or infinite series before they were refused
+    (lambda: en.entropy_order1_generic(*en.order1_blocks_n2(params()), 1, math.nan, 1.0),
+     InputError),
+    (lambda: en.entropy_order1_generic(*en.order1_blocks_n2(params()), 1, 1, math.inf),
+     InputError),
 ], ids=["renyi_radial_n_below_2", "renyi_n_overflow", "renyi_small_mass_overflow",
         "renyi_large_mass_underflow", "vacuum_negative_m0", "vacuum_nan_m0",
-        "vacuum_zero_mu", "vacuum_log_zero_m0", "generic_zero_w0"])
+        "vacuum_zero_mu", "vacuum_log_zero_m0", "generic_zero_w0", "generic_nan_w1",
+        "generic_inf_lambda0"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

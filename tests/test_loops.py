@@ -493,6 +493,13 @@ def test_eta_beyond_threshold_branch():
     (lambda: traces.tr_rho4_inferred(1.0, 1.0, math.inf, SchemeParams()), InputError),
     (lambda: traces.tr_rho4_inferred(0.0, 1.0, 0.0, SchemeParams()), InputError),
     (lambda: traces.tr_rho4_inferred(1.0, 1.0, 0.0, SchemeParams(), math.nan), InputError),
+    # q rounds to 1, where arctanh divided by zero and returned an infinity
+    (lambda: eta_closed_d4(1e17, 1.0), NonFiniteError),
+    (lambda: eta_closed_d4(-1e17, 1.0), NonFiniteError),
+    (lambda: eta_closed_d4(1e300, 1.0), NonFiniteError),
+    # a negative m_phys was taken (it enters squared), a NaN refused as m2
+    (lambda: traces.tr_rho4_inferred(1.0, -2.0, 0.0, SchemeParams()), InputError),
+    (lambda: traces.tr_rho4_inferred(1.0, math.nan, 0.0, SchemeParams()), InputError),
 ], ids=["quad_non_finite", "quad_tolerance", "eta_closed_threshold",
         "delta_closed_negative_j", "delta_closed_zero_m2", "delta_series_negative_j",
         "delta_series_negative_m2", "chi_over_delta_zero_m2", "eta_negative_m2",
@@ -504,7 +511,8 @@ def test_eta_beyond_threshold_branch():
         "delta_series_prefactor_subnormal",
         "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b", "oracle_negative_m2",
         "eta_closed_nan_r2", "eta_closed_inf_r2", "tr_rho4_inf_phase", "tr_rho4_zero_z",
-        "tr_rho4_nan_overlap"])
+        "tr_rho4_nan_overlap", "eta_closed_q_rounds_to_1", "eta_closed_q_rounds_to_1_below",
+        "eta_closed_q_rounds_to_1_far", "tr_rho4_negative_m_phys", "tr_rho4_nan_m_phys"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()
