@@ -22,7 +22,7 @@ _SUBMODULE = {
                      "power_series"), "epsseries"),
     **dict.fromkeys(("InputError", "LogCapError", "LoopEntropyError", "NonConvergentError",
                      "NonFiniteError", "NonInvertibleLeadingTermError", "PoleError",
-                     "ToleranceNotMetError", "TruncationUnderflowError", "UnknownQuantityError"),
+                     "ToleranceNotMetError", "UnknownQuantityError"),
                     "errors"),
     **dict.fromkeys(("LoopValue", "chi_closed", "chi_over_delta_series", "chi_series",
                      "delta_closed", "delta_series", "delta_stripped_series", "eta",

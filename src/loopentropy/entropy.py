@@ -15,6 +15,7 @@ reads, are the table :data:`QUANTITIES` (listed in the README's
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from . import contour as ct
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
-from .errors import InputError, UnknownQuantityError
+from .errors import InputError, NonFiniteError, UnknownQuantityError
 from .loops import (
     chi_over_delta_series_m2,
     chi_series_m2,
@@ -150,7 +151,8 @@ def entropy_order1_generic(beta0: EpsSeries, beta1: EpsSeries,
     where b_i are the state traces and t_i0 the Tr[rho_i log(rho_0)]
     blocks.  The weights are reals (a ``Fraction`` too); each goes
     through ``float``; ``W0`` must be positive and finite, ``W1`` and
-    ``lambda0`` finite.  Pure series assembly; division errors propagate.
+    ``lambda0`` finite.  Pure series assembly; division errors propagate,
+    and a coefficient past the float range is refused (NonFiniteError).
     """
     check_positive("W0", W0)
     check_range("W1", float(W1), -sys.float_info.max, sys.float_info.max)
@@ -158,7 +160,11 @@ def entropy_order1_generic(beta0: EpsSeries, beta1: EpsSeries,
     w = float(W1) / float(W0)
     b0sq = beta0 * beta0
     first = (beta1 * t00 - beta0 * t10) / b0sq
-    return beta0.log() - t00 / beta0 - first.scale(lambda0 * w)
+    result = beta0.log() - t00 / beta0 - first.scale(lambda0 * w)
+    if not all(map(cmath.isfinite, result.coeffs.values())):
+        raise NonFiniteError(f"entropy_order1_generic at W0 = {W0!r}, W1 = {W1!r}, "
+                             f"lambda0 = {lambda0!r} leaves the float range")
+    return result
 
 
 def order1_blocks_n2(params: SchemeParams) -> tuple[EpsSeries, EpsSeries,

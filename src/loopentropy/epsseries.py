@@ -7,9 +7,9 @@ a finite collection of complex coefficients ``c[k, l]`` representing
 
 ``kmax`` is the truncation order: coefficients at powers above it are unknown,
 and every operation tracks how far the result can be trusted (mixed-order
-arithmetic downgrades to the weaker order).  Pole depth is capped at eps**-4
-and log powers at log(eps)**2, the deepest structures that arise from products
-of double poles.
+arithmetic downgrades to the weaker order).  Log powers are capped at
+log(eps)**2, the deepest that products of the loop series reach; poles may
+be of any depth.
 
 The sign convention is eps = d - 4 (dimension above four is positive eps).
 Logarithms of negative reals take the +i*pi branch, matching the
@@ -17,17 +17,18 @@ m^2 -> m^2 - i0 propagator prescription.
 
 Key layout: the kernel keys each coefficient by one int,
 
-    s = (k - KMIN_CAP) * KEY_WIDTH + l,        KEY_WIDTH = 2 * LOGCAP + 1,
+    s = k * KEY_WIDTH + l,        KEY_WIDTH = 2 * LOGCAP + 1,
 
-so keys sort as their (k, l) pairs do, eps**k starts at ``kernel_key(k)``
-and a key below 0 is a power below the pole depth.  A product's key is
-``s1 + s2 - kernel_key(0)``: its log power l1 + l2 is at most 2 * LOGCAP,
-below the width, so it never carries into k.  The public ``coeffs`` is the
-(k, l)-keyed view of these keys, decoded in the series' own key order.
+so eps**0 is key 0, a pole's keys are negative, and keys sort as their
+(k, l) pairs do; floor division splits a negative key as it does a
+positive one.  A product's key is ``s1 + s2``: its log power l1 + l2 is at
+most 2 * LOGCAP, below the width, so it never carries into k.  The public
+``coeffs`` is the (k, l)-keyed view of these keys, decoded in the series'
+own key order.
 
 Invariant: every stored coefficient is a nonzero Python ``complex`` whose
-key lies in ``0 <= s < kernel_key(kmax + 1)`` with ``s % KEY_WIDTH <= LOGCAP``
-(within the caps and at or below ``kmax``).  The public constructor
+key lies below ``kernel_key(kmax + 1)`` with ``s % KEY_WIDTH <= LOGCAP``
+(within the log cap and at or below ``kmax``).  The public constructor
 ``EpsSeries(coeffs, kmax)`` validates its (k, l)-keyed input to establish it;
 the kernel's own operations keep it and build their results through the
 trusted ``EpsSeries._trusted``, which only drops zeros and keys past
@@ -58,11 +59,9 @@ from .errors import (
     LogCapError,
     NonFiniteError,
     NonInvertibleLeadingTermError,
-    TruncationUnderflowError,
 )
 from .params import check_int_range
 
-KMIN_CAP = -4
 LOGCAP = 2
 KEY_WIDTH = 2 * LOGCAP + 1
 
@@ -73,16 +72,13 @@ EXACT_ORDER = 64
 
 def kernel_key(k: int, l: int = 0) -> int:
     """The kernel's key of the eps**k log(eps)**l coefficient."""
-    return (k - KMIN_CAP) * KEY_WIDTH + l
+    return k * KEY_WIDTH + l
 
 
 def split_key(s: int) -> tuple[int, int]:
     """The (k, l) of a kernel key; the inverse of :func:`kernel_key`."""
-    k, l = divmod(s, KEY_WIDTH)
-    return k + KMIN_CAP, l
+    return divmod(s, KEY_WIDTH)
 
-
-_ORIGIN = kernel_key(0)  # eps**0, the key of a constant
 
 # the power sums' weights of u**m at m = 1..EXACT_ORDER, past which no power
 # of a u with lead(u) >= 1 is kept: log1p(u) and exp(u) - 1
@@ -98,25 +94,10 @@ def _cleaned(coeffs: Mapping[tuple[int, int], complex], kmax: int) -> dict:
             continue
         if l < 0 or l > LOGCAP:
             raise LogCapError(f"log power {l} outside [0, {LOGCAP}]")
-        if k < KMIN_CAP:
-            raise _pole_depth_error(k)
         if k > kmax:
             continue  # beyond the stated truncation: unknown, not stored
         out[kernel_key(operator.index(k), operator.index(l))] = c
     return out
-
-
-def _pole_depth_error(k: int) -> TruncationUnderflowError:
-    return TruncationUnderflowError(
-        f"power eps^{k} below the supported pole depth eps^{KMIN_CAP}"
-    )
-
-
-def _check_pole_depth(coeffs: dict) -> None:
-    """Raise for the first key, in insertion order, below the pole depth."""
-    for s in coeffs:
-        if s < 0:
-            raise _pole_depth_error(split_key(s)[0])
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -147,7 +128,7 @@ class EpsSeries:
         the key order is kept and ``__post_init__`` is skipped.  A dict with
         nothing to drop is kept, not copied, so the caller must not change it
         afterwards."""
-        stop = (kmax + 1 - KMIN_CAP) * KEY_WIDTH  # kernel_key(kmax + 1)
+        stop = (kmax + 1) * KEY_WIDTH  # kernel_key(kmax + 1)
         for s, c in coeffs.items():
             if not c or s >= stop:
                 coeffs = {s: c for s, c in coeffs.items() if c and s < stop}
@@ -195,14 +176,14 @@ class EpsSeries:
         """Leading (lowest) power; kmax + 1 for the zero series."""
         if not self._coeffs:
             return self.kmax + 1
-        return min(self._coeffs) // KEY_WIDTH + KMIN_CAP
+        return min(self._coeffs) // KEY_WIDTH
 
     def terms(self) -> list[tuple[int, int, complex]]:
         return [(*split_key(s), c) for s, c in sorted(self._coeffs.items())]
 
     def finite_part(self) -> complex:
         """The eps^0, log^0 coefficient."""
-        return self._coeffs.get(_ORIGIN, 0.0 + 0.0j)
+        return self._coeffs.get(0, 0.0 + 0.0j)
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self._coeffs.values()), default=0.0)
@@ -245,7 +226,7 @@ class EpsSeries:
         if not isinstance(other, (int, float, complex)):
             return NotImplemented
         c = complex(other)
-        out = {_ORIGIN: c} if c else {}
+        out = {0: c} if c else {}
         get = out.get
         for s, v in self._coeffs.items():
             out[s] = get(s, 0.0) + (-v)
@@ -258,10 +239,7 @@ class EpsSeries:
             return NotImplemented
         lead1, lead2 = self.lead(), o.lead()
         kmax = min(self.kmax + lead2, o.kmax + lead1, EXACT_ORDER)
-        result = EpsSeries._trusted(_product(self._coeffs, o._coeffs, kmax, kmax), kmax)
-        if lead1 + lead2 < KMIN_CAP:
-            _check_pole_depth(result._coeffs)  # a product that underflowed to 0 passes
-        return result
+        return EpsSeries._trusted(_product(self._coeffs, o._coeffs, kmax, kmax), kmax)
 
     __rmul__ = __mul__
 
@@ -272,10 +250,8 @@ class EpsSeries:
     def shift(self, k0: int) -> "EpsSeries":
         """Multiply by eps**k0 exactly."""
         step = k0 * KEY_WIDTH
-        coeffs = {s + step: c for s, c in self._coeffs.items()}
-        if k0 < 0:
-            _check_pole_depth(coeffs)
-        return EpsSeries._trusted(coeffs, min(self.kmax + k0, EXACT_ORDER))
+        return EpsSeries._trusted({s + step: c for s, c in self._coeffs.items()},
+                                  min(self.kmax + k0, EXACT_ORDER))
 
     def truncate(self, kmax: int) -> "EpsSeries":
         if kmax >= self.kmax:
@@ -316,9 +292,8 @@ class EpsSeries:
                 "leading power carries a log(eps) factor"
             )
         c = coeffs[first]
-        L = first // KEY_WIDTH + KMIN_CAP
-        step = L * KEY_WIDTH
-        u = EpsSeries._trusted({s - step: v / c for s, v in coeffs.items() if s != first},
+        L = first // KEY_WIDTH
+        u = EpsSeries._trusted({s - first: v / c for s, v in coeffs.items() if s != first},
                                self.kmax - L)
         return c, L, u
 
@@ -326,7 +301,7 @@ class EpsSeries:
         c, L, u = self._leading_unit()
         rel_order = self.kmax - L  # u is known through eps^rel_order
         # 1/(1 + u) = sum_m (-u)^m
-        geom = _power_sum(EpsSeries._trusted({_ORIGIN: 1.0 + 0.0j}, rel_order), -u, rel_order)
+        geom = _power_sum(EpsSeries._trusted({0: 1.0 + 0.0j}, rel_order), -u, rel_order)
         return geom.scale(1.0 / c).shift(-L)
 
     def __truediv__(self, other) -> "EpsSeries":
@@ -354,8 +329,7 @@ class EpsSeries:
         rel_order = self.kmax - L
         # the bits of constant(log(c)) + monomial(L, 0, 1): a zero constant is
         # dropped, and 0.0 + complex(L) is complex(L)
-        acc = EpsSeries._trusted({_ORIGIN: sf.principal_log(c), _ORIGIN + 1: complex(L)},
-                                 rel_order)
+        acc = EpsSeries._trusted({0: sf.principal_log(c), 1: complex(L)}, rel_order)
         return _power_sum(acc, u, rel_order, _LOG_WEIGHTS)
 
     def exp(self) -> "EpsSeries":
@@ -377,8 +351,8 @@ class EpsSeries:
             )
         c00 = self.finite_part()
         rest = EpsSeries._trusted({s: v for s, v in self._coeffs.items()
-                                   if s not in (_ORIGIN, _ORIGIN + 1)}, self.kmax)
-        acc = _power_sum(EpsSeries._trusted({_ORIGIN: 1.0 + 0.0j}, self.kmax), rest,
+                                   if s not in (0, 1)}, self.kmax)
+        acc = _power_sum(EpsSeries._trusted({0: 1.0 + 0.0j}, self.kmax), rest,
                          self.kmax, _EXP_WEIGHTS)
         return acc.scale(cmath.exp(c00)).shift(L)
 
@@ -390,7 +364,9 @@ class EpsSeries:
 
         log(eps) is taken only when a term carries it (its zeroth power is
         1 + 0j either way), so at eps = 0 only a pole or a log(eps) term is
-        refused.
+        refused.  A sum of finite coefficients whose value leaves the float
+        range is refused too (NonFiniteError); an infinite coefficient is the
+        caller's, and its value is returned.
         """
         terms = self.terms()
         if eps == 0 and any(k < 0 or l > 0 for k, l, _ in terms):
@@ -398,8 +374,14 @@ class EpsSeries:
                 "a series with a pole or a log(eps) term has no value at eps = 0")
         log_eps = sf.principal_log(eps) if any(l for _, l, _ in terms) else 0j
         total = 0.0 + 0.0j
-        for k, l, c in terms:
-            total += c * eps ** k * log_eps ** l
+        try:
+            for k, l, c in terms:
+                total += c * eps ** k * log_eps ** l
+        except (OverflowError, ZeroDivisionError):  # eps**k past the float range
+            total = None
+        if total is None or (not cmath.isfinite(total)
+                             and all(map(cmath.isfinite, self._coeffs.values()))):
+            raise NonFiniteError(f"the series at eps = {eps!r} leaves the float range")
         return total
 
     def max_coeff_diff(self, other: "EpsSeries", through_k: int | None = None) -> float:
@@ -426,13 +408,14 @@ class EpsSeries:
         }
 
 
-# the keys of every log-free power that a series of exact or lower order holds
-_LOG_FREE_KEYS = frozenset(range(0, kernel_key(EXACT_ORDER + 1), KEY_WIDTH))
+# the keys of every log-free power from eps**-EXACT_ORDER to eps**EXACT_ORDER
+_LOG_FREE_KEYS = frozenset(range(kernel_key(-EXACT_ORDER), kernel_key(EXACT_ORDER + 1),
+                                 KEY_WIDTH))
 
 
 def _carries_log(coeffs: dict) -> bool:
-    """Whether a key carries log(eps); a power past ``EXACT_ORDER`` is
-    counted as one too, which only costs the exact check."""
+    """Whether a key carries log(eps); a power past ``EXACT_ORDER`` either
+    way is counted as one too, which only costs the exact check."""
     return not _LOG_FREE_KEYS.issuperset(coeffs)
 
 
@@ -446,7 +429,7 @@ def _product(left: dict, right: dict, kmax: int, keep: int) -> dict:
         stop = kernel_key(kmax + 1)
         for s1 in left:
             for s2 in right:
-                s = s1 + s2 - _ORIGIN
+                s = s1 + s2
                 if s < stop and s % KEY_WIDTH > LOGCAP:
                     raise LogCapError(
                         f"product creates log(eps)^{s % KEY_WIDTH} above the cap {LOGCAP}"
@@ -456,7 +439,6 @@ def _product(left: dict, right: dict, kmax: int, keep: int) -> dict:
     get = out.get
     right = right.items()
     for s1, c1 in left.items():
-        s1 -= _ORIGIN
         for s2, c2 in right:
             s = s1 + s2
             if s < cut:
@@ -486,7 +468,7 @@ def _power_sum(acc: EpsSeries, u: EpsSeries, order: int, weights=None) -> EpsSer
     kmax = acc.kmax
     right = u._coeffs
     lead_u = u.lead()
-    term = {_ORIGIN: 1.0 + 0.0j}  # EpsSeries.constant(1.0, order)
+    term = {0: 1.0 + 0.0j}  # EpsSeries.constant(1.0, order)
     term_kmax = min(order + lead_u, u.kmax, EXACT_ORDER)
     for m in range(1, max(order, 0) + 1):
         keep = min(term_kmax, order)
@@ -527,7 +509,7 @@ def power_series(base: complex, exponent_slope: complex, order: int) -> EpsSerie
     a = complex(exponent_slope) * sf.principal_log(base)
     coeffs = {}
     term = 1.0 + 0.0j
-    for k, s in enumerate(range(_ORIGIN, kernel_key(order + 1), KEY_WIDTH)):
+    for k, s in enumerate(range(0, kernel_key(order + 1), KEY_WIDTH)):
         coeffs[s] = term  # the eps**k key
         term = term * a / (k + 1)
     if not all(map(cmath.isfinite, coeffs.values())):

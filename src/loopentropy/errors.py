@@ -24,10 +24,6 @@ class NonFiniteError(LoopEntropyError):
     """An operation produced a NaN or infinity."""
 
 
-class TruncationUnderflowError(LoopEntropyError):
-    """A series result would need powers below the supported pole depth."""
-
-
 class NonInvertibleLeadingTermError(LoopEntropyError):
     """Division/log of a series whose leading term vanishes or carries a
     log-of-epsilon factor."""

@@ -190,7 +190,12 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     if q == 1.0:
         raise NonFiniteError(f"eta_closed_d4({r2!r}, {m2!r}): q rounds to 1, the pole of atanh")
     if shifted < 0.0:
-        return (0.5 * PI + 1j * np.arctanh(q)) / (8.0 * PI ** 2 * math.sqrt(r2 * shifted))
+        product = r2 * shifted
+        if sys.float_info.min <= product <= sys.float_info.max:
+            root = math.sqrt(product)
+        else:  # the product leaves the normal float range, each factor's root does not
+            root = math.sqrt(-r2) * math.sqrt(-shifted)
+        return (0.5 * PI + 1j * np.arctanh(q)) / (8.0 * PI ** 2 * root)
     return -1j * np.arctanh(q) / (8.0 * PI ** 2 * root_r * root_s)
 
 

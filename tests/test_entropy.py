@@ -473,10 +473,13 @@ def test_breakdown_reads_its_parts_from_the_series():
      InputError),
     (lambda: en.entropy_order1_generic(*en.order1_blocks_n2(params()), 1, 1, math.inf),
      InputError),
+    # lambda0 * W1 / W0 overflows: the eps^0 coefficient was -inf-infj
+    (lambda: en.entropy_order1_generic(*en.order1_blocks_n2(params()), 1, 1e300, 1e300),
+     NonFiniteError),
 ], ids=["renyi_radial_n_below_2", "renyi_n_overflow", "renyi_small_mass_overflow",
         "renyi_large_mass_underflow", "vacuum_negative_m0", "vacuum_nan_m0",
         "vacuum_zero_mu", "vacuum_log_zero_m0", "generic_zero_w0", "generic_nan_w1",
-        "generic_inf_lambda0"])
+        "generic_inf_lambda0", "generic_overflow"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

@@ -1,6 +1,7 @@
 """Series-algebra layer: ring axioms, division/log/exp, the standard
 expansions and the loops' caches of them, and the truncation bookkeeping."""
 
+import cmath
 import json
 import math
 import random
@@ -24,7 +25,6 @@ from loopentropy.errors import (
     LogCapError,
     NonFiniteError,
     NonInvertibleLeadingTermError,
-    TruncationUnderflowError,
 )
 from loopentropy.loops import (
     MAX_ORDER,
@@ -56,7 +56,6 @@ def test_pole_times_eps_is_one():
 
 
 def test_ring_axioms_random():
-    # pole depth -1 so that triple products stay inside the eps^-4 capacity
     rng = np.random.default_rng(3)
     for _ in range(40):
         a = _random_series(rng, kmin=-1)
@@ -110,10 +109,15 @@ def test_div_requires_clean_leading_term():
         EpsSeries.zero(3).inverse()
 
 
-def test_truncation_underflow():
-    deep = EpsSeries.monomial(1.0, -4)
-    with pytest.raises(TruncationUnderflowError):
-        deep * EpsSeries.monomial(1.0, -1)
+@pytest.mark.parametrize("build, terms", [
+    (lambda: EpsSeries({(-5, 0): 1}), [(-5, 0, 1 + 0j)]),
+    (lambda: EpsSeries.monomial(1.0, -4) * EpsSeries.monomial(1.0, -1), [(-5, 0, 1 + 0j)]),
+    (lambda: EpsSeries.monomial(2.0, 5).inverse(), [(-5, 0, 0.5 + 0j)]),
+    # exp(0.5 - 5 log(eps)) = e^0.5 eps^-5
+    (lambda: EpsSeries({(0, 0): 0.5, (0, 1): -5.0}, 3).exp(), [(-5, 0, cmath.exp(0.5))]),
+], ids=["constructor", "product", "inverse", "exp"])
+def test_poles_of_any_depth(build, terms):
+    assert build().terms() == terms
 
 
 def test_log_cap():
@@ -585,7 +589,6 @@ def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
 # refused inputs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("call, error", [
-    (lambda: EpsSeries({(-5, 0): 1}), TruncationUnderflowError),
     (lambda: EpsSeries({(0, 3): 1}), LogCapError),
     (lambda: EpsSeries({(0.5, 0): 1}), TypeError),  # a power is an integer
     (lambda: power_series(0, 1.0, 4), ValueError),
@@ -593,9 +596,16 @@ def test_a_figure2_point_builds_only_the_series_it_keeps(monkeypatch):
     (lambda: digamma_series(0.5, 1.0, -1), ValueError),
     # (slope * log(base))**2 / 2 overflows
     (lambda: power_series(1e300, 1e300, 3), NonFiniteError),
-], ids=["pole_below_depth", "log_above_cap", "fractional_power", "power_series_zero_base",
+    # eps**k past the float range: a bare OverflowError or ZeroDivisionError,
+    # and a finite coefficient times an infinite power gave (inf+nanj)
+    (lambda: EpsSeries.monomial(1.0, -4).evaluate(1e-100), NonFiniteError),
+    (lambda: EpsSeries.monomial(1.0, -4).evaluate(1e-100 + 0j), NonFiniteError),
+    (lambda: EpsSeries.monomial(1e300, -2).evaluate(1e-10), NonFiniteError),
+    (lambda: EpsSeries.monomial(1.0, -60).evaluate(1e-6), NonFiniteError),
+], ids=["log_above_cap", "fractional_power", "power_series_zero_base",
         "gamma_series_negative_order", "digamma_series_negative_order",
-        "power_series_overflow"])
+        "power_series_overflow", "evaluate_overflow", "evaluate_complex_overflow",
+        "evaluate_infinite_term", "evaluate_deep_pole"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopentropy import epsseries
-from loopentropy.epsseries import (EXACT_ORDER, KEY_WIDTH, KMIN_CAP, LOGCAP, EpsSeries,
-                                   kernel_key, power_series, split_key)
-from loopentropy.errors import LogCapError, LoopEntropyError, TruncationUnderflowError
+from loopentropy.epsseries import (EXACT_ORDER, KEY_WIDTH, LOGCAP, EpsSeries, kernel_key,
+                                   power_series, split_key)
+from loopentropy.errors import LogCapError, LoopEntropyError
 
 # deterministic examples and no example database, so every run is the same
 KERNEL = settings(derandomize=True, database=None, deadline=None,
@@ -156,11 +156,11 @@ def test_every_result_keeps_the_invariant_bit_for_bit(a, b, x, k):
     for op in OPERATIONS.values():
         try:
             r = op(a, b, x, k)
-        except LoopEntropyError:  # log-cap, pole-depth or leading-term refusals
+        except LoopEntropyError:  # log-cap or leading-term refusals
             continue
         for (kk, l), c in r.coeffs.items():
             assert type(c) is complex and c != 0
-            assert KMIN_CAP <= kk <= r.kmax and 0 <= l <= LOGCAP
+            assert kk <= r.kmax and 0 <= l <= LOGCAP
         # validating the result changes no bit and no key's place
         assert _bits(EpsSeries(r.coeffs, r.kmax)) == _bits(r)
 
@@ -192,13 +192,8 @@ def test_sums_and_products_start_new_coefficients_from_positive_zero():
 
 
 @pytest.mark.parametrize("build, error", [
-    # a product below the pole depth
-    (lambda: EpsSeries.monomial(1.0, -3) * EpsSeries.monomial(1.0, -2),
-     TruncationUnderflowError),
-    # the same product underflowed to zero has no coefficient to refuse
+    # a product of poles whose coefficient underflows to zero is the zero series
     (lambda: EpsSeries.monomial(1e-200, -3) * EpsSeries.monomial(1e-200, -2), None),
-    (lambda: EpsSeries.monomial(2.0, 5).inverse(), TruncationUnderflowError),
-    (lambda: EpsSeries({(0, 0): 0.5, (0, 1): -5.0}, 3).exp(), TruncationUnderflowError),
     # log(eps)^3 first appears at eps^3, past the power sum's cut at eps^2
     (lambda: EpsSeries({(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}, 2).log(), LogCapError),
     (lambda: EpsSeries({(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}, 2).inverse(), LogCapError),
@@ -326,21 +321,20 @@ def test_the_power_sum_adds_each_power_as_one_series_sum_would(acc, u, order, we
 # the integer key layout, and the product over it against the tuple keys
 # ----------------------------------------------------------------------
 def test_the_key_layout_round_trips_sorts_and_adds_over_the_whole_range():
-    pairs = [(k, l) for k in range(KMIN_CAP, EXACT_ORDER + 1) for l in range(LOGCAP + 1)]
+    pairs = [(k, l) for k in range(-EXACT_ORDER, EXACT_ORDER + 1) for l in range(LOGCAP + 1)]
     keys = [kernel_key(k, l) for k, l in pairs]
     assert [split_key(s) for s in keys] == pairs
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert min(keys) == 0 and all(s % KEY_WIDTH == l for s, (_, l) in zip(keys, pairs))
-    # a product's key: log powers up to 2 * LOGCAP never carry into k, and
-    # a power below the pole depth is a negative key
-    origin = kernel_key(0)
+    assert kernel_key(0) == 0 and all(s % KEY_WIDTH == l for s, (_, l) in zip(keys, pairs))
+    # a product's key is the sum: log powers up to 2 * LOGCAP never carry
+    # into k, and a pole's key is negative
     for s1, (k1, l1) in zip(keys, pairs):
         for s2, (k2, l2) in zip(keys, pairs):
-            s = s1 + s2 - origin
+            s = s1 + s2
             assert split_key(s) == (k1 + k2, l1 + l2)
-            assert (s < 0) == (k1 + k2 < KMIN_CAP)
+            assert (s < 0) == (k1 + k2 < 0)
     # the public view decodes the keys in the series' own order
-    coeffs = {(3, 2): 1j, (-4, 0): 2.0, (EXACT_ORDER, 1): 3.0, (0, 0): -1.0}
+    coeffs = {(3, 2): 1j, (-12, 0): 2.0, (EXACT_ORDER, 1): 3.0, (0, 0): -1.0}
     assert list(EpsSeries(coeffs).coeffs.items()) == [(k, complex(c)) for k, c in coeffs.items()]
 
 
@@ -370,11 +364,6 @@ def _tuple_mul(a: EpsSeries, b: EpsSeries):
     kmax = min(a.kmax + lead2, b.kmax + lead1, EXACT_ORDER)
     coeffs = {key: c for key, c in _tuple_product(a.coeffs, b.coeffs, kmax, kmax).items()
               if c and key[0] <= kmax}
-    if lead1 + lead2 < KMIN_CAP:
-        for k, _ in coeffs:
-            if k < KMIN_CAP:
-                raise TruncationUnderflowError(
-                    f"power eps^{k} below the supported pole depth eps^{KMIN_CAP}")
     return kmax, [(key, c.real.hex(), c.imag.hex()) for key, c in coeffs.items()]
 
 
@@ -385,20 +374,21 @@ def _refusal(build):
         return type(exc).__name__, str(exc)
 
 
-# 1e-200 squared underflows to zero, so a product below the pole depth made
-# only of such pairs has nothing to refuse
+# 1e-200 squared underflows to zero, so a product made only of such pairs
+# drops every coefficient
 TINY = st.sampled_from([1e-200, -1e-200]).map(complex)
 
 
 @st.composite
 def key_edge_series(draw):
-    """A series with keys at the layout's edges: eps^-4 poles, log powers
-    0..2, powers up to an exact order, and any key order."""
+    """A series with keys at the layout's edges: poles down to eps^-12, log
+    powers 0..2, powers up to an exact order, and any key order."""
+    deep = -12
     top = draw(st.sampled_from([2, 6, EXACT_ORDER]))
-    kmax = draw(st.one_of(st.integers(KMIN_CAP, top), st.just(EXACT_ORDER)))
-    ks = st.one_of(st.integers(KMIN_CAP, min(kmax, KMIN_CAP + 3)),
-                   st.integers(KMIN_CAP, kmax),
-                   st.integers(max(KMIN_CAP, kmax - 2), kmax))
+    kmax = draw(st.one_of(st.integers(deep, top), st.just(EXACT_ORDER)))
+    ks = st.one_of(st.integers(deep, min(kmax, deep + 3)),
+                   st.integers(deep, kmax),
+                   st.integers(max(deep, kmax - 2), kmax))
     keys = draw(st.lists(st.tuples(ks, st.integers(0, LOGCAP)), min_size=1, max_size=6,
                          unique=True))
     coeff = st.one_of(EDGE_COEFF.filter(bool), TINY)
@@ -407,12 +397,12 @@ def key_edge_series(draw):
 
 @settings(KERNEL, max_examples=200)
 @given(a=key_edge_series(), b=key_edge_series(),
-       kmax=st.one_of(st.integers(-8, 12), st.integers(-10, EXACT_ORDER + 2)),
+       kmax=st.one_of(st.integers(-8, 12), st.integers(-26, EXACT_ORDER + 2)),
        drop=st.integers(0, 4))
 # log(eps)^2 times log(eps)^2 at eps^0: refused at or below kmax, cut or not
 @example(a=EpsSeries({(0, 2): 1.0}), b=EpsSeries({(0, 2): 1.0}), kmax=0, drop=3)
 @example(a=EpsSeries({(0, 2): 1.0}), b=EpsSeries({(1, 1): 1.0}), kmax=0, drop=0)
-# eps^-4 times eps^-4, below the pole depth
+# eps^-4 times eps^-4 reaches eps^-8
 @example(a=EpsSeries({(-4, 0): 1.0, (0, 1): 2.0}), b=EpsSeries({(-4, 2): 1.0}), kmax=2,
          drop=0)
 def test_the_product_matches_the_tuple_keyed_product_bit_for_bit(a, b, kmax, drop):

@@ -6,6 +6,7 @@ import math
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -448,6 +449,21 @@ def test_eta_beyond_threshold_branch():
     # just above threshold the plain quadrature still applies
     above = eta(-3.9, 1.0, 4.0)
     assert abs(above - eta_closed_d4(-3.9, 1.0)) <= 1e-8 * abs(above)
+
+
+@pytest.mark.parametrize("r2, m2", [(-1e200, 1e190), (-1e160, 1e150), (-1e-200, 1e-210)])
+def test_eta_beyond_threshold_where_r2_times_the_shift_leaves_the_float_range(r2, m2):
+    # r2 (r2 + 4 m^2) overflows (it returned 0j) or underflows (it raised
+    # ZeroDivisionError) while the value does not.  Oracle: the closed form
+    # at 40 digits.  q = sqrt(1 + 4 m^2 / r2) lies 2e-10 below 1, where
+    # atanh amplifies q's rounding (under 1e-16) by 1 / (1 - q^2) = 2.5e9:
+    # under 3e-7 on an atanh of 11.5, 3e-8 of the value.
+    with mpmath.workdps(40):
+        r, m = mpmath.mpf(r2), mpmath.mpf(m2)
+        shifted = r + 4 * m
+        oracle = complex((mpmath.pi / 2 + 1j * mpmath.atanh(mpmath.sqrt(shifted / r)))
+                         / (8 * mpmath.pi ** 2 * mpmath.sqrt(r * shifted)))
+    assert abs(eta_closed_d4(r2, m2) - oracle) <= 1e-7 * abs(oracle)
 
 
 # ----------------------------------------------------------------------

@@ -55,13 +55,9 @@ UNREACHED = {
     "loopentropy.entropy.s_nonperturbative": "a channel of zero weight: " + MULTIPARTICLE,
     "loopentropy.epsseries._cleaned": "a caller's coefficient past kmax is dropped, as the "
                                       "validating constructor documents",
-    "loopentropy.epsseries._pole_depth_error": "an error path: a coefficient below the pole "
-                                               "depth, refused in unit tests",
     "loopentropy.epsseries.EpsSeries.__repr__": "the repr() protocol, for debugging",
     "loopentropy.epsseries.EpsSeries.coefficient": "a log power outside [0, LOGCAP], which no "
                                                    "key holds and kernel_key would alias",
-    "loopentropy.epsseries.EpsSeries.__mul__": "a refusal: the pole-depth check of a product "
-                                               "whose leads sum below KMIN_CAP",
     "loopentropy.epsseries.EpsSeries.__pow__": "a negative power, through the inverse; the "
                                                "ring laws test it",
     "loopentropy.epsseries.EpsSeries.__rtruediv__": "a number over a series; the ring "
@@ -74,8 +70,10 @@ UNREACHED = {
                                             "j >= 2 (bench/'s registry, the tests) asks for it",
     "loopentropy.loops.LoopValue.__post_init__": BENCH,
     "loopentropy.loops.LoopValue.consistent": BENCH,
-    "loopentropy.loops.eta_closed_d4": "the r2 = 0 limit, where the general form is 0/0; "
-                                       "the radial trace asks at interior nodes only",
+    "loopentropy.loops.eta_closed_d4": "the r2 = 0 limit, where the general form is 0/0, "
+                                       "and an r2 (r2 + 4 m^2) outside the normal float "
+                                       "range; the radial trace and demo 02 ask at "
+                                       "moderate r2 != 0",
     "loopentropy.loops.chi_over_delta_series": BENCH,
     "loopentropy.loops.delta_stripped_series": BENCH,
     "loopentropy.params.SchemeParams.from_tv": BENCH,
