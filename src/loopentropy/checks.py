@@ -18,6 +18,7 @@ from . import entropy as en
 from . import loops
 from .epsseries import EpsSeries
 from .loops import SchemeParams
+from .params import CHECK_SEED
 from .traces import TraceSet, tr_rho4_inferred, vacuum_trace_phi4, vacuum_trace_phir
 
 
@@ -77,7 +78,9 @@ def check_conditional_constancy() -> CheckResult:
     )
 
 
-def check_delta_oracle(seed: int = 20240817) -> CheckResult:
+# each seeded check's default is the seed run_all hands it by default, for the
+# benchmark harness, which calls every check bare (bench/test_bench.py)
+def check_delta_oracle(seed: int = CHECK_SEED) -> CheckResult:
     rng = random.Random(seed)
     worst = 0.0
     worst_pt = None
@@ -93,7 +96,7 @@ def check_delta_oracle(seed: int = 20240817) -> CheckResult:
     )
 
 
-def check_chi_oracle(seed: int = 20240818) -> CheckResult:
+def check_chi_oracle(seed: int = CHECK_SEED + 1) -> CheckResult:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(8):
@@ -109,7 +112,7 @@ def check_chi_oracle(seed: int = 20240818) -> CheckResult:
     )
 
 
-def check_eta_zero_momentum(seed: int = 20240819) -> CheckResult:
+def check_eta_zero_momentum(seed: int = CHECK_SEED + 2) -> CheckResult:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(8):
@@ -155,7 +158,7 @@ def check_mutual_identity() -> CheckResult:
                        f"worst_coeff_diff={worst:.2e}")
 
 
-def check_trace_relations(seed: int = 20240820) -> CheckResult:
+def check_trace_relations(seed: int = CHECK_SEED + 3) -> CheckResult:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(20):
@@ -236,7 +239,7 @@ def info_combined_expansion_offset() -> CheckResult:
     )
 
 
-def run_all(seed: int = 20240817) -> list[CheckResult]:
+def run_all(seed: int = CHECK_SEED) -> list[CheckResult]:
     return [
         check_tau(),
         check_conditional_constancy(),

@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 from ._lazy import LazyModule
 from .errors import InputError, LoopEntropyError, NonFiniteError, ToleranceNotMetError
-from .params import SchemeParams, check_int_range, check_range
+from .params import CHECK_SEED, SchemeParams, check_int_range, check_range
 
 np = LazyModule("numpy")
 
@@ -350,7 +350,7 @@ def _add_tau(p):
 
 
 def _add_check(p):
-    p.add_argument("--seed", type=_parse_seed, default=20240817,
+    p.add_argument("--seed", type=_parse_seed, default=CHECK_SEED,
                    help="seed of the sampled checks (a non-negative integer)")
 
 

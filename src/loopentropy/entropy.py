@@ -36,8 +36,8 @@ from .loops import (
     _in_float_range,
     _quad,
 )
-from .params import (MASS_MAX, MASS_MIN, WEIGHT_MAX, Z_MIN, SchemeParams, check_positive,
-                     check_range)
+from .params import (MASS_MAX, MASS_MIN, WEIGHT_MAX, Z_MIN, SchemeParams, check_coupling_and_tv,
+                     check_positive, check_range)
 
 np = LazyModule("numpy")
 
@@ -461,8 +461,10 @@ def vacuum_finite_coefficient(m0: float, mu: float, lambda0: float = 1.0,
     that reproduces the published curve shape: exactly one interior minimum
     in m0 whose location decreases as mu increases.  The figure command
     uses this convention by default and records it in its output header.
-    Both m0 and mu lie in [MASS_MIN, MASS_MAX].
+    Both m0 and mu lie in [MASS_MIN, MASS_MAX], and ``lambda0`` and ``tv``
+    in the ranges of ``SchemeParams``.
     """
+    check_coupling_and_tv(lambda0, tv)
     vac_a, vac_b = vacuum_coefficients(mu)
     masslog = vacuum_mass_log_term(m0, mu)
     if convention == "closed_form":

@@ -337,7 +337,8 @@ class EpsSeries:
 
         Requires no pole part.  A log(eps) term at eps^0 must carry an
         integer coefficient (it exponentiates to an exact power of eps);
-        anything else has no Laurent-with-logs representation.
+        anything else has no Laurent-with-logs representation.  A result
+        that leaves the float range is refused (NonFiniteError).
         """
         if self.lead() < 0:
             raise NonInvertibleLeadingTermError("exp of a series with poles")
@@ -354,7 +355,13 @@ class EpsSeries:
                                    if s not in (0, 1)}, self.kmax)
         acc = _power_sum(EpsSeries._trusted({0: 1.0 + 0.0j}, self.kmax), rest,
                          self.kmax, _EXP_WEIGHTS)
-        return acc.scale(cmath.exp(c00)).shift(L)
+        try:
+            result = acc.scale(cmath.exp(c00)).shift(L)
+        except OverflowError:
+            result = None
+        if result is None or not all(map(cmath.isfinite, result._coeffs.values())):
+            raise NonFiniteError("exp of the series leaves the float range")
+        return result
 
     # ------------------------------------------------------------------
     # evaluation, comparison, serialization

@@ -13,14 +13,14 @@ oracles, used by the validation suite and the ``check`` command).
 numpy and QUADPACK (``loopentropy._quadpack``, which loads scipy's compiled
 routine without the ``scipy.integrate`` package) are imported on first use,
 not with this module: the series paths call neither.  numpy serves the
-quadrature integrands and the closed bubble ``eta_closed_d4``; the
-quadratures run only for the oracles, the regulated contour ratio
-(``--quad-ratio``, ``tau --delta-cut``), the contour coefficients and the
-Renyi traces.
+quadrature integrands; the quadratures run only for the oracles, the
+regulated contour ratio (``--quad-ratio``, ``tau --delta-cut``), the contour
+coefficients and the Renyi traces.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -170,8 +170,11 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     roots, eta = -i atanh(q) / (8 pi^2 sqrt(r2) sqrt(r2 + 4 m^2)); the
     r2 = 0 limit is the j=2 tadpole power.  Below the two-particle
     threshold r2 < -4 m^2 the m^2 - i0 prescription selects the branch
-    with a positive absorptive (real) part.  A non-finite r2 is refused, and
-    so (NonFiniteError) is an |r2| / m2 past about 1e16: q rounds to 1.
+    with a positive absorptive (real) part.  Where q is real, atanh(q) is
+    log1p(q) - log(1 - q^2) / 2 with 1 - q^2 taken from r2 and m^2, not from
+    q, so it keeps its digits as q nears 1; for -4 m^2 < r2 < 0, q = i y and
+    atanh(q) = i atan(y).  A non-finite r2 is refused, and so
+    (NonFiniteError) is one whose value or intermediate leaves the float range.
     """
     check_positive("m2", m2)
     check_range("r2", r2, -sys.float_info.max, sys.float_info.max)
@@ -180,23 +183,24 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     shifted = r2 + 4.0 * m2
     if r2 < 0.0 and abs(shifted) < 1e-12 * m2:
         raise NonConvergentError("bubble is singular at the two-particle threshold")
-    if shifted < 0.0:  # beyond threshold: explicit -i0 continuation
-        q = math.sqrt(shifted / r2)
-    else:
-        z = complex(r2)
-        root_r = np.sqrt(z)
-        root_s = np.sqrt(z + 4.0 * m2)
-        q = root_r / root_s
-    if q == 1.0:
-        raise NonFiniteError(f"eta_closed_d4({r2!r}, {m2!r}): q rounds to 1, the pole of atanh")
-    if shifted < 0.0:
+    if shifted < 0.0:  # beyond threshold: explicit -i0 continuation, 1 - q^2 = -4 m^2 / r2
+        atanh = math.log1p(math.sqrt(shifted / r2)) + 0.5 * math.log1p(-shifted / (4.0 * m2))
         product = r2 * shifted
         if sys.float_info.min <= product <= sys.float_info.max:
             root = math.sqrt(product)
         else:  # the product leaves the normal float range, each factor's root does not
             root = math.sqrt(-r2) * math.sqrt(-shifted)
-        return (0.5 * PI + 1j * np.arctanh(q)) / (8.0 * PI ** 2 * root)
-    return -1j * np.arctanh(q) / (8.0 * PI ** 2 * root_r * root_s)
+        value = (0.5 * PI + 1j * atanh) / (8.0 * PI ** 2 * root)
+    elif r2 < 0.0:  # q = i y, y = sqrt(-r2) / sqrt(r2 + 4 m^2)
+        root_r, root_s = math.sqrt(-r2), math.sqrt(shifted)
+        value = -1j * math.atan(root_r / root_s) / (8.0 * PI ** 2 * root_r * root_s)
+    else:  # 1 - q^2 = 4 m^2 / (r2 + 4 m^2)
+        root_r, root_s = math.sqrt(r2), math.sqrt(shifted)
+        atanh = math.log1p(root_r / root_s) + 0.5 * math.log1p(r2 / (4.0 * m2))
+        value = -1j * atanh / (8.0 * PI ** 2 * root_r * root_s)
+    if not (value and cmath.isfinite(value)):
+        raise NonFiniteError(f"eta_closed_d4({r2!r}, {m2!r}) leaves the float range")
+    return value
 
 
 def eta(r2: float, m2: float, d: float) -> complex:

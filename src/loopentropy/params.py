@@ -39,6 +39,9 @@ TV_MAX = 1e30
 Z_MIN = 1e-30
 WEIGHT_MAX = 1e30
 
+# the seed the ``check`` command draws its sampled points with by default
+CHECK_SEED = 20240817
+
 
 def check_int_range(name: str, value, lo: int, hi: int) -> None:
     """Raise InputError unless ``value`` is an integer in [lo, hi]."""
@@ -53,6 +56,16 @@ def check_range(name: str, value: float, lo: float = MASS_MIN, hi: float = MASS_
     mass range (a NaN lies in no range)."""
     if not lo <= value <= hi:
         raise InputError(f"{name} must lie in [{lo:g}, {hi:g}], not {value!r}")
+
+
+def check_coupling_and_tv(lambda0: float, tv: float) -> None:
+    """Raise InputError unless the coupling ``lambda0`` is 0 or has a
+    magnitude in [COUPLING_MIN, COUPLING_MAX], and ``tv`` lies in [TV_MIN,
+    TV_MAX]."""
+    if lambda0 != 0 and not COUPLING_MIN <= abs(lambda0) <= COUPLING_MAX:
+        raise InputError(f"lambda0 must be 0 or have a magnitude in "
+                         f"[{COUPLING_MIN:g}, {COUPLING_MAX:g}], not {lambda0!r}")
+    check_range("tv", tv, TV_MIN, TV_MAX)
 
 
 def check_positive(name: str, value: float) -> None:
@@ -77,10 +90,7 @@ class SchemeParams:
     order: int = 4
 
     def __post_init__(self):
-        if self.lambda0 != 0 and not COUPLING_MIN <= abs(self.lambda0) <= COUPLING_MAX:
-            raise InputError(f"lambda0 must be 0 or have a magnitude in "
-                             f"[{COUPLING_MIN:g}, {COUPLING_MAX:g}], not {self.lambda0!r}")
-        check_range("tv", self.tv, TV_MIN, TV_MAX)
+        check_coupling_and_tv(self.lambda0, self.tv)
         check_range("m0", self.m0)
         check_range("mu", self.mu)
         check_int_range("order", self.order, 0, MAX_ORDER)

@@ -163,19 +163,12 @@ def test_config_may_give_the_quantity(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["name"] == "ext21"  # the flag wins
 
 
-def test_check_command_passes(capsys):
-    code = main(["check"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "[FAIL]" not in out
-    assert "[INFO]" in out  # informational findings present, not failures
-    assert "chi_alternate_form_sign" in out
-
-
-def test_check_meets_every_quadrature_tolerance_at_seed_174(capsys):
-    # 174: the chi x-integral missed 1e-11 in one pass over (0, 1) and exited 2;
-    # 480: so did the chi radial integral in one pass over (0, inf)
-    for seed in ("174", "480"):
+def test_check_passes_at_the_first_ten_seeds_and_at_174_and_480(capsys):
+    # the ledger runs the default seed and 1; these are the rest of the first
+    # ten, not chosen by outcome.  At 174 the chi x-integral missed 1e-11 in
+    # one pass over (0, 1) and exited 2, and at 480 so did the chi radial
+    # integral in one pass over (0, inf), when check drew with numpy
+    for seed in ("0", "2", "3", "4", "5", "6", "7", "8", "9", "174", "480"):
         code = main(["check", "--seed", seed])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0, seed
@@ -189,7 +182,7 @@ def test_check_fault_injection_names_oracle(monkeypatch):
 
     delta_closed = loops.delta_closed
     monkeypatch.setattr(loops, "delta_closed", lambda j, m2, d: -delta_closed(j, m2, d))
-    results = checks_mod.run_all()
+    results = checks_mod.run_all(seed=0)
     assert checks_mod.exit_code(results) == 1
     failed = [r.name for r in results if r.passed is False]
     assert failed == ["delta_vs_radial_oracle", "chi_quadrature_consistency",

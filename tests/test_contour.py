@@ -45,11 +45,6 @@ def test_coeff_b_finite_and_real():
     assert math.isfinite(b.real)
 
 
-def test_coeff_b_diverges_as_cut_shrinks():
-    ladder = [abs(coeff_b(ContourConfig(endpoint_cut=c))) for c in (0.2, 0.1, 0.05)]
-    assert ladder[0] < ladder[1] < ladder[2]
-
-
 def test_coeff_a_log_factor_origin_limit():
     from loopentropy.contour import _log_factor
 

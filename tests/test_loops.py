@@ -4,7 +4,6 @@ against closed forms, and the bubble at general momentum."""
 import dataclasses
 import math
 import sys
-import time
 
 import mpmath
 import numpy as np
@@ -40,19 +39,6 @@ from loopentropy.loops import (
 from loopentropy.params import COUPLING_MAX, COUPLING_MIN, TV_MAX, TV_MIN
 
 PI = math.pi
-
-
-def _random_convergent_points(n, seed):
-    rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < n:
-        j = int(rng.integers(0, 5))
-        d = float(rng.uniform(1.0, 2 * j + 1.8))
-        m2 = float(rng.uniform(0.25, 9.0))
-        if abs(j + 1 - d / 2 - round(j + 1 - d / 2)) < 1e-3 and round(j + 1 - d / 2) <= 0:
-            continue
-        pts.append((j, m2, d))
-    return pts
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +122,6 @@ def test_delta_closed_pole_error():
         delta_closed(1, 1.0, 4.0)  # Gamma(0)
 
 
-def test_delta_closed_vs_radial_oracle_random():
-    for j, m2, d in _random_convergent_points(50, seed=101):
-        ref = oracle_delta_radial(j, m2, d)
-        val = delta_closed(j, m2, d)
-        assert abs(val - ref) <= 1e-6 * abs(ref)
-
-
 def test_radial_oracle_rejects_divergent_parameters():
     with pytest.raises(NonConvergentError):
         oracle_delta_radial(0, 1.0, 2.5)  # needs d < 2
@@ -188,8 +167,9 @@ def test_chi_branch_term_at_unit_mass():
 
 
 # numpy's generator drew these for the chi check of `check --seed 174` and
-# `--seed 480`; one pass of the x-integral (both) and of the radial
-# integral (480) over its whole range missed the oracle tolerance there
+# `--seed 480`, before `check` drew with `random.Random`, so no check reaches
+# them now; one pass of the x-integral (both) and of the radial integral
+# (480) over its whole range missed the oracle tolerance there
 @pytest.mark.parametrize("j, m2, d", [(0, 8.383286922642323, 1.6195723560906439),
                                       (0, 1.079967495957862, 1.4890595436122886)],
                          ids=["check_seed_174", "check_seed_480"])
@@ -198,17 +178,6 @@ def test_chi_quadratures_agree_at_the_hard_check_points(j, m2, d):
     r_val = oracle_chi_radial(j, m2, d)
     assert abs(x_val - r_val) <= 1e-6 * abs(r_val)
     assert abs(chi_closed(j, m2, d) - x_val) <= 1e-6 * abs(x_val)
-
-
-def test_chi_quadratures_agree_random():
-    t0 = time.perf_counter()
-    for j, m2, d in _random_convergent_points(50, seed=102):
-        x_val = oracle_chi_x(j, m2, d)
-        r_val = oracle_chi_radial(j, m2, d)
-        c_val = chi_closed(j, m2, d)
-        assert abs(x_val - r_val) <= 1e-6 * abs(r_val)
-        assert abs(c_val - x_val) <= 1e-6 * abs(x_val)
-    assert time.perf_counter() - t0 < 30.0
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +350,7 @@ def test_no_library_call_reaches_a_params_form(monkeypatch):
     en.order1_blocks_n2(p)
     traces.ratio_checks(p)
     traces.tr_rho4_inferred(0.9, 1.2, 0.4, p)
-    checks.run_all()
+    checks.run_all(seed=0)
     assert calls == []
 
 
@@ -392,16 +361,9 @@ def test_eta_zero_momentum_reference():
     assert eta(0.0, 1.0, 4.0) == pytest.approx(-1j / (32 * PI ** 2), rel=1e-10)
     for m2 in (0.25, 1.0, 9.0):  # the closed form's r2 = 0 branch: the j = 2 tadpole power
         assert eta_closed_d4(0.0, m2) == pytest.approx(delta_closed(2, m2, 4.0), rel=1e-15)
-
-
-def test_eta_zero_equals_delta2_independent_paths():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m2 = float(rng.uniform(0.25, 9.0))
-        d = float(rng.uniform(2.0, 5.5))
-        lhs = eta(0.0, m2, d)            # Feynman-parameter quadrature
-        rhs = delta_closed(2, m2, d)     # Gamma closed form
-        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+        # and the general form meets it: its atanh(q) keeps q = 5e-151 whole
+        for r2 in (1e-300, -1e-300):
+            assert eta_closed_d4(r2, m2) == pytest.approx(eta_closed_d4(0.0, m2), rel=1e-15)
 
 
 def test_eta_closed_form_vs_quadrature():
@@ -455,15 +417,35 @@ def test_eta_beyond_threshold_branch():
 def test_eta_beyond_threshold_where_r2_times_the_shift_leaves_the_float_range(r2, m2):
     # r2 (r2 + 4 m^2) overflows (it returned 0j) or underflows (it raised
     # ZeroDivisionError) while the value does not.  Oracle: the closed form
-    # at 40 digits.  q = sqrt(1 + 4 m^2 / r2) lies 2e-10 below 1, where
-    # atanh amplifies q's rounding (under 1e-16) by 1 / (1 - q^2) = 2.5e9:
-    # under 3e-7 on an atanh of 11.5, 3e-8 of the value.
+    # at 40 digits.  q = sqrt(1 + 4 m^2 / r2) lies 2e-10 below 1, where an
+    # atanh of q itself would lose 3e-8 of the value; taking 1 - q^2 from r2
+    # and m^2 keeps it to rounding.
     with mpmath.workdps(40):
         r, m = mpmath.mpf(r2), mpmath.mpf(m2)
         shifted = r + 4 * m
         oracle = complex((mpmath.pi / 2 + 1j * mpmath.atanh(mpmath.sqrt(shifted / r)))
                          / (8 * mpmath.pi ** 2 * mpmath.sqrt(r * shifted)))
-    assert abs(eta_closed_d4(r2, m2) - oracle) <= 1e-7 * abs(oracle)
+    assert abs(eta_closed_d4(r2, m2) - oracle) <= 1e-15 * abs(oracle)
+
+
+@pytest.mark.parametrize("r2, m2", [(1e10, 1.0), (1e14, 1.0), (1e17, 1.0), (1e300, 1.0),
+                                    (-1e10, 1.0), (-1e14, 1.0), (-1e17, 1.0)],
+                         ids=["above_1e10", "above_1e14", "eta_closed_q_rounds_to_1",
+                              "eta_closed_q_rounds_to_1_far", "beyond_1e10", "beyond_1e14",
+                              "eta_closed_q_rounds_to_1_below"])
+def test_eta_closed_keeps_its_digits_as_q_nears_1(r2, m2):
+    # np.arctanh(q) amplified q's rounding by 1 / (1 - q^2) = |r2| / (4 m^2):
+    # 2.8e-8 off at 1e10 and 2e-4 at 1e14, and refused once q rounded to 1.
+    # Oracle: the closed form at 400 digits, which resolve 1 - q at 1e300.
+    with mpmath.workdps(400):
+        r, m = mpmath.mpf(r2), mpmath.mpf(m2)
+        shifted = r + 4 * m
+        root = 8 * mpmath.pi ** 2 * mpmath.sqrt(r * shifted)
+        if r2 > 0:
+            oracle = complex(-1j * mpmath.atanh(mpmath.sqrt(r / shifted)) / root)
+        else:
+            oracle = complex((mpmath.pi / 2 + 1j * mpmath.atanh(mpmath.sqrt(shifted / r))) / root)
+    assert abs(eta_closed_d4(r2, m2) - oracle) <= 1e-15 * abs(oracle)
 
 
 # ----------------------------------------------------------------------
@@ -509,10 +491,6 @@ def test_eta_beyond_threshold_where_r2_times_the_shift_leaves_the_float_range(r2
     (lambda: traces.tr_rho4_inferred(1.0, 1.0, math.inf, SchemeParams()), InputError),
     (lambda: traces.tr_rho4_inferred(0.0, 1.0, 0.0, SchemeParams()), InputError),
     (lambda: traces.tr_rho4_inferred(1.0, 1.0, 0.0, SchemeParams(), math.nan), InputError),
-    # q rounds to 1, where arctanh divided by zero and returned an infinity
-    (lambda: eta_closed_d4(1e17, 1.0), NonFiniteError),
-    (lambda: eta_closed_d4(-1e17, 1.0), NonFiniteError),
-    (lambda: eta_closed_d4(1e300, 1.0), NonFiniteError),
     # a negative m_phys was taken (it enters squared), a NaN refused as m2
     (lambda: traces.tr_rho4_inferred(1.0, -2.0, 0.0, SchemeParams()), InputError),
     (lambda: traces.tr_rho4_inferred(1.0, math.nan, 0.0, SchemeParams()), InputError),
@@ -527,8 +505,7 @@ def test_eta_beyond_threshold_where_r2_times_the_shift_leaves_the_float_range(r2
         "delta_series_prefactor_subnormal",
         "chi_x_singular_endpoint_a", "chi_x_singular_endpoint_b", "oracle_negative_m2",
         "eta_closed_nan_r2", "eta_closed_inf_r2", "tr_rho4_inf_phase", "tr_rho4_zero_z",
-        "tr_rho4_nan_overlap", "eta_closed_q_rounds_to_1", "eta_closed_q_rounds_to_1_below",
-        "eta_closed_q_rounds_to_1_far", "tr_rho4_negative_m_phys", "tr_rho4_nan_m_phys"])
+        "tr_rho4_nan_overlap", "tr_rho4_negative_m_phys", "tr_rho4_nan_m_phys"])
 def test_refused_inputs(call, error):
     with pytest.raises(error):
         call()
