@@ -163,6 +163,23 @@ def chi_closed(j: int, m2: float, d: float) -> complex:
     )
 
 
+def _log1p_over_4m2(x: float, m2: float) -> float:
+    """log1p(x / (4 m^2)); where the ratio overflows, 4 m^2 lies below x's
+    last bit and it is log(x) - log(4 m^2)."""
+    ratio = x / (4.0 * m2)
+    if math.isinf(ratio):
+        return math.log(x) - math.log(4.0 * m2)
+    return math.log1p(ratio)
+
+
+def _over_roots(numer: complex, scale: float, a: float, b: float) -> complex:
+    """numer / scale, scale being 8 pi^2 sqrt(a) sqrt(b); where scale
+    overflows, numer is divided by 8 pi^2 sqrt(a) and by sqrt(b) in turn."""
+    if math.isinf(scale):
+        return numer / (8.0 * PI ** 2 * math.sqrt(a)) / math.sqrt(b)
+    return numer / scale
+
+
 def eta_closed_d4(r2: float, m2: float) -> complex:
     """One-loop bubble at d = 4 in closed form.
 
@@ -173,8 +190,11 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     with a positive absorptive (real) part.  Where q is real, atanh(q) is
     log1p(q) - log(1 - q^2) / 2 with 1 - q^2 taken from r2 and m^2, not from
     q, so it keeps its digits as q nears 1; for -4 m^2 < r2 < 0, q = i y and
-    atanh(q) = i atan(y).  A non-finite r2 is refused, and so
-    (NonFiniteError) is one whose value or intermediate leaves the float range.
+    atanh(q) = i atan(y).  Where the real-q value is a float but
+    8 pi^2 sqrt(|r2|) sqrt(|r2 + 4 m^2|) or |r2| / (4 m^2) overflows, it
+    divides by each root in turn and takes log(|r2|) - log(4 m^2).  A
+    non-finite r2 is refused, and so (NonFiniteError) is one whose value or
+    another intermediate leaves the float range.
     """
     check_positive("m2", m2)
     check_range("r2", r2, -sys.float_info.max, sys.float_info.max)
@@ -184,20 +204,20 @@ def eta_closed_d4(r2: float, m2: float) -> complex:
     if r2 < 0.0 and abs(shifted) < 1e-12 * m2:
         raise NonConvergentError("bubble is singular at the two-particle threshold")
     if shifted < 0.0:  # beyond threshold: explicit -i0 continuation, 1 - q^2 = -4 m^2 / r2
-        atanh = math.log1p(math.sqrt(shifted / r2)) + 0.5 * math.log1p(-shifted / (4.0 * m2))
+        atanh = math.log1p(math.sqrt(shifted / r2)) + 0.5 * _log1p_over_4m2(-shifted, m2)
         product = r2 * shifted
         if sys.float_info.min <= product <= sys.float_info.max:
             root = math.sqrt(product)
         else:  # the product leaves the normal float range, each factor's root does not
             root = math.sqrt(-r2) * math.sqrt(-shifted)
-        value = (0.5 * PI + 1j * atanh) / (8.0 * PI ** 2 * root)
+        value = _over_roots(0.5 * PI + 1j * atanh, 8.0 * PI ** 2 * root, -r2, -shifted)
     elif r2 < 0.0:  # q = i y, y = sqrt(-r2) / sqrt(r2 + 4 m^2)
         root_r, root_s = math.sqrt(-r2), math.sqrt(shifted)
         value = -1j * math.atan(root_r / root_s) / (8.0 * PI ** 2 * root_r * root_s)
     else:  # 1 - q^2 = 4 m^2 / (r2 + 4 m^2)
         root_r, root_s = math.sqrt(r2), math.sqrt(shifted)
-        atanh = math.log1p(root_r / root_s) + 0.5 * math.log1p(r2 / (4.0 * m2))
-        value = -1j * atanh / (8.0 * PI ** 2 * root_r * root_s)
+        atanh = math.log1p(root_r / root_s) + 0.5 * _log1p_over_4m2(r2, m2)
+        value = _over_roots(-1j * atanh, 8.0 * PI ** 2 * root_r * root_s, r2, shifted)
     if not (value and cmath.isfinite(value)):
         raise NonFiniteError(f"eta_closed_d4({r2!r}, {m2!r}) leaves the float range")
     return value

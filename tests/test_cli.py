@@ -10,8 +10,6 @@ import hashlib
 import json
 import math
 import re
-import time
-import types
 
 import numpy as np
 import pytest
@@ -36,11 +34,9 @@ def _parse_csv(text):
 # figure 2
 # ----------------------------------------------------------------------
 def test_figure2_curves_increase_and_dominance():
-    for steps in (100, 200):  # 200: the default grid, in under 5 s
-        t0 = time.perf_counter()
+    for steps in (100, 200):  # 200: the default grid
         _, rows = _parse_csv(cmd_figure2(SweepConfig(m0_min=1.0, m0_max=10.0, steps=steps,
                                                      mu=(1.0,))))
-        assert time.perf_counter() - t0 < 5.0
         arr = np.array(rows)
         for col in (1, 2, 3, 4, 5):
             assert np.all(np.diff(arr[:, col]) > 0)
@@ -190,15 +186,17 @@ def test_check_fault_injection_names_oracle(monkeypatch):
 
 
 def test_check_tau_verdict_is_numeric_only(monkeypatch):
-    # a clock that advances a second per reading: the value is right, so PASS
-    ticks = iter(range(100))
-    monkeypatch.setattr(checks_mod, "time",
-                        types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
-    slow = checks_mod.check_tau()
-    assert slow.status == "PASS"
-    assert "runtime=1000000.0us" in slow.detail
     monkeypatch.setattr(checks_mod.ct, "tau", lambda: 3.3)
     assert checks_mod.check_tau().status == "FAIL"
+
+
+def test_check_prints_the_same_bytes_on_every_run(capsys):
+    # no line reads a clock, so the ledger pins check's stdout as printed
+    outputs = []
+    for _ in range(2):
+        assert main(["check", "--seed", "0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_fmt_is_lossless():
@@ -565,9 +563,8 @@ def test_every_flag_has_a_case():
 
 def _run_cli(argv, tmp_path, capsys):
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
-    # without the figures' grid comment, which records every grid flag, and
-    # without check's wall-clock time
-    out = re.sub(r"(?m)^#.*\n|runtime=\S+", "", capsys.readouterr().out)
+    # without the figures' grid comment, which records every grid flag
+    out = re.sub(r"(?m)^#.*\n", "", capsys.readouterr().out)
     files = {}
     for path in sorted(tmp_path.iterdir()):
         files[path.name] = path.read_bytes()

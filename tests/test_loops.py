@@ -448,6 +448,28 @@ def test_eta_closed_keeps_its_digits_as_q_nears_1(r2, m2):
     assert abs(eta_closed_d4(r2, m2) - oracle) <= 1e-15 * abs(oracle)
 
 
+@pytest.mark.parametrize("r2, m2", [(1e307, 1.0), (-1e307, 1.0), (1e300, 1e-10),
+                                    (-1e300, 1e-10), (1.7e308, 1e-300), (-1.7e308, 1e-300)])
+def test_eta_closed_where_an_intermediate_overflows(r2, m2):
+    # 8 pi^2 sqrt(|r2|) sqrt(|r2 + 4 m^2|) or |r2| / (4 m^2) overflows while
+    # the value is a normal float: each raised NonFiniteError.  Oracle: the
+    # closed form at 50 digits, where q rounds to 1, so 1 - q^2 is taken
+    # exactly: 4 m^2 / (r2 + 4 m^2) above threshold, -4 m^2 / r2 beyond it.
+    with mpmath.workdps(50):
+        r, m = mpmath.mpf(r2), mpmath.mpf(m2)
+        shifted = r + 4 * m
+        root = 8 * mpmath.pi ** 2 * mpmath.sqrt(abs(r)) * mpmath.sqrt(abs(shifted))
+        if r2 > 0:
+            atanh = mpmath.log1p(mpmath.sqrt(r / shifted)) - mpmath.log(4 * m / shifted) / 2
+            oracle = complex(-1j * atanh / root)
+        else:
+            atanh = mpmath.log1p(mpmath.sqrt(shifted / r)) - mpmath.log(-4 * m / r) / 2
+            oracle = complex((mpmath.pi / 2 + 1j * atanh) / root)
+    value = eta_closed_d4(r2, m2)
+    assert abs(value) >= sys.float_info.min
+    assert abs(value - oracle) <= 1e-13 * abs(oracle)
+
+
 # ----------------------------------------------------------------------
 # refused inputs
 # ----------------------------------------------------------------------

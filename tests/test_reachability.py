@@ -74,6 +74,10 @@ UNREACHED = {
                                        "and an r2 (r2 + 4 m^2) outside the normal float "
                                        "range; the radial trace and demo 02 ask at "
                                        "moderate r2 != 0",
+    "loopentropy.loops._log1p_over_4m2": "an |r2| / (4 m^2) past the float range, at "
+                                         "|r2| above about 7e308 m^2",
+    "loopentropy.loops._over_roots": "an 8 pi^2 sqrt(|r2|) sqrt(|r2 + 4 m^2|) past the float "
+                                     "range, at |r2| above about 2e306",
     "loopentropy.loops.chi_over_delta_series": BENCH,
     "loopentropy.loops.delta_stripped_series": BENCH,
     "loopentropy.params.SchemeParams.from_tv": BENCH,

@@ -119,13 +119,6 @@ def test_zeta_int_serves_the_table_unchanged():
         assert sf.zeta_int(n) == value
 
 
-def test_contour_constant_precursor():
-    g, z3, _ = sf.constants()
-    value = 0.25 * (-2.0 * g - math.log(4.0) + 12.0 + 3.0 * z3)
-    # published figure is truncated to 4 decimals
-    assert value == pytest.approx(3.2663, abs=1e-4)
-
-
 def test_polygamma_matches_oracle():
     for n in (1, 2, 3, 5):
         for z in (0.75, 2.0 - 0.5j, -1.3 + 0.8j, 6.0):
