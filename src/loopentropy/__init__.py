@@ -22,8 +22,7 @@ _SUBMODULE = {
                      "power_series"), "epsseries"),
     **dict.fromkeys(("InputError", "LogCapError", "LoopEntropyError", "NonConvergentError",
                      "NonFiniteError", "NonInvertibleLeadingTermError", "PoleError",
-                     "ToleranceNotMetError", "UnknownQuantityError"),
-                    "errors"),
+                     "ToleranceNotMetError"), "errors"),
     **dict.fromkeys(("LoopValue", "chi_closed", "chi_over_delta_series", "chi_series",
                      "delta_closed", "delta_series", "delta_stripped_series", "eta",
                      "eta_closed_d4", "oracle_chi_radial", "oracle_chi_x",

@@ -25,7 +25,7 @@ from . import contour as ct
 from . import specialfns as sf
 from ._lazy import LazyModule
 from .epsseries import EpsSeries, power_series
-from .errors import InputError, NonFiniteError, UnknownQuantityError
+from .errors import InputError, NonFiniteError
 from .loops import (
     chi_over_delta_series_m2,
     chi_series_m2,
@@ -565,7 +565,7 @@ def compute_quantity(name: str, params: SchemeParams, *,
     ``spectrum`` gets ``sd``."""
     quantity = QUANTITIES.get(name)
     if quantity is None:
-        raise UnknownQuantityError(f"unknown quantity {name!r}; known: {sorted(QUANTITIES)}")
+        raise InputError(f"unknown quantity {name!r}; known: {sorted(QUANTITIES)}")
     if use_tau and cfg is not None:
         raise InputError("a contour cfg selects the regulated ratio; pass use_tau=False "
                          "with it")

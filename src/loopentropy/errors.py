@@ -39,7 +39,3 @@ class NonConvergentError(LoopEntropyError):
 
 class ToleranceNotMetError(LoopEntropyError):
     """Adaptive quadrature could not reach the requested tolerance."""
-
-
-class UnknownQuantityError(LoopEntropyError):
-    """An entropy quantity name is not in the registry."""

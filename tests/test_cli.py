@@ -1,8 +1,9 @@
 """Command-line layer, for what the ledger of ``tests/test_cli_ledger.py``
-does not pin by hash: figure properties over whole grids, the grid
-arithmetic, file writing, config conversion, that every flag shows in the
-output, each refusal on its own against its ledger line, and the ``check``
-suite's verdicts."""
+does not pin by hash: the grid arithmetic, file writing, config conversion,
+that every flag shows in the output, that each named refusal's ledger line
+is a refusal, the refusals whose line the ledger cannot pin, and the
+``check`` suite's verdicts.  The paper's physics is asserted at the library
+layer, where a failure names the function that broke."""
 
 import builtins
 import errno
@@ -15,76 +16,17 @@ import numpy as np
 import pytest
 
 from loopentropy import checks as checks_mod
-from loopentropy.cli import SweepConfig, build_parser, cmd_figure2, cmd_figure3, fmt, main
-from test_cli_ledger import CONFIG_RUNS, DATA, LEDGER, REFUSALS, run
+from loopentropy.cli import SweepConfig, build_parser, fmt, main
+from test_cli_ledger import CONFIG_RUNS, DATA, LEDGER, REFUSALS
 
 # each refusal of the CLI ledger by name, and the ledger's entries by argv
 NAMED_REFUSALS = {**REFUSALS, **CONFIG_RUNS}
 LEDGER_ENTRIES = {tuple(e["argv"]): e for e in json.loads(LEDGER.read_text())["entries"]}
 
 
-def _parse_csv(text):
-    lines = [ln for ln in text.strip().split("\n") if not ln.startswith("#")]
-    header = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return header, rows
-
-
 # ----------------------------------------------------------------------
-# figure 2
+# the sweep grid
 # ----------------------------------------------------------------------
-def test_figure2_curves_increase_and_dominance():
-    for steps in (100, 200):  # 200: the default grid
-        _, rows = _parse_csv(cmd_figure2(SweepConfig(m0_min=1.0, m0_max=10.0, steps=steps,
-                                                     mu=(1.0,))))
-        arr = np.array(rows)
-        for col in (1, 2, 3, 4, 5):
-            assert np.all(np.diff(arr[:, col]) > 0)
-        m0 = arr[:, 0]
-        assert np.all(arr[m0 >= 2.0, 5] > arr[m0 >= 2.0, 1])
-
-
-def test_figure2_asymptotic_log_slope():
-    cfg = SweepConfig(m0_min=8.0, m0_max=10.0, steps=40, mu=(1.0,))
-    _, rows = _parse_csv(cmd_figure2(cfg))
-    arr = np.array(rows)
-    logs = np.log(arr[:, 0])
-    for col in (1, 2, 3):
-        slope = np.polyfit(logs, arr[:, col], 1)[0]
-        assert slope == pytest.approx(4.0, abs=0.05)
-
-
-# ----------------------------------------------------------------------
-# figure 3
-# ----------------------------------------------------------------------
-def test_figure3_minima_interior_and_decreasing():
-    cfg = SweepConfig(m0_min=0.2, m0_max=6.0, steps=300, mu=(0.5, 1.0, 2.0))
-    header, rows = _parse_csv(cmd_figure3(cfg))
-    assert header[0] == "m0"
-    arr = np.array(rows)
-    minima = []
-    for col in (1, 2, 3):
-        i = int(np.argmin(arr[:, col]))
-        assert 0 < i < len(arr) - 1
-        signs = np.sign(np.diff(arr[:, col]))
-        assert int(np.sum(np.abs(np.diff(signs)) > 0)) == 1
-        minima.append(arr[i, 0])
-    assert minima[0] > minima[1] > minima[2]
-
-
-def test_figure3_mass_log_term_inactive_at_unit_mass():
-    cfg = SweepConfig(m0_min=0.5, m0_max=1.5, steps=3, mu=(1.0,),
-                      convention="closed_form")
-    _, rows = _parse_csv(cmd_figure3(cfg))
-    from loopentropy import entropy as en
-
-    vac_a, vac_b = en.vacuum_coefficients(1.0)
-    expected = 1.0 - 0.25 * (vac_a + vac_b) / (1536 * math.pi ** 4)
-    mid = rows[1]
-    assert mid[0] == pytest.approx(1.0)
-    assert mid[1] == pytest.approx(expected, rel=1e-12)
-
-
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(steps=1)
@@ -223,9 +165,10 @@ QUADRATURE_REFUSALS = {
 
 @pytest.mark.parametrize("case", sorted({**NAMED_REFUSALS, **QUADRATURE_REFUSALS}))
 def test_invalid_input_exits_2_with_one_error_line(case, capsys):
-    """Each refusal on its own: exit 2, nothing on stdout, and one ``error:``
-    line, the one the CLI ledger pins or, for a cut too small for the
-    quadrature, one of the pattern above."""
+    """Exit 2, nothing on stdout, and one ``error:`` line.  A named refusal
+    is read from its ledger entry and not run: the ledger's own test runs
+    every entry and compares.  A cut too small for the quadrature is run,
+    and its line is matched against the pattern above."""
     if case in QUADRATURE_REFUSALS:
         argv, cut = QUADRATURE_REFUSALS[case]
         assert main([a.replace("{data}", str(DATA)) for a in argv]) == 2
@@ -240,7 +183,6 @@ def test_invalid_input_exits_2_with_one_error_line(case, capsys):
     want = LEDGER_ENTRIES[tuple(argv)]
     assert want["exit"] == 2 and want["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
     assert want["stderr"].startswith("error: ") and "\n" not in want["stderr"]
-    assert run(argv) == want
 
 
 def test_a_nul_in_the_config_path_is_refused_as_unreadable(capsys):
@@ -430,11 +372,13 @@ def test_figure_commands_refuse_non_finite_rows(command, rows_fn, tmp_path,
 
 
 def test_delta_cut_is_used_with_quad_ratio(capsys):
-    finite = []
-    for extra in ([], ["--delta-cut", "0.05"], ["--delta-cut", "0.1"]):
+    # --quad-ratio alone takes the default cut, 0.05; that another cut moves
+    # the output is the --delta-cut row of FLAG_CASES
+    outputs = []
+    for extra in ([], ["--delta-cut", "0.05"]):
         assert main(["entropy", "--q", "total21", "--quad-ratio", *extra]) == 0
-        finite.append(json.loads(capsys.readouterr().out)["finite"])
-    assert finite[0] == finite[1] != finite[2]
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_config_values_are_converted_like_flags(tmp_path, capsys):
@@ -448,13 +392,6 @@ def test_config_values_are_converted_like_flags(tmp_path, capsys):
     assert from_config == capsys.readouterr().out
     # a mu list is fine for figure3 but not for entropy's single scale
     assert main(["--config", str(cfg_path), "entropy", "--q", "int21"]) == 2
-
-
-def test_z_with_m_phys_is_used(capsys):
-    assert main(["entropy", "--q", "nonpert", "--m-phys", "2", "--z", "0.5"]) == 0
-    with_z = json.loads(capsys.readouterr().out)["finite"]
-    assert main(["entropy", "--q", "nonpert", "--m-phys", "2"]) == 0
-    assert with_z != json.loads(capsys.readouterr().out)["finite"]
 
 
 def test_sweep_config_caps_and_finiteness():

@@ -13,7 +13,8 @@ in-process.  The ledger is the one table
 that pins what the CLI prints, its output and its ``error:`` lines alike:
 the library's tests hold the values, and ``tests/test_cli.py`` runs a
 command only for what no entry pins.  Each refusal has a name, and
-``tests/test_cli.py`` checks each one on its own.
+``tests/test_cli.py`` checks by name that its entry is a refusal (exit 2,
+empty stdout, one ``error:`` line) without running it again.
 The config files are committed under ``tests/data/config``; an argv names
 that directory ``{data}``, which stands in its ``error:`` lines too, so no
 entry depends on where the repository lives.
@@ -60,8 +61,8 @@ QUANTITIES = ("ext2_order0", "ext2_order1", "ext2_total", "ext21", "int21", "tot
 CORNERS = ((1e-30, 1e-30, 1e-30, 1e-30), (1e30, 1e30, 1e30, 1e30),
            (1e-30, 1e30, -1e30, 1e30), (1e30, 1e-30, 0.0, 1e-30))
 
-# each refusal by name (``tests/test_cli.py`` checks each one on its own
-# against its ledger line)
+# each refusal by name (``tests/test_cli.py`` reads each one's ledger entry,
+# and the test below runs it)
 REFUSALS = {
     "missing_q": ["entropy"],
     "unknown_q": ["entropy", "--q", "nope"],

@@ -21,6 +21,7 @@ import pytest
 from loopentropy import contour as ct
 from loopentropy import entropy as en
 from loopentropy.loops import SchemeParams
+from test_cli_ledger import CORNERS  # as (m0, mu, lambda0, tv)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 INPUTS = ("m0", "mu", "lambda0", "tv", "contour", "spectrum")
@@ -89,9 +90,6 @@ def test_a_quantity_moves_with_exactly_the_inputs_it_reads(name):
                 assert move <= STAYS, (name, input_name, base, move)
 
 
-# the CLI ledger's corners, as (m0, mu, lambda0, tv)
-CORNERS = ((1e-30, 1e-30, 1e-30, 1e-30), (1e30, 1e30, 1e30, 1e30),
-           (1e-30, 1e30, -1e30, 1e30), (1e30, 1e-30, 0.0, 1e-30))
 N_SCHEMES = 24
 
 
